@@ -88,6 +88,19 @@ pub fn f64_from_word(w: u64) -> f64 {
     (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The integer form of the coin `f64_from_word(w) < p`: for every word `w`,
+/// `f64_from_word(w) < p` exactly when `w >> 11 < coin_threshold(p)`.
+///
+/// `f64_from_word(w)` is the integer `w >> 11` times `2^-53`, and scaling
+/// by a power of two is exact, so the coin holds iff `w >> 11 < p·2^53`,
+/// i.e. iff `w >> 11 < ⌈p·2^53⌉`. A kernel that flips many coins against
+/// one probability can then compare integers. `p ≤ 0` and `NaN` give 0
+/// (never); `p ≥ 1` gives at least `2^53` (always).
+#[inline]
+pub fn coin_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// xoshiro256\*\* (Blackman & Vigna 2018): fast, high-quality, 256-bit state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {

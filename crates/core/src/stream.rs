@@ -277,6 +277,14 @@ pub trait StreamAlg {
 
     /// Answer the fixed query for the stream seen so far.
     fn query(&self) -> Self::Output;
+
+    /// The universe bound `n` when the algorithm requires every update's
+    /// item to lie in `[0, n)` (and panics otherwise); `None` when any
+    /// item is accepted. Lets a server reject an out-of-universe update at
+    /// admission instead of inside the algorithm.
+    fn universe(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Exact frequency vector over a `u64` universe, maintained incrementally.

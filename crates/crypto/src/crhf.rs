@@ -96,6 +96,113 @@ impl SpaceUsage for PedersenHash {
     }
 }
 
+/// The last block [`PedersenMd::hash_words`] absorbs, after the length.
+const FINAL_BLOCK: u64 = 0x5A5A_5A5A;
+
+/// The constant blocks of a `u64` digest. `x.to_be_bytes()` packs into the
+/// words `[x, 8]` (the item, then the byte length), so after the item's
+/// halves `x >> 32` and `x & 0xFFFF_FFFF` the chain absorbs the length
+/// word's halves `0` and `8`, the word count `2`, and the final block.
+const U64_TAIL_BLOCKS: [u64; 4] = [0, 8, 2, FINAL_BLOCK];
+
+/// Bits per window of a [`FixedBase`] table.
+const WINDOW_BITS: u32 = 4;
+
+/// Entries per window of a [`FixedBase`] table.
+const WINDOW_SIZE: usize = 1 << WINDOW_BITS;
+
+/// Fixed-base windowed exponentiation modulo `p`.
+///
+/// Window `i` holds `b^{j·16^i}` for every 4-bit digit `j`, so `b^e` is
+/// the product of one entry per nonzero digit of `e`: at most one
+/// multiplication per 4 exponent bits, against a squaring per bit and a
+/// multiplication per set bit for [`pow_mod`]. Built once per base and
+/// evaluated many times. The group arithmetic is exact, so the result is
+/// the same residue `pow_mod` returns.
+#[derive(Debug, Clone)]
+pub struct FixedBase {
+    p: u64,
+    /// Window-major: `table[i·16 + j] = b^{j·16^i} mod p`.
+    table: Vec<u64>,
+}
+
+impl FixedBase {
+    /// Table for `base^e mod p` over exponents `e < 2^exp_bits`.
+    pub fn new(base: u64, p: u64, exp_bits: u32) -> Self {
+        assert!(p > 0 && exp_bits <= 64);
+        let windows = exp_bits.div_ceil(WINDOW_BITS) as usize;
+        let mut table = Vec::with_capacity(windows * WINDOW_SIZE);
+        let mut b = base % p;
+        for _ in 0..windows {
+            // Powers b^0 … b^15 of this window's base; the loop leaves
+            // b^16, the next window's base.
+            let mut acc = 1 % p;
+            for _ in 0..WINDOW_SIZE {
+                table.push(acc);
+                acc = mul_mod(acc, b, p);
+            }
+            b = acc;
+        }
+        FixedBase { p, table }
+    }
+
+    /// `base^e mod p`; `e` must be below `2^exp_bits`.
+    pub fn pow(&self, mut e: u64) -> u64 {
+        let mut acc = 1 % self.p;
+        for window in self.table.chunks_exact(WINDOW_SIZE) {
+            if e == 0 {
+                break;
+            }
+            let digit = (e % WINDOW_SIZE as u64) as usize;
+            if digit != 0 {
+                acc = mul_mod(acc, window[digit], self.p);
+            }
+            e >>= WINDOW_BITS;
+        }
+        assert_eq!(e, 0, "exponent exceeds the fixed-base table");
+        acc
+    }
+}
+
+/// [`PedersenMd::hash_u64`] with the exponentiations precomputed: fixed-base
+/// tables for `g` and `h` covering exponents below `q`, and the `h`-powers
+/// of the constant blocks. Digests are bit-identical to
+/// [`PedersenMd::hash_u64`] (and so to `hash_bytes`); only the cost of an
+/// exponentiation changes. Public data only, like the parameters.
+#[derive(Debug, Clone)]
+pub struct PedersenTables {
+    md: PedersenMd,
+    g: FixedBase,
+    h: FixedBase,
+    tail: [u64; 4],
+}
+
+impl PedersenTables {
+    /// Build the tables for `md`'s parameters.
+    pub fn new(md: PedersenMd) -> Self {
+        let PedersenParams { p, q, g, h } = md.inner.params;
+        let exp_bits = u64::BITS - (q - 1).leading_zeros();
+        let h = FixedBase::new(h, p, exp_bits);
+        PedersenTables {
+            md,
+            g: FixedBase::new(g, p, exp_bits),
+            tail: U64_TAIL_BLOCKS.map(|block| h.pow(block)),
+            h,
+        }
+    }
+
+    /// The hash these tables evaluate.
+    pub fn md(&self) -> &PedersenMd {
+        &self.md
+    }
+
+    /// [`PedersenMd::hash_u64`] through the tables.
+    pub fn hash_u64(&self, x: u64) -> u64 {
+        self.md
+            .chain_u64(x, |e| self.g.pow(e), |e| self.h.pow(e), self.tail)
+    }
+}
+
 /// Arbitrary-length CRHF: Merkle–Damgård over [`PedersenHash`] with length
 /// strengthening.
 ///
@@ -149,7 +256,47 @@ impl PedersenMd {
         absorb(&mut state, words.len() as u64 & 0xFFFF_FFFF);
         // Final output: full group element (not folded), so the output
         // universe is [1, p).
-        self.inner.compress(state, 0x5A5A_5A5A)
+        self.inner.compress(state, FINAL_BLOCK)
+    }
+
+    /// [`Self::hash_bytes`] of `x.to_be_bytes()`, without allocating.
+    pub fn hash_u64(&self, x: u64) -> u64 {
+        let PedersenParams { p, g, h, .. } = self.inner.params;
+        let tail = U64_TAIL_BLOCKS.map(|block| pow_mod(h, block, p));
+        self.chain_u64(x, |e| pow_mod(g, e, p), |e| pow_mod(h, e, p), tail)
+    }
+
+    /// The Merkle–Damgård chain of [`Self::hash_u64`], with `g^e` and
+    /// `h^e` supplied by the caller and `tail` holding `h` raised to each of
+    /// [`U64_TAIL_BLOCKS`]. Every compression is the one
+    /// [`PedersenHash::compress`] computes, so any exact way of
+    /// exponentiating gives the same digest.
+    fn chain_u64(
+        &self,
+        x: u64,
+        g_pow: impl Fn(u64) -> u64,
+        h_pow: impl Fn(u64) -> u64,
+        tail: [u64; 4],
+    ) -> u64 {
+        let PedersenParams { p, q, .. } = self.inner.params;
+        let compress = |state: u64, h_block: u64| mul_mod(g_pow(state), h_block, p);
+        let h_blocks = [
+            h_pow(x >> 32),
+            h_pow(x & 0xFFFF_FFFF),
+            tail[0],
+            tail[1],
+            tail[2],
+        ];
+        let mut state = 1 % q;
+        for h_block in h_blocks {
+            state = compress(state, h_block) % q;
+        }
+        compress(state, tail[3])
+    }
+
+    /// Fixed-base tables for hashing many `u64`s (see [`PedersenTables`]).
+    pub fn tables(&self) -> PedersenTables {
+        PedersenTables::new(*self)
     }
 
     /// Hash arbitrary bytes (packed big-endian into u64 words, with the byte
@@ -336,6 +483,38 @@ mod tests {
         assert_eq!(md.hash_bytes(b"hello"), md.hash_bytes(b"hello"));
         // Concatenation-sliding must be blocked by length strengthening.
         assert_ne!(md.hash_words(&[1, 2]), md.hash_words(&[1, 2, 0]));
+    }
+
+    #[test]
+    fn hash_u64_matches_hash_bytes_with_and_without_tables() {
+        let mut rng = TranscriptRng::from_seed(108);
+        let md = PedersenMd::generate(40, &mut rng);
+        let tables = md.tables();
+        for x in [0, 1, 0xFFFF_FFFF, 1 << 32, u64::MAX, 0x0123_4567_89AB_CDEF] {
+            let want = md.hash_bytes(&x.to_be_bytes());
+            assert_eq!(md.hash_u64(x), want, "hash_u64({x:#x})");
+            assert_eq!(tables.hash_u64(x), want, "tables.hash_u64({x:#x})");
+        }
+    }
+
+    #[test]
+    fn fixed_base_matches_pow_mod_at_the_edges() {
+        let h = pedersen();
+        let PedersenParams { p, q, g, .. } = *h.params();
+        let bits = u64::BITS - (q - 1).leading_zeros();
+        let table = FixedBase::new(g, p, bits);
+        for e in [0, 1, 15, 16, 255, 256, q / 2, q - 2, q - 1] {
+            assert_eq!(table.pow(e), pow_mod(g, e, p), "g^{e}");
+        }
+        // A 64-bit table covers every exponent.
+        let full = FixedBase::new(3, p, 64);
+        assert_eq!(full.pow(u64::MAX), pow_mod(3, u64::MAX, p));
+    }
+
+    #[test]
+    #[should_panic(expected = "exponent exceeds the fixed-base table")]
+    fn fixed_base_rejects_exponents_beyond_its_table() {
+        FixedBase::new(3, 1_000_003, 8).pow(256);
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod prime;
 pub mod sha256;
 pub mod sis;
 
-pub use crhf::{DlExpHash, DlExpParams, PedersenHash, PedersenMd, PedersenParams};
+pub use crhf::{
+    DlExpHash, DlExpParams, FixedBase, PedersenHash, PedersenMd, PedersenParams, PedersenTables,
+};
 pub use oracle::RandomOracle;
 pub use sha256::{sha256, sha256_u64, Sha256};
 pub use sis::{SisMatrix, SisParams};

@@ -76,9 +76,18 @@ impl RandomOracle {
     /// Position encoding is `j * dim + row`, so distinct `(j, row)` pairs
     /// never collide for `dim > 0`.
     pub fn zq_column(&self, j: u64, dim: usize, q: u64) -> Vec<u64> {
-        (0..dim as u64)
-            .map(|row| self.zq_at(j * dim as u64 + row, q))
-            .collect()
+        let mut col = vec![0; dim];
+        self.zq_column_into(j, q, &mut col);
+        col
+    }
+
+    /// [`Self::zq_column`] written into `out` (`dim = out.len()`) without
+    /// allocating.
+    pub(crate) fn zq_column_into(&self, j: u64, q: u64, out: &mut [u64]) {
+        let dim = out.len() as u64;
+        for (row, v) in (0..dim).zip(out.iter_mut()) {
+            *v = self.zq_at(j * dim + row, q);
+        }
     }
 }
 

@@ -154,26 +154,54 @@ impl SisMatrix {
         }
     }
 
+    /// Column `j` of `A` without allocating: borrowed from an explicit
+    /// matrix, or regenerated from the oracle into `scratch`, which must
+    /// hold exactly `d` entries.
+    pub fn column_in<'a>(&'a self, j: usize, scratch: &'a mut [u64]) -> &'a [u64] {
+        let p = *self.params();
+        assert!(j < p.w, "column index out of range");
+        debug_assert_eq!(scratch.len(), p.d);
+        match self {
+            SisMatrix::Explicit { cols, .. } => &cols[j],
+            SisMatrix::Oracle { oracle, .. } => {
+                oracle.zq_column_into(j as u64, p.q, scratch);
+                scratch
+            }
+        }
+    }
+
     /// `acc ← acc + coeff · A_j (mod q)` — the streaming update primitive.
     pub fn add_scaled_column(&self, j: usize, coeff: i64, acc: &mut [u64]) {
         let p = *self.params();
         debug_assert_eq!(acc.len(), p.d);
-        let c = reduce_signed(coeff, p.q);
-        if c == 0 {
-            return;
-        }
         match self {
-            SisMatrix::Explicit { cols, .. } => {
-                for (a, &v) in acc.iter_mut().zip(&cols[j]) {
-                    *a = add_mod(*a, mul_mod(c, v, p.q), p.q);
-                }
-            }
+            SisMatrix::Explicit { cols, .. } => self.add_scaled(&cols[j], coeff, acc),
             SisMatrix::Oracle { oracle, .. } => {
+                let c = reduce_signed(coeff, p.q);
+                if c == 0 {
+                    return;
+                }
                 for (row, a) in acc.iter_mut().enumerate() {
                     let v = oracle.zq_at(j as u64 * p.d as u64 + row as u64, p.q);
                     *a = add_mod(*a, mul_mod(c, v, p.q), p.q);
                 }
             }
+        }
+    }
+
+    /// `acc ← acc + coeff · col (mod q)` for a column already materialized
+    /// by [`Self::column_in`]: the same sums as
+    /// [`Self::add_scaled_column`], so a batch can regenerate a column once
+    /// and add it into every sketch that needs it.
+    pub fn add_scaled(&self, col: &[u64], coeff: i64, acc: &mut [u64]) {
+        let q = self.params().q;
+        debug_assert_eq!(acc.len(), col.len());
+        let c = reduce_signed(coeff, q);
+        if c == 0 {
+            return;
+        }
+        for (a, &v) in acc.iter_mut().zip(col) {
+            *a = add_mod(*a, mul_mod(c, v, q), q);
         }
     }
 

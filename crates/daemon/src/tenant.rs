@@ -67,6 +67,10 @@ pub struct Tenant {
     /// is accepted (so an accepted batch can never fail on model grounds
     /// inside the asynchronous ingest path).
     pub model: StreamModel,
+    /// The universe bound of an algorithm that requires `item < n`
+    /// ([`DynStreamAlg::universe_dyn`]), checked beside the model so an
+    /// out-of-universe item is refused at admission, never applied.
+    pub universe: Option<u64>,
     /// Constructor parameters (with the derived ctor seed) — kept so the
     /// sharded query path can build fresh merge targets.
     params: Params,
@@ -118,6 +122,7 @@ impl Tenant {
         // synchronously, as a typed reply — never inside the ingest path.
         let flat = registry::get(alg_name, &params).map_err(|e| invalid(&e))?;
         let model = flat.model_dyn();
+        let universe = flat.universe_dyn();
         let wanted_shards = hello.shards.unwrap_or(default_shards).max(1);
         let ctor = |_: usize| registry::get(alg_name, &params);
         let mergeable = wanted_shards > 1 && probe_mergeable(&ctor).map_err(|e| invalid(&e))?;
@@ -146,6 +151,7 @@ impl Tenant {
             seed_base,
             tenant_seed,
             model,
+            universe,
             params,
             shards,
             batch,
@@ -175,10 +181,12 @@ impl Tenant {
         Ok(())
     }
 
-    /// Validate a batch against the tenant's stream model *before*
-    /// accepting it (all-or-nothing): the typed rejection carries the
-    /// first offending index, reusing the engine's per-update rule
-    /// ([`StreamModel::accepts`] mirrors `from_update_weighted`).
+    /// Validate a batch against the tenant's stream model and universe
+    /// *before* accepting it (all-or-nothing): the typed rejection carries
+    /// the first offending index, reusing the engine's per-update rule
+    /// ([`StreamModel::accepts`] mirrors `from_update_weighted`). An item
+    /// at or above the universe bound of an algorithm that requires
+    /// `item < n` is a `bad_request`.
     pub fn validate_batch(&self, updates: &[Update]) -> Result<(), ProtoError> {
         if let TenantEngine::Failed { error } = &self.engine {
             return Err(ProtoError::new(ErrorKind::TenantFailed, error.to_string()));
@@ -191,6 +199,16 @@ impl Tenant {
                         "updates[{i}] {u:?} is outside {}'s {} model",
                         self.alg_name,
                         self.model.label()
+                    ),
+                ));
+            }
+            if let Some(n) = self.universe.filter(|&n| u.item() >= n) {
+                return Err(ProtoError::new(
+                    ErrorKind::BadRequest,
+                    format!(
+                        "updates[{i}] item {} is outside {}'s universe [0, {n})",
+                        u.item(),
+                        self.alg_name
                     ),
                 ));
             }
@@ -573,6 +591,39 @@ mod tests {
         assert!(err.message.contains("updates[1]"), "{}", err.message);
         // Turnstile tenants take everything.
         let t = Tenant::create("a", "exact_l0", 42, &hello_defaults(), 1, 64).unwrap();
+        assert!(t.validate_batch(&bad).is_ok());
+    }
+
+    #[test]
+    fn universe_validation_rejects_items_the_kernel_would_refuse() {
+        let small = HelloParams {
+            n: Some(16),
+            eps: None,
+            shards: None,
+        };
+        let t = Tenant::create("a", "sis_l0", 42, &small, 1, 64).unwrap();
+        assert_eq!(t.universe, Some(16));
+        let ok = vec![
+            Update::Insert(0),
+            Update::Turnstile {
+                item: 15,
+                delta: -2,
+            },
+        ];
+        assert!(t.validate_batch(&ok).is_ok());
+        let bad = vec![
+            Update::Insert(3),
+            Update::Turnstile {
+                item: 100,
+                delta: 1,
+            },
+        ];
+        let err = t.validate_batch(&bad).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadRequest);
+        assert!(err.message.contains("updates[1]"), "{}", err.message);
+        // Algorithms that take any item declare no bound.
+        let t = Tenant::create("a", "exact_l0", 42, &small, 1, 64).unwrap();
+        assert_eq!(t.universe, None);
         assert!(t.validate_batch(&bad).is_ok());
     }
 

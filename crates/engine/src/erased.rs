@@ -353,6 +353,13 @@ pub trait DynStreamAlg: Send {
     /// validate updates synchronously before an asynchronous ingest.
     fn model_dyn(&self) -> StreamModel;
 
+    /// The universe bound `n` of an algorithm that requires every item to
+    /// lie in `[0, n)` (see [`StreamAlg::universe`]), for the same kind of
+    /// synchronous pre-validation; `None` when any item is accepted.
+    fn universe_dyn(&self) -> Option<u64> {
+        None
+    }
+
     /// Fold a sibling instance's state into this one — the erased mirror of
     /// [`wb_core::merge::Mergeable`]. Type equality is downcast-checked:
     /// offering a different concrete type is [`MergeError::TypeMismatch`],
@@ -451,6 +458,10 @@ where
 
     fn model_dyn(&self) -> StreamModel {
         A::Update::model()
+    }
+
+    fn universe_dyn(&self) -> Option<u64> {
+        self.universe()
     }
 
     fn merge_dyn(&mut self, other: &dyn DynStreamAlg) -> Result<(), MergeError> {

@@ -19,6 +19,10 @@ use wb_core::space::{bits_for_count, SpaceUsage};
 pub struct GuessLadder<T, F> {
     ratio: f64,
     c: u32,
+    /// `answering_guess() as f64`, the threshold [`Self::advance`]
+    /// compares against — a pure function of `c`, refreshed whenever `c`
+    /// moves, so an update that promotes nothing costs one compare.
+    threshold: f64,
     answering: T,
     warming: T,
     factory: F,
@@ -37,6 +41,7 @@ where
         GuessLadder {
             ratio,
             c: 0,
+            threshold: guess_at(ratio, 1) as f64,
             answering,
             warming,
             factory,
@@ -68,12 +73,24 @@ where
         guess_at(self.ratio, self.c + 1)
     }
 
+    /// [`Self::advance`] with `t_hat` evaluated only when `t_hat_bound`,
+    /// an upper bound on it, reaches the answering guess — below that no
+    /// promotion can happen, so skipping the evaluation changes nothing.
+    pub(crate) fn advance_bounded(&mut self, t_hat_bound: f64, t_hat: impl FnOnce() -> f64) -> u32 {
+        if t_hat_bound < self.threshold {
+            0
+        } else {
+            self.advance(t_hat())
+        }
+    }
+
     /// Advance epochs while the estimated stream length `t_hat` has crossed
     /// the answering guess. Returns the number of promotions performed.
     pub fn advance(&mut self, t_hat: f64) -> u32 {
         let mut promotions = 0;
-        while t_hat >= self.answering_guess() as f64 {
+        while t_hat >= self.threshold {
             self.c += 1;
+            self.threshold = self.answering_guess() as f64;
             self.answering = std::mem::replace(
                 &mut self.warming,
                 (self.factory)(guess_at(self.ratio, self.c + 2)),
@@ -109,6 +126,7 @@ where
             self.answering = (self.factory)(guess_at(self.ratio, c + 1));
             self.warming = (self.factory)(guess_at(self.ratio, c + 2));
             self.c = c;
+            self.threshold = self.answering_guess() as f64;
         }
         self.answering.restore(r)?;
         self.warming.restore(r)

@@ -51,6 +51,11 @@ pub struct SisL0Estimator {
     agg: RunAggregator<i128>,
     /// Batch scratch: chunks whose sketch changed this batch.
     dirty: Vec<usize>,
+    /// Batch scratch: the nonzero aggregated runs as `(k, chunk, coeff)`,
+    /// grouped by column `k`.
+    runs_by_col: Vec<(usize, usize, i64)>,
+    /// Batch scratch: one regenerated oracle column.
+    col: Vec<u64>,
 }
 
 impl SisL0Estimator {
@@ -96,6 +101,8 @@ impl SisL0Estimator {
             nonzero_chunks: 0,
             agg: RunAggregator::new(),
             dirty: Vec::new(),
+            runs_by_col: Vec::new(),
+            col: vec![0; d],
         }
     }
 
@@ -116,6 +123,8 @@ impl SisL0Estimator {
             nonzero_chunks: 0,
             agg: RunAggregator::new(),
             dirty: Vec::new(),
+            runs_by_col: Vec::new(),
+            col: vec![0; params.d],
             matrix,
         }
     }
@@ -291,9 +300,13 @@ impl StreamAlg for SisL0Estimator {
 
     /// Batched turnstile ingestion. The sketch is `Z_q`-linear in the
     /// frequency vector, so per-item deltas may be summed before touching
-    /// `A` — one `add_scaled_column` per distinct item — and the nonzero
+    /// `A` — one scaled column per distinct item — and the nonzero
     /// bookkeeping recounted once per *dirty chunk* instead of once per
-    /// update. Both are pure functions of the final sketch values, so the
+    /// update. Every chunk shares `A`, so the distinct items are grouped by
+    /// column index and each column is regenerated once per batch (at most
+    /// `w·d` oracle queries) and added into every chunk that needs it;
+    /// sums mod `q` are exact, so the order of additions cannot matter.
+    /// All of these are pure functions of the final sketch values, so the
     /// end state is bit-identical to the scalar loop (which draws no
     /// randomness, making the transcript trivially identical too).
     fn process_batch(&mut self, updates: &[Turnstile], _rng: &mut TranscriptRng) {
@@ -301,6 +314,8 @@ impl StreamAlg for SisL0Estimator {
         let q = self.matrix.params().q;
         let mut agg = std::mem::take(&mut self.agg);
         let mut dirty = std::mem::take(&mut self.dirty);
+        let mut runs = std::mem::take(&mut self.runs_by_col);
+        let mut col = std::mem::take(&mut self.col);
         // Segmented to respect the aggregator's 2^24-pair batch cap.
         for part in updates.chunks(1 << 20) {
             agg.begin(part.len());
@@ -311,6 +326,8 @@ impl StreamAlg for SisL0Estimator {
                 agg.add(u.item, i128::from(u.delta));
             }
             dirty.clear();
+            runs.clear();
+            runs.reserve(agg.runs().len());
             for &(item, delta) in agg.runs() {
                 let coeff = (delta % i128::from(q)) as i64;
                 if coeff == 0 {
@@ -318,12 +335,16 @@ impl StreamAlg for SisL0Estimator {
                 }
                 let chunk = (item / self.chunk_w as u64) as usize;
                 let k = (item % self.chunk_w as u64) as usize;
-                self.matrix.add_scaled_column(
-                    k,
-                    coeff,
-                    &mut self.sketches[chunk * d..(chunk + 1) * d],
-                );
-                dirty.push(chunk);
+                runs.push((k, chunk, coeff));
+            }
+            runs.sort_unstable_by_key(|&(k, _, _)| k);
+            for group in runs.chunk_by(|a, b| a.0 == b.0) {
+                let column = self.matrix.column_in(group[0].0, &mut col);
+                for &(_, chunk, coeff) in group {
+                    let sketch = &mut self.sketches[chunk * d..(chunk + 1) * d];
+                    self.matrix.add_scaled(column, coeff, sketch);
+                    dirty.push(chunk);
+                }
             }
             dirty.sort_unstable();
             dirty.dedup();
@@ -343,6 +364,8 @@ impl StreamAlg for SisL0Estimator {
         }
         self.agg = agg;
         self.dirty = dirty;
+        self.runs_by_col = runs;
+        self.col = col;
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
@@ -356,6 +379,10 @@ impl StreamAlg for SisL0Estimator {
 
     fn query(&self) -> u64 {
         self.answer()
+    }
+
+    fn universe(&self) -> Option<u64> {
+        Some(self.n)
     }
 
     fn name(&self) -> &'static str {

@@ -14,7 +14,7 @@
 //! prefix w.h.p. The experiment E10 runs adaptive adversaries that try to
 //! stop at unlucky moments and measures the failure rate.
 
-use wb_core::rng::{f64_from_word, TranscriptRng};
+use wb_core::rng::{coin_threshold, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, SpaceUsage};
 use wb_core::stream::{InsertOnly, StreamAlg};
@@ -39,11 +39,11 @@ pub struct MorrisCounter {
     x: u64,
     /// Base offset `a > 0` (smaller `a` → better accuracy, more bits).
     a: f64,
-    /// Cached increment probability `(1+a)^{-X}` — a pure function of `x`
-    /// and `a` (refreshed whenever `x` moves), so each increment costs one
-    /// compare instead of a `powi`. Not observable state: snapshots skip
-    /// it and restores recompute it.
-    p: f64,
+    /// Cached coin threshold `coin_threshold((1+a)^{-X})` — a pure
+    /// function of `x` and `a` (refreshed whenever `x` moves), so each
+    /// increment costs one integer compare instead of a `powi`. Not
+    /// observable state: snapshots skip it and restores recompute it.
+    threshold: u64,
 }
 
 impl MorrisCounter {
@@ -58,43 +58,53 @@ impl MorrisCounter {
     /// Counter with an explicit base offset `a`.
     pub fn with_base(a: f64) -> Self {
         assert!(a > 0.0, "base offset must be positive");
-        MorrisCounter { x: 0, a, p: 1.0 }
+        MorrisCounter {
+            x: 0,
+            a,
+            threshold: Self::threshold_at(a, 0),
+        }
     }
 
-    /// The increment probability for exponent `x` — the sole formula the
-    /// cached `p` mirrors.
+    /// The increment probability for exponent `x`.
     fn prob_at(a: f64, x: u64) -> f64 {
         (1.0 + a).powi(-(x as i32))
     }
 
+    /// The coin threshold for exponent `x` — the sole formula the cached
+    /// `threshold` mirrors: a coin word `w` increments iff
+    /// `w >> 11 < threshold_at(a, x)`, exactly the draw
+    /// `bernoulli(prob_at(a, x))` makes from the same word.
+    fn threshold_at(a: f64, x: u64) -> u64 {
+        coin_threshold(Self::prob_at(a, x))
+    }
+
+    /// The estimate for exponent `x` — the sole formula behind
+    /// [`Self::estimate`] and the [`MedianMorris`] memo.
+    fn estimate_at(a: f64, x: u64) -> f64 {
+        ((1.0 + a).powi(x as i32) - 1.0) / a
+    }
+
     /// Register one event.
     pub fn increment(&mut self, rng: &mut TranscriptRng) {
-        if rng.bernoulli(self.p) {
-            self.bump();
-        }
+        self.increment_with_word(rng.next_u64());
     }
 
     /// Register one event whose coin word was already drawn (by a bulk
     /// `next_u64_many` prefetch); returns whether the exponent moved.
     #[inline]
     pub(crate) fn increment_with_word(&mut self, word: u64) -> bool {
-        if f64_from_word(word) < self.p {
-            self.bump();
+        if word >> 11 < self.threshold {
+            self.x += 1;
+            self.threshold = Self::threshold_at(self.a, self.x);
             true
         } else {
             false
         }
     }
 
-    #[inline]
-    fn bump(&mut self) {
-        self.x += 1;
-        self.p = Self::prob_at(self.a, self.x);
-    }
-
     /// Unbiased estimate `((1+a)^X − 1)/a` of the event count.
     pub fn estimate(&self) -> f64 {
-        ((1.0 + self.a).powi(self.x as i32) - 1.0) / self.a
+        Self::estimate_at(self.a, self.x)
     }
 
     /// The stored exponent `X` — the entire mutable state, visible to the
@@ -127,7 +137,7 @@ impl Snapshot for MorrisCounter {
             ));
         }
         self.x = x;
-        self.p = Self::prob_at(self.a, x);
+        self.threshold = Self::threshold_at(self.a, x);
         Ok(())
     }
 }
@@ -149,8 +159,8 @@ impl StreamAlg for MorrisCounter {
 
     /// Batched coin flips: one word per update, prefetched block-wise via
     /// `next_u64_many` (proven word- and transcript-identical to repeated
-    /// `next_u64`) and compared against the cached probability — the same
-    /// coins, the same exponent trajectory, no per-update `powi`.
+    /// `next_u64`) and compared against the cached coin threshold — the
+    /// same coins, the same exponent trajectory, no per-update `powi`.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
         let mut words = [0u64; MORRIS_BLOCK];
         let mut rest = updates.len();
@@ -182,6 +192,83 @@ impl StreamAlg for MorrisCounter {
     }
 }
 
+/// Log2 of the [`MorrisMemo`] slot count.
+const MEMO_BITS: u32 = 10;
+
+/// Mask from an exponent to its [`MorrisMemo`] slot.
+const MEMO_MASK: u64 = (1 << MEMO_BITS) - 1;
+
+/// Copies whose estimates fit the median's stack buffer; more spill to
+/// the heap.
+const MEDIAN_STACK: usize = 32;
+
+/// One memo slot: exponent `x` and its two derived values.
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    x: u64,
+    threshold: u64,
+    est: f64,
+}
+
+/// Direct-mapped memo from an exponent `x` to `threshold_at(a, x)` and
+/// `estimate_at(a, x)`, shared by a [`MedianMorris`]'s copies (which all
+/// have the same `a`). The copies climb the same exponents one step at a
+/// time and stay close together, so each value is computed once instead
+/// of once per copy, and indexing by the low bits of `x` keeps neighbours
+/// in distinct slots. A miss recomputes with the very same formulas, so
+/// the cached values are bit-identical to fresh ones. Scratch, not state:
+/// snapshots and space accounting skip it.
+#[derive(Clone, Default)]
+struct MorrisMemo {
+    slots: Vec<MemoSlot>,
+}
+
+impl std::fmt::Debug for MorrisMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MorrisMemo")
+            .field("slots", &self.slots.len())
+            .finish()
+    }
+}
+
+impl MorrisMemo {
+    /// `(threshold_at(a, x), estimate_at(a, x))`, computed and stored on a
+    /// miss.
+    #[inline]
+    fn get(&mut self, a: f64, x: u64) -> (u64, f64) {
+        match self.slots.get((x & MEMO_MASK) as usize) {
+            Some(slot) if slot.x == x => (slot.threshold, slot.est),
+            _ => self.fill(a, x),
+        }
+    }
+
+    /// The miss path of [`Self::get`], kept out of the coin-flip loop.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, a: f64, x: u64) -> (u64, f64) {
+        if self.slots.is_empty() {
+            let empty = MemoSlot {
+                x: u64::MAX,
+                threshold: 0,
+                est: 0.0,
+            };
+            self.slots = vec![empty; 1 << MEMO_BITS];
+        }
+        let slot = MemoSlot {
+            x,
+            threshold: MorrisCounter::threshold_at(a, x),
+            est: MorrisCounter::estimate_at(a, x),
+        };
+        self.slots[(x & MEMO_MASK) as usize] = slot;
+        (slot.threshold, slot.est)
+    }
+}
+
+/// The largest of `ests`.
+fn max_estimate(ests: &[f64]) -> f64 {
+    ests.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+}
+
 /// Median of `k` independent Morris counters: amplifies the per-time
 /// success probability from `1 − δ'` to `1 − exp(−Ω(k))`, which is how the
 /// `log(1/δ)` term in Lemma 2.1 is realized while keeping each counter's
@@ -189,6 +276,14 @@ impl StreamAlg for MorrisCounter {
 #[derive(Debug, Clone)]
 pub struct MedianMorris {
     counters: Vec<MorrisCounter>,
+    /// Each copy's estimate, refreshed whenever its exponent moves — a
+    /// pure function of the copy's `x`, like its cached coin threshold.
+    ests: Vec<f64>,
+    /// The largest estimate any copy has held since construction or the
+    /// last restore: never below the median, so a caller can rule out
+    /// `estimate() >= t` from one compare.
+    est_bound: f64,
+    memo: MorrisMemo,
 }
 
 impl MedianMorris {
@@ -197,15 +292,30 @@ impl MedianMorris {
     pub fn new(eps: f64, k: usize) -> Self {
         let k = if k.is_multiple_of(2) { k + 1 } else { k.max(1) };
         // Each copy: failure probability 1/8 at fixed time.
-        let counters = (0..k).map(|_| MorrisCounter::new(eps, 1.0 / 8.0)).collect();
-        MedianMorris { counters }
+        let counters: Vec<MorrisCounter> =
+            (0..k).map(|_| MorrisCounter::new(eps, 1.0 / 8.0)).collect();
+        let ests: Vec<f64> = counters.iter().map(MorrisCounter::estimate).collect();
+        MedianMorris {
+            counters,
+            est_bound: max_estimate(&ests),
+            ests,
+            memo: MorrisMemo::default(),
+        }
     }
 
-    /// Register one event (all copies flip independent coins).
-    pub fn increment(&mut self, rng: &mut TranscriptRng) {
-        for c in &mut self.counters {
-            c.increment(rng);
+    /// Register one event (all copies flip independent coins): draws the
+    /// copies' words in copy order and feeds them to the same per-word
+    /// path as the batch kernel. Returns whether any exponent moved.
+    pub fn increment(&mut self, rng: &mut TranscriptRng) -> bool {
+        let mut words = [0u64; MEDIAN_STACK];
+        let k = self.counters.len();
+        let mut changed = false;
+        for first in (0..k).step_by(MEDIAN_STACK) {
+            let take = (k - first).min(MEDIAN_STACK);
+            rng.next_u64_many(&mut words[..take]);
+            changed |= self.step(first, &words[..take]);
         }
+        changed
     }
 
     /// Register one event from `counters().len()` prefetched coin words in
@@ -214,18 +324,53 @@ impl MedianMorris {
     #[inline]
     pub(crate) fn increment_with_words(&mut self, words: &[u64]) -> bool {
         debug_assert_eq!(words.len(), self.counters.len());
+        self.step(0, words)
+    }
+
+    /// Flip the coins of copies `first..first + words.len()`, one word
+    /// each; a copy that moves takes its new coin threshold and estimate
+    /// from the memo. Returns whether any exponent moved.
+    #[inline(always)]
+    fn step(&mut self, first: usize, words: &[u64]) -> bool {
+        let end = first + words.len();
+        let copies = self.counters[first..end]
+            .iter_mut()
+            .zip(&mut self.ests[first..end]);
         let mut changed = false;
-        for (c, &w) in self.counters.iter_mut().zip(words) {
-            changed |= c.increment_with_word(w);
+        for ((c, est), &w) in copies.zip(words) {
+            if w >> 11 < c.threshold {
+                c.x += 1;
+                (c.threshold, *est) = self.memo.get(c.a, c.x);
+                self.est_bound = self.est_bound.max(*est);
+                changed = true;
+            }
         }
         changed
     }
 
+    /// An upper bound on every copy's estimate, hence on
+    /// [`Self::estimate`]: the largest estimate seen since construction or
+    /// the last restore.
+    pub fn estimate_bound(&self) -> f64 {
+        self.est_bound
+    }
+
     /// Median of the copies' estimates.
     pub fn estimate(&self) -> f64 {
-        let mut ests: Vec<f64> = self.counters.iter().map(MorrisCounter::estimate).collect();
-        ests.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
-        ests[ests.len() / 2]
+        let k = self.ests.len();
+        let mut stack = [0.0f64; MEDIAN_STACK];
+        let mut heap = Vec::new();
+        let ests = if k <= MEDIAN_STACK {
+            stack[..k].copy_from_slice(&self.ests);
+            &mut stack[..k]
+        } else {
+            heap.extend_from_slice(&self.ests);
+            &mut heap[..]
+        };
+        let (_, median, _) = ests.select_nth_unstable_by(k / 2, |a, b| {
+            a.partial_cmp(b).expect("estimates are finite")
+        });
+        *median
     }
 
     /// The individual counters (white-box view).
@@ -252,9 +397,11 @@ impl Snapshot for MedianMorris {
                 format!("MedianMorris({len} counters)"),
             ));
         }
-        for c in &mut self.counters {
+        for (c, est) in self.counters.iter_mut().zip(&mut self.ests) {
             c.restore(r)?;
+            *est = c.estimate();
         }
+        self.est_bound = max_estimate(&self.ests);
         Ok(())
     }
 }

@@ -20,17 +20,65 @@ use crate::misra_gries::MisraGries;
 use crate::morris::MedianMorris;
 use crate::sampling::bernoulli_rate;
 use std::collections::HashMap;
+use std::sync::Arc;
 use wb_core::rng::{f64_from_word, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, bits_for_universe, SpaceUsage};
 use wb_core::stream::{InsertOnly, StreamAlg};
-use wb_crypto::crhf::PedersenMd;
+use wb_crypto::crhf::{PedersenMd, PedersenTables};
+
+/// Log2 of the [`DigestMemo`] slot count (1024 slots, 16 KiB).
+const DIGEST_MEMO_BITS: u32 = 10;
+
+/// Marks an empty [`DigestMemo`] slot: truncated digests are below
+/// `2^40`, so no real digest equals it.
+const DIGEST_MEMO_EMPTY: u64 = u64::MAX;
+
+/// Direct-mapped memo from an item to its truncated digest, in the style of
+/// the AMS sign cache, shared by the epoch instances of one
+/// [`PhiEpsHeavyHitters`]. The digest is a pure function of the public
+/// CRHF, the digest width and the item, so a sampled repeat of a recent
+/// item skips the Pedersen chain and gets the identical value. Scratch,
+/// not state: snapshots and space accounting skip it.
+#[derive(Clone, Default)]
+struct DigestMemo {
+    items: Vec<u64>,
+    digests: Vec<u64>,
+}
+
+impl std::fmt::Debug for DigestMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DigestMemo")
+            .field("slots", &self.items.len())
+            .finish()
+    }
+}
+
+impl DigestMemo {
+    /// The memoized digest of `item`, computing and storing it on a miss.
+    #[inline]
+    fn get(&mut self, item: u64, digest: impl FnOnce(u64) -> u64) -> u64 {
+        if self.items.is_empty() {
+            self.items = vec![0; 1 << DIGEST_MEMO_BITS];
+            self.digests = vec![DIGEST_MEMO_EMPTY; 1 << DIGEST_MEMO_BITS];
+        }
+        // Fibonacci hashing spreads consecutive item ids across slots.
+        let slot = (item.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DIGEST_MEMO_BITS)) as usize;
+        if self.items[slot] != item || self.digests[slot] == DIGEST_MEMO_EMPTY {
+            self.items[slot] = item;
+            self.digests[slot] = digest(item);
+        }
+        self.digests[slot]
+    }
+}
 
 /// One epoch instance: Bernoulli sampling into an MG dictionary keyed by
 /// truncated CRHF digests, with a bounded name table.
 #[derive(Debug, Clone)]
 pub struct HashedBernMG {
-    crhf: PedersenMd,
+    /// The public CRHF's fixed-base tables, shared with the other epoch
+    /// instances.
+    crhf: Arc<PedersenTables>,
     hash_mask: u64,
     hash_bits: u32,
     p: f64,
@@ -47,7 +95,7 @@ impl HashedBernMG {
         m_guess: u64,
         eps: f64,
         delta: f64,
-        crhf: PedersenMd,
+        crhf: Arc<PedersenTables>,
         hash_bits: u32,
         names_cap: usize,
     ) -> Self {
@@ -71,26 +119,26 @@ impl HashedBernMG {
 
     /// Truncated CRHF digest of an item.
     pub fn digest(&self, item: u64) -> u64 {
-        self.crhf.hash_bytes(&item.to_be_bytes()) & self.hash_mask
+        self.crhf.hash_u64(item) & self.hash_mask
     }
 
-    fn insert(&mut self, item: u64, rng: &mut TranscriptRng) {
+    fn insert(&mut self, item: u64, rng: &mut TranscriptRng, memo: &mut DigestMemo) {
         // `bernoulli` consumes exactly the one word the batched path
         // prefetches, so delegating keeps the transcript identical.
         let word = rng.next_u64();
-        self.insert_with_word(item, word);
+        self.insert_with_word(item, word, memo);
     }
 
     /// [`Self::insert`] with the sampling coin word already drawn by a bulk
     /// prefetch. The early return keeps the (expensive) Pedersen digest off
     /// the unsampled path, exactly as the scalar `bernoulli` gate does.
     #[inline]
-    fn insert_with_word(&mut self, item: u64, word: u64) {
+    fn insert_with_word(&mut self, item: u64, word: u64, memo: &mut DigestMemo) {
         if f64_from_word(word) >= self.p {
             return;
         }
         self.sampled += 1;
-        let h = self.digest(item);
+        let h = memo.get(item, |x| self.digest(x));
         self.mg.insert(h);
         // Maintain names for the largest counters only.
         self.names.entry(h).or_insert(item);
@@ -198,7 +246,9 @@ pub struct PhiEpsHeavyHitters {
     eps: f64,
     morris: MedianMorris,
     ladder: GuessLadder<HashedBernMG, Factory>,
-    crhf: PedersenMd,
+    crhf: Arc<PedersenTables>,
+    /// Digests of recent items, shared by both live epoch instances.
+    digests: DigestMemo,
     hash_bits: u32,
 }
 
@@ -234,9 +284,12 @@ impl PhiEpsHeavyHitters {
         let floor = samples_cap.log2().ceil() as u32 + (4.0 / eps).log2().ceil() as u32 + 4;
         let t_bits = 2 * (64 - t_budget.leading_zeros()).max(1);
         let hash_bits = floor.max(t_bits).clamp(16, 40);
-        let crhf = PedersenMd::generate(40, rng);
+        // One set of fixed-base tables, shared by every epoch instance.
+        let crhf = Arc::new(PedersenMd::generate(40, rng).tables());
         let names_cap = (4.0 / phi).ceil() as usize;
+        let shared = Arc::clone(&crhf);
         let factory: Factory = Box::new(move |guess| {
+            let crhf = Arc::clone(&shared);
             HashedBernMG::new(n, guess, eps / 2.0, delta, crhf, hash_bits, names_cap)
         });
         PhiEpsHeavyHitters {
@@ -245,17 +298,31 @@ impl PhiEpsHeavyHitters {
             morris: MedianMorris::new(eps / 16.0, 7),
             ladder: GuessLadder::new(ratio, factory),
             crhf,
+            digests: DigestMemo::default(),
             hash_bits,
         }
     }
 
+    /// Promote epochs if `t̂` crossed the answering guess. Only needed
+    /// after a Morris exponent moved: `advance(t̂)` with an unchanged `t̂`
+    /// is a no-op (the previous call already looped until
+    /// `t̂ < answering_guess`). The median itself is computed only once the
+    /// copies' estimate bound reaches the guess.
+    fn advance_ladder(&mut self) {
+        let morris = &self.morris;
+        self.ladder
+            .advance_bounded(morris.estimate_bound(), || morris.estimate());
+    }
+
     /// Process one item occurrence.
     pub fn insert(&mut self, item: u64, rng: &mut TranscriptRng) {
-        self.morris.increment(rng);
+        let changed = self.morris.increment(rng);
         for inst in self.ladder.live_mut() {
-            inst.insert(item, rng);
+            inst.insert(item, rng, &mut self.digests);
         }
-        self.ladder.advance(self.morris.estimate());
+        if changed {
+            self.advance_ladder();
+        }
     }
 
     /// Reported `(item, estimate)` pairs: everything estimated at or above
@@ -272,7 +339,7 @@ impl PhiEpsHeavyHitters {
 
     /// The public CRHF (white-box view).
     pub fn crhf(&self) -> &PedersenMd {
-        &self.crhf
+        self.crhf.md()
     }
 
     /// Morris estimate of the stream length.
@@ -291,7 +358,7 @@ impl Snapshot for PhiEpsHeavyHitters {
         w.put_f64(self.phi);
         w.put_f64(self.eps);
         w.put_u32(self.hash_bits);
-        w.put_u64(self.crhf.hash_bytes(b"wbsn-crhf"));
+        w.put_u64(self.crhf().hash_bytes(b"wbsn-crhf"));
         self.morris.snap(w);
         self.ladder.snap(w);
     }
@@ -301,7 +368,7 @@ impl Snapshot for PhiEpsHeavyHitters {
         let eps = r.take_f64()?;
         let hash_bits = r.take_u32()?;
         let fp = r.take_u64()?;
-        let own_fp = self.crhf.hash_bytes(b"wbsn-crhf");
+        let own_fp = self.crhf().hash_bytes(b"wbsn-crhf");
         if phi.to_bits() != self.phi.to_bits()
             || eps.to_bits() != self.eps.to_bits()
             || hash_bits != self.hash_bits
@@ -324,7 +391,7 @@ impl Snapshot for PhiEpsHeavyHitters {
 
 impl SpaceUsage for PhiEpsHeavyHitters {
     fn space_bits(&self) -> u64 {
-        self.morris.space_bits() + self.ladder.space_bits() + self.crhf.space_bits()
+        self.morris.space_bits() + self.ladder.space_bits() + self.crhf().space_bits()
     }
 }
 
@@ -338,9 +405,10 @@ impl StreamAlg for PhiEpsHeavyHitters {
 
     /// Batched insert; same shape as
     /// [`RobustL1HeavyHitters`](crate::robust_hh::RobustL1HeavyHitters):
-    /// `k + 2` prefetched words per update in scalar draw order, and
-    /// `ladder.advance` only when a Morris exponent moved (a repeat call
-    /// with an unchanged `t̂` cannot promote).
+    /// `k + 2` prefetched words per update in scalar draw order, and the
+    /// ladder consulted only when a Morris exponent moved, exactly as in
+    /// [`Self::insert`]. A sampled item's digest comes from the shared
+    /// memo, or from the fixed-base tables on a miss.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
         const BLOCK: usize = 512;
         let k = self.morris.counters().len();
@@ -357,10 +425,10 @@ impl StreamAlg for PhiEpsHeavyHitters {
             {
                 let changed = self.morris.increment_with_words(&chunk[..k]);
                 for (inst, &w) in self.ladder.live_mut().into_iter().zip(&chunk[k..]) {
-                    inst.insert_with_word(u.0, w);
+                    inst.insert_with_word(u.0, w, &mut self.digests);
                 }
                 if changed {
-                    self.ladder.advance(self.morris.estimate());
+                    self.advance_ladder();
                 }
             }
             offset += take;

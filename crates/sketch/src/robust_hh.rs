@@ -67,13 +67,26 @@ impl RobustL1HeavyHitters {
         }
     }
 
+    /// Promote epochs if `t̂` crossed the answering guess. Only needed
+    /// after a Morris exponent moved: `advance(t̂)` with an unchanged `t̂`
+    /// is a no-op (the previous call already looped until
+    /// `t̂ < answering_guess`). The median itself is computed only once the
+    /// copies' estimate bound reaches the guess.
+    fn advance_ladder(&mut self) {
+        let morris = &self.morris;
+        self.ladder
+            .advance_bounded(morris.estimate_bound(), || morris.estimate());
+    }
+
     /// Process one item occurrence.
     pub fn insert(&mut self, item: u64, rng: &mut TranscriptRng) {
-        self.morris.increment(rng);
+        let changed = self.morris.increment(rng);
         for inst in self.ladder.live_mut() {
             inst.insert(item, rng);
         }
-        self.ladder.advance(self.morris.estimate());
+        if changed {
+            self.advance_ladder();
+        }
     }
 
     /// Estimated frequency of `item` from the answering instance.
@@ -149,11 +162,10 @@ impl StreamAlg for RobustL1HeavyHitters {
     /// Batched insert. Each update consumes exactly `k + 2` words (`k`
     /// Morris coins in copy order, then the answering and warming sampling
     /// coins), so whole blocks are prefetched with `next_u64_many` and fed
-    /// to the per-word paths in scalar order. `ladder.advance` is only
-    /// called when a Morris exponent moved: `advance(t̂)` with an unchanged
-    /// `t̂` is a no-op (the previous call already looped until
-    /// `t̂ < answering_guess`), and skipping it avoids the alloc+sort in
-    /// `MedianMorris::estimate` on every update.
+    /// to the per-word paths in scalar order. The ladder is consulted only
+    /// when a Morris exponent moved, exactly as in [`Self::insert`]; the
+    /// copies take their new coin thresholds and estimates from the
+    /// [`MedianMorris`] memo instead of recomputing `powi`.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
         const BLOCK: usize = 512;
         let k = self.morris.counters().len();
@@ -173,7 +185,7 @@ impl StreamAlg for RobustL1HeavyHitters {
                     inst.insert_with_word(u.0, w);
                 }
                 if changed {
-                    self.ladder.advance(self.morris.estimate());
+                    self.advance_ladder();
                 }
             }
             offset += take;

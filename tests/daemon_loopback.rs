@@ -306,6 +306,64 @@ fn ingest_batch_larger_than_the_inbox_completes() {
     assert_eq!(tenants.get("applied").and_then(Json::as_u64), Some(1000));
 }
 
+/// Regression: an item at or above a universe-bounded tenant's `n` used to
+/// pass admission and panic the `sis_l0` kernel inside a pool job, which
+/// poisoned the tenant's lock and then took down the reactor and the
+/// final metrics. Admission now refuses it with a typed `bad_request`; the
+/// daemon keeps serving every tenant, and each applies what it accepted.
+#[test]
+fn out_of_universe_item_is_refused_at_admission() {
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut sess = Session::connect(server.addr());
+    sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"a\",\"alg\":\"sis_l0\",\"n\":16}");
+    sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"b\",\"alg\":\"count_min\",\"seed\":1}");
+    for line in [
+        "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[100,1]]}",
+        "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[3,1],[16,-1]]}",
+    ] {
+        let reply = sess.roundtrip(line);
+        assert_eq!(
+            reply
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("bad_request"),
+            "{line} must be refused: {}",
+            reply.to_line()
+        );
+    }
+    // The refused batches left nothing behind: in-universe updates apply,
+    // the neighbour tenant is untouched, and a fresh session is served.
+    sess.expect_ok("{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[3,1],[15,-2]]}");
+    sess.expect_ok("{\"cmd\":\"ingest\",\"tenant\":\"b\",\"updates\":[1,2,3]}");
+    let reply = sess.expect_ok("{\"cmd\":\"query\",\"tenant\":\"a\"}");
+    assert_eq!(reply.get("processed").and_then(Json::as_u64), Some(2));
+    let reply = sess.expect_ok("{\"cmd\":\"query\",\"tenant\":\"b\"}");
+    assert_eq!(reply.get("processed").and_then(Json::as_u64), Some(3));
+    let mut fresh = Session::connect(server.addr());
+    fresh.expect_ok("{\"cmd\":\"metrics\"}");
+    fresh.expect_ok("{\"cmd\":\"bye\"}");
+    sess.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    let finals = server.wait();
+    let per_tenant = finals.get("per_tenant").and_then(Json::as_arr).unwrap();
+    assert_eq!(per_tenant.len(), 2);
+    for t in per_tenant {
+        assert_eq!(t.get("applied"), t.get("accepted"), "{}", t.to_line());
+        assert_eq!(t.get("failed"), Some(&Json::Bool(false)), "{}", t.to_line());
+    }
+    let tenants = finals.get("tenants").expect("tenants rollup");
+    assert_eq!(tenants.get("accepted").and_then(Json::as_u64), Some(5));
+    assert_eq!(tenants.get("rejected").and_then(Json::as_u64), Some(3));
+    let pool = finals.get("pool").expect("pool stats");
+    assert_eq!(pool.get("panicked").and_then(Json::as_u64), Some(0));
+}
+
 /// A request line with no newline must hit a bounded buffer: the daemon
 /// replies with a typed `bad_request` and closes the session instead of
 /// growing memory without limit.

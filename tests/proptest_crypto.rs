@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use wbstream::core::rng::TranscriptRng;
+use wbstream::crypto::crhf::{FixedBase, PedersenHash, PedersenMd};
 use wbstream::crypto::modular::{add_mod, balanced, inv_mod, mul_mod, pow_mod, sub_mod};
 use wbstream::crypto::prime::{factorize, is_prime};
 use wbstream::crypto::sha256::{sha256, Sha256};
@@ -107,5 +108,64 @@ proptest! {
         for v in m.column(j) {
             prop_assert!(v < 97);
         }
+    }
+}
+
+/// Items at the ends of the range and around the 32-bit split of a digest's
+/// first word.
+const EDGE_ITEMS: [u64; 7] = [
+    0,
+    1,
+    (1 << 32) - 1,
+    1 << 32,
+    (1 << 32) + 1,
+    u64::MAX - 1,
+    u64::MAX,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn hash_u64_equals_hash_bytes_of_the_big_endian_bytes(
+        seed in 0u64..1_000_000,
+        bits in 34u32..=44,
+        x in any::<u64>(),
+        low in 0u64..(1 << 32),
+    ) {
+        let mut rng = TranscriptRng::from_seed(seed);
+        let md = PedersenMd::generate(bits, &mut rng);
+        let tables = md.tables();
+        for item in EDGE_ITEMS.into_iter().chain([x, low, (1 << 32) | low]) {
+            let want = md.hash_bytes(&item.to_be_bytes());
+            prop_assert_eq!(md.hash_u64(item), want, "hash_u64({:#x})", item);
+            prop_assert_eq!(tables.hash_u64(item), want, "tables.hash_u64({:#x})", item);
+        }
+    }
+
+    #[test]
+    fn fixed_base_pow_equals_pow_mod_below_q(
+        seed in 0u64..1_000_000,
+        bits in 34u32..=48,
+        e in any::<u64>(),
+    ) {
+        let mut rng = TranscriptRng::from_seed(seed);
+        let params = *PedersenHash::generate(bits, &mut rng).params();
+        let exp_bits = u64::BITS - (params.q - 1).leading_zeros();
+        for base in [params.g, params.h] {
+            let table = FixedBase::new(base, params.p, exp_bits);
+            for e in [e % params.q, 0, 1, params.q - 1] {
+                prop_assert_eq!(table.pow(e), pow_mod(base, e, params.p), "{}^{}", base, e);
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_pow_equals_pow_mod_on_any_exponent(
+        base in any::<u64>(),
+        m in 2u64..P61,
+        e in any::<u64>(),
+    ) {
+        prop_assert_eq!(FixedBase::new(base, m, 64).pow(e), pow_mod(base, e, m));
     }
 }

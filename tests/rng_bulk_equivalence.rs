@@ -8,7 +8,9 @@
 //! public random tape byte-identical.
 
 use proptest::prelude::*;
-use wbstream::core::rng::{Reciprocal, TranscriptRng, Xoshiro256StarStar};
+use wbstream::core::rng::{
+    coin_threshold, f64_from_word, Reciprocal, TranscriptRng, Xoshiro256StarStar,
+};
 
 /// Batch sizes the ISSUE pins: a singleton, a non-round prime, and a batch
 /// larger than the transcript ring (4096 > 1024) so `record_many` has to
@@ -175,5 +177,44 @@ proptest! {
             prop_assert_eq!(it, scalar.below(n));
         }
         assert_transcripts_eq(&bulk, &scalar, &format!("n={n} len={len}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn coin_threshold_decides_every_word_like_the_float_compare(
+        p_bits in any::<u64>(),
+        p_unit in 0u64..(1 << 53),
+        w in any::<u64>(),
+    ) {
+        // Arbitrary bit patterns (NaN, infinities, negatives, subnormals)
+        // and probabilities on the 2^-53 grid and just off it.
+        let grid = p_unit as f64 / (1u64 << 53) as f64;
+        for p in [
+            f64::from_bits(p_bits),
+            grid,
+            grid.next_up(),
+            grid.next_down(),
+            0.0,
+            -0.0,
+            1.0,
+            1.0f64.next_down(),
+        ] {
+            let t = coin_threshold(p);
+            // The words at the threshold's edge as well as an arbitrary one.
+            let edge = t.min(1 << 53) << 11;
+            for word in [w, edge, edge.wrapping_sub(1), edge | 0x7FF, edge.wrapping_add(1 << 11)] {
+                prop_assert_eq!(
+                    (word >> 11) < t,
+                    f64_from_word(word) < p,
+                    "p = {:e} ({:#x}), word {:#x}",
+                    p,
+                    p.to_bits(),
+                    word
+                );
+            }
+        }
     }
 }
