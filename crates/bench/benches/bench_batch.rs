@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wb_core::rng::TranscriptRng;
 use wb_core::stream::{FrequencyVector, InsertOnly, StreamAlg};
-use wb_engine::workload::zipf_stream;
+use wb_engine::WorkloadSpec;
 use wb_sketch::count_min::CountMin;
 use wb_sketch::{MisraGries, SpaceSaving};
 
@@ -15,9 +15,15 @@ const M: u64 = 1 << 15;
 const BATCH: usize = 1 << 10;
 
 fn workload() -> Vec<InsertOnly> {
-    zipf_stream(1 << 16, M, 8, 97)
-        .into_iter()
-        .map(InsertOnly)
+    let spec = WorkloadSpec::Zipf {
+        n: 1 << 16,
+        m: M,
+        heavy: 8,
+        seed: 97,
+    };
+    spec.generate()
+        .iter()
+        .map(|u| InsertOnly(u.item()))
         .collect()
 }
 

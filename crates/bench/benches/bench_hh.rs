@@ -1,15 +1,26 @@
 //! Update throughput and query latency for the heavy-hitters algorithms
 //! (Theorem 1.1 / 2.2 / 1.2).
 
-use bench::zipf_stream;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wb_core::rng::TranscriptRng;
+use wb_engine::WorkloadSpec;
 use wb_sketch::{MisraGries, PhiEpsHeavyHitters, RobustL1HeavyHitters};
+
+/// `m` zipf items over `[n]` with an 8-item head.
+fn zipf(n: u64, m: u64, seed: u64) -> Vec<u64> {
+    let spec = WorkloadSpec::Zipf {
+        n,
+        m,
+        heavy: 8,
+        seed,
+    };
+    spec.generate().iter().map(|u| u.item()).collect()
+}
 
 fn bench_updates(c: &mut Criterion) {
     let n = 1u64 << 16;
-    let stream = zipf_stream(n, 1 << 14, 8, 7);
+    let stream = zipf(n, 1 << 14, 7);
     let mut group = c.benchmark_group("hh_update_16k");
     group.sample_size(20);
 
@@ -49,7 +60,7 @@ fn bench_updates(c: &mut Criterion) {
 
 fn bench_query(c: &mut Criterion) {
     let n = 1u64 << 16;
-    let stream = zipf_stream(n, 1 << 14, 8, 9);
+    let stream = zipf(n, 1 << 14, 9);
     let mut rng = TranscriptRng::from_seed(3);
     let mut alg = RobustL1HeavyHitters::new(n, 0.125);
     for &item in &stream {

@@ -1,13 +1,19 @@
 //! Throughput for hierarchical heavy hitters (Theorems 2.11 / 2.14).
 
-use bench::ddos_stream;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wb_core::rng::TranscriptRng;
+use wb_engine::WorkloadSpec;
 use wb_sketch::hhh::{HierarchicalSpaceSaving, RadixHierarchy, RobustHHH};
 
+/// `m` synthetic DDoS addresses.
+fn ddos(m: u64, seed: u64) -> Vec<u64> {
+    let spec = WorkloadSpec::Ddos { m, seed };
+    spec.generate().iter().map(|u| u.item()).collect()
+}
+
 fn bench_hhh(c: &mut Criterion) {
-    let stream = ddos_stream(1 << 14, 11);
+    let stream = ddos(1 << 14, 11);
     let h = RadixHierarchy::ipv4();
     let mut group = c.benchmark_group("hhh_update_16k");
     group.sample_size(15);
@@ -36,7 +42,7 @@ fn bench_hhh(c: &mut Criterion) {
 }
 
 fn bench_hhh_query(c: &mut Criterion) {
-    let stream = ddos_stream(1 << 14, 12);
+    let stream = ddos(1 << 14, 12);
     let h = RadixHierarchy::ipv4();
     let mut alg = HierarchicalSpaceSaving::new(h, 0.05, 0.2);
     for &ip in &stream {

@@ -11,17 +11,19 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wb_core::rng::TranscriptRng;
 use wb_engine::registry::{self, Params};
 use wb_engine::shard::{ingest_sharded, Partition, ShardConfig};
-use wb_engine::workload::zipf_stream;
-use wb_engine::Update;
+use wb_engine::{Update, WorkloadSpec};
 
 const M: u64 = 1 << 18;
 const BATCH: usize = 1 << 10;
 
 fn workload(n: u64) -> Vec<Update> {
-    zipf_stream(n, M, 8, 97)
-        .into_iter()
-        .map(Update::Insert)
-        .collect()
+    WorkloadSpec::Zipf {
+        n,
+        m: M,
+        heavy: 8,
+        seed: 97,
+    }
+    .generate()
 }
 
 fn bench_sharded_ingestion(c: &mut Criterion) {

@@ -15,8 +15,7 @@ use wb_core::rng::TranscriptRng;
 use wb_core::space::{bits_for_count, SpaceUsage};
 use wb_core::stream::{InsertOnly, StreamAlg};
 use wb_engine::experiment::{run_cli, ExperimentSpec, Row, RunCtx, Section};
-use wb_engine::workload::cycle_stream;
-use wb_engine::Game;
+use wb_engine::{Game, WorkloadSpec};
 use wb_sketch::epochs::GuessLadder;
 use wb_sketch::{BernMG, MedianMorris, RobustL1HeavyHitters};
 
@@ -24,7 +23,11 @@ const N: u64 = 1 << 14;
 const EPS: f64 = 0.125;
 
 fn script(m: u64) -> Vec<InsertOnly> {
-    cycle_stream(8, m).into_iter().map(InsertOnly).collect()
+    WorkloadSpec::Cycle { items: 8, m }
+        .generate()
+        .iter()
+        .map(|u| InsertOnly(u.item()))
+        .collect()
 }
 
 fn single_vs_ladder_row(log_m: u32) -> Row {

@@ -6,13 +6,12 @@
 //! `(φ, ε)` referee verdict — every `φ`-heavy item reported, nothing below
 //! `(φ−ε)·L1` reported — checked round by round in an engine-driven game.
 
-use bench::zipf_stream;
 use wb_core::referee::HeavyHitterReferee;
 use wb_core::rng::TranscriptRng;
 use wb_core::space::SpaceUsage;
 use wb_core::stream::InsertOnly;
 use wb_engine::experiment::{run_cli, ExperimentSpec, Row, RunCtx, Section};
-use wb_engine::Game;
+use wb_engine::{Game, WorkloadSpec};
 use wb_sketch::{PhiEpsHeavyHitters, RobustL1HeavyHitters};
 
 const N: u64 = 1 << 62; // wide universe: full ids are 62 bits
@@ -21,10 +20,16 @@ const PHI: f64 = 0.20;
 const EPS: f64 = 0.125;
 
 fn script(m: u64) -> Vec<InsertOnly> {
-    zipf_stream(N, m, 4, 77)
-        .into_iter()
-        .map(InsertOnly)
-        .collect()
+    WorkloadSpec::Zipf {
+        n: N,
+        m,
+        heavy: 4,
+        seed: 77,
+    }
+    .generate()
+    .iter()
+    .map(|u| InsertOnly(u.item()))
+    .collect()
 }
 
 fn phi_eps_row(log_t: u32) -> Row {

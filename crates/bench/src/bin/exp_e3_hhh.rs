@@ -6,11 +6,11 @@
 //! at the final round of an engine-driven game, so a miss is a recorded
 //! game violation, not a silently false table cell.
 
-use bench::ddos_stream;
 use wb_core::game::{FnReferee, Verdict};
 use wb_core::space::SpaceUsage;
+use wb_core::stream::InsertOnly;
 use wb_engine::experiment::{run_cli, ExperimentSpec, Row, RunCtx, Section};
-use wb_engine::Game;
+use wb_engine::{Game, WorkloadSpec};
 use wb_sketch::hhh::{HierarchicalSpaceSaving, Prefix, RadixHierarchy, RobustHHH};
 
 const EPS: f64 = 0.02;
@@ -24,6 +24,15 @@ fn hits(report: &[(Prefix, f64)]) -> (bool, bool) {
         .any(|&(p, _)| p.level == 1 && p.id == SUBNET_ID);
     let host = report.iter().any(|&(p, _)| p.level == 0 && p.id == HOST_ID);
     (subnet, host)
+}
+
+/// The planted DDoS traffic for one row, as insertions.
+fn ddos(m: u64, seed: u64) -> Vec<InsertOnly> {
+    WorkloadSpec::Ddos { m, seed }
+        .generate()
+        .iter()
+        .map(|u| InsertOnly(u.item()))
+        .collect()
 }
 
 type HhhCheck = FnReferee<Box<dyn FnMut(u64, &Vec<(Prefix, f64)>) -> Verdict>>;
@@ -46,18 +55,12 @@ fn planted_referee(m: u64) -> HhhCheck {
 fn row_pair(log_m: u32) -> [Row; 2] {
     let tms = Row::custom(format!("2^{log_m} tms12"), move |ctx: &RunCtx| {
         let m = ctx.cap(1 << log_m, 1 << 11);
-        let stream = ddos_stream(m, 900 + log_m as u64);
         let (report, alg) = Game::new(HierarchicalSpaceSaving::new(
             RadixHierarchy::ipv4(),
             EPS,
             GAMMA,
         ))
-        .script(
-            stream
-                .into_iter()
-                .map(wb_core::stream::InsertOnly)
-                .collect(),
-        )
+        .script(ddos(m, 900 + log_m as u64))
         .referee(planted_referee(m))
         .batch(512)
         .seed(901 + log_m as u64)
@@ -71,14 +74,8 @@ fn row_pair(log_m: u32) -> [Row; 2] {
     });
     let robust = Row::custom(format!("2^{log_m} robust"), move |ctx: &RunCtx| {
         let m = ctx.cap(1 << log_m, 1 << 11);
-        let stream = ddos_stream(m, 900 + log_m as u64);
         let (report, alg) = Game::new(RobustHHH::new(RadixHierarchy::ipv4(), EPS, GAMMA))
-            .script(
-                stream
-                    .into_iter()
-                    .map(wb_core::stream::InsertOnly)
-                    .collect(),
-            )
+            .script(ddos(m, 900 + log_m as u64))
             .referee(planted_referee(m))
             .batch(512)
             .seed(901 + log_m as u64)

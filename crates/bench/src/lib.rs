@@ -1,48 +1,19 @@
-//! Shared workload generators and table formatting for the per-theorem
+//! Table formatting and library-constructible specs for the per-theorem
 //! experiment binaries (`src/bin/exp_*.rs`) and the Criterion benches.
 //!
-//! The generators and table helpers live in `wb_engine` now (the engine's
-//! experiment runner and registry adversaries use them too); this crate
-//! re-exports them so the benches and any external callers keep their
-//! original paths.
+//! The table helpers live in `wb_engine` (the engine's experiment runner
+//! uses them too); this crate re-exports them so the binaries keep their
+//! original paths. Workloads come from `wb_engine::WorkloadSpec`, the one
+//! generator per workload.
 
 pub mod specs;
 
 pub use wb_engine::report::{header, row};
 pub use wb_engine::tournament;
-pub use wb_engine::workload::{
-    churn_stream, cycle_stream, ddos_stream, uniform_stream, zipf_stream,
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zipf_stream_has_heavy_head() {
-        let s = zipf_stream(1 << 16, 20_000, 8, 1);
-        let head = s.iter().filter(|&&i| i == 0).count();
-        // Item 0 carries ~0.7/H(8) ≈ 25% of the stream.
-        assert!(head > 3_000, "head count {head}");
-        assert_eq!(s.len(), 20_000);
-    }
-
-    #[test]
-    fn ddos_stream_shares() {
-        let s = ddos_stream(20_000, 2);
-        let subnet = s
-            .iter()
-            .filter(|&&ip| ip >> 8 == (10 << 16) | (1 << 8) | 7)
-            .count();
-        assert!((4000..6000).contains(&subnet), "subnet share {subnet}");
-    }
-
-    #[test]
-    fn churn_stream_shape() {
-        let s = churn_stream(1 << 10, 4, 100, 3);
-        assert_eq!(s.len(), 4 * 150);
-        assert!(s.iter().any(|u| u.delta < 0));
-    }
 
     #[test]
     fn table_row_formatting() {

@@ -104,8 +104,11 @@ fn main() -> ExitCode {
             "--threads" => cfg.threads = parse_num("--threads", args.next()),
             "--shards" => {
                 cfg.shards = parse_num("--shards", args.next());
-                if cfg.shards == 0 {
-                    die("--shards must be >= 1");
+                if !(1..=wb_daemon::tenant::MAX_SHARDS).contains(&cfg.shards) {
+                    die(&format!(
+                        "--shards must be in [1, {}]",
+                        wb_daemon::tenant::MAX_SHARDS
+                    ));
                 }
             }
             "--backend" => {

@@ -38,8 +38,9 @@ use wb_engine::Update;
 pub enum ErrorKind {
     /// Malformed JSON, missing/mistyped fields, unknown command.
     BadRequest,
-    /// `alg` is not a registry algorithm (or construction failed —
-    /// `n == 0`, bad ε, …). Carries the registry's typed message.
+    /// `alg` is not a registry algorithm, or a parameter is out of bounds
+    /// (`n == 0`, ε below 2^-16, a `sis_l0` universe above 2^20, more than
+    /// `tenant::MAX_SHARDS` shards, …). Carries the typed message.
     InvalidParameter,
     /// The tenant named in the request has not said `hello`.
     UnknownTenant,

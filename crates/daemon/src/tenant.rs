@@ -97,6 +97,11 @@ pub struct Tenant {
     pub created: Instant,
 }
 
+/// Most shards one tenant may run. Creation builds every shard up front,
+/// so an unbounded `hello.shards` would be an allocation the client picks;
+/// no in-repo caller uses more than 8.
+pub const MAX_SHARDS: usize = 64;
+
 impl Tenant {
     /// Build a tenant: construct the algorithm from the registry (typed
     /// `invalid_parameter` errors for unknown names, `n == 0`, bad ε, …),
@@ -124,6 +129,12 @@ impl Tenant {
         let model = flat.model_dyn();
         let universe = flat.universe_dyn();
         let wanted_shards = hello.shards.unwrap_or(default_shards).max(1);
+        if wanted_shards > MAX_SHARDS {
+            return Err(ProtoError::new(
+                ErrorKind::InvalidParameter,
+                format!("shards must be in [1, {MAX_SHARDS}], got {wanted_shards}"),
+            ));
+        }
         let ctor = |_: usize| registry::get(alg_name, &params);
         let mergeable = wanted_shards > 1 && probe_mergeable(&ctor).map_err(|e| invalid(&e))?;
         let shards = if mergeable { wanted_shards } else { 1 };

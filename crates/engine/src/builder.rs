@@ -21,11 +21,9 @@
 //! assert_eq!(timeline.rounds.len(), 500);
 //! ```
 //!
-//! Replaces the positional `wb_core::game::run_game(alg, adv, referee, m,
-//! seed)` call (kept as a deprecated shim); adds [`Observer`] hooks,
-//! structured [`GameReport`]s with space/verdict timelines, and a batched
-//! ingestion path for oblivious scripts ([`Game::script`] +
-//! [`Game::batch`]).
+//! Beyond the bare game loop it offers [`Observer`] hooks, structured
+//! [`GameReport`]s with space/verdict timelines, and a batched ingestion
+//! path for oblivious scripts ([`Game::script`] + [`Game::batch`]).
 
 use crate::report::GameReport;
 use wb_core::game::{Referee, Verdict, WhiteBoxAdversary};
@@ -430,6 +428,31 @@ mod tests {
         }
     }
 
+    /// A "leaky" randomized counter that double-counts whenever the item
+    /// equals its current pad, then redraws the pad — a toy showing the
+    /// white-box view in action: only a state-observing adversary can hit
+    /// the trap reliably.
+    struct LeakyCounter {
+        count: u64,
+        pad: u64,
+    }
+    impl StreamAlg for LeakyCounter {
+        type Update = InsertOnly;
+        type Output = u64;
+        fn process(&mut self, u: &InsertOnly, rng: &mut TranscriptRng) {
+            self.count += if u.0 == self.pad % 1000 { 2 } else { 1 };
+            self.pad = rng.next_u64();
+        }
+        fn query(&self) -> u64 {
+            self.count
+        }
+    }
+    impl SpaceUsage for LeakyCounter {
+        fn space_bits(&self) -> u64 {
+            bits_for_count(self.count) + 64
+        }
+    }
+
     fn count_referee() -> FnReferee<impl FnMut(u64, &u64) -> Verdict> {
         FnReferee::new(|t: u64, out: &u64| {
             if *out == t {
@@ -441,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_run_game_semantics() {
+    fn exact_counter_survives_a_script_that_ends_early() {
         let report = Game::new(ExactCounter(0))
             .adversary(ScriptAdversary::new(vec![InsertOnly(0); 100]))
             .referee(count_referee())
@@ -451,6 +474,41 @@ mod tests {
         assert!(report.survived());
         assert_eq!(report.result.rounds, 100);
         assert_eq!(report.checks, 100);
+        assert!(report.result.peak_space_bits >= bits_for_count(100));
+    }
+
+    #[test]
+    fn white_box_adversary_beats_leaky_counter() {
+        // The adversary reads the pad from the algorithm's state and sends
+        // exactly the item that triggers the double count.
+        let report = Game::new(LeakyCounter { count: 0, pad: 0 })
+            .adversary(FnAdversary::new(
+                |_t, alg: &LeakyCounter, _tr: &RandTranscript, _last: Option<&u64>| {
+                    Some(InsertOnly(alg.pad % 1000))
+                },
+            ))
+            .referee(count_referee())
+            .max_rounds(1_000)
+            .seed(2)
+            .run();
+        // The pad is drawn during round 1, so the exploit lands at once.
+        let failure = report.result.failure.expect("the state leak is exploited");
+        assert!(failure.round <= 10, "exploit landed at {}", failure.round);
+    }
+
+    #[test]
+    fn blind_adversary_misses_leaky_counter_trap() {
+        // The same trap exists, but a script cannot see the pad: hitting
+        // `pad % 1000` blindly is a 1/1000-per-round event, and with this
+        // fixed seed 20 blind rounds never hit it.
+        let report = Game::new(LeakyCounter { count: 0, pad: 0 })
+            .adversary(ScriptAdversary::new(vec![InsertOnly(1); 20]))
+            .referee(count_referee())
+            .max_rounds(20)
+            .seed(3)
+            .run();
+        assert!(report.survived());
+        assert_eq!(report.result.rounds, 20);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Every algorithm in the workspace is played through this crate, whether
 //! the caller knows its concrete type or only its name:
 //!
-//! * [`Game`] — a fluent, typed builder replacing the positional
-//!   `wb_core::game::run_game` (now a deprecated shim):
+//! * [`Game`] — the fluent, typed game driver:
 //!   `Game::new(alg).adversary(a).referee(r).max_rounds(m).seed(s).run()`.
 //!   [`Observer`] hooks and [`GameReport`]s capture per-round
 //!   space/verdict timelines; [`Game::script`] + [`Game::batch`] ingest
@@ -27,12 +26,15 @@
 //!   from one master seed: a systematic robustness evaluation whose JSON
 //!   report is byte-identical across thread counts.
 //! * [`shard`] — sharded ingestion: route one logical stream across `S`
-//!   instances (hash or round-robin) over bounded per-shard chunk queues,
-//!   and fold the states back together with `DynStreamAlg::merge_dyn` in a
-//!   deterministic reduction tree. Only [`wb_core::merge::Mergeable`]
-//!   algorithms participate; the rest refuse with a typed `MergeError`.
-//! * [`workload`] — the named stream generators, the declarative
-//!   [`WorkloadSpec`], and the **pull-based streaming layer**
+//!   instances (hash or round-robin) and fold the states back together
+//!   with `DynStreamAlg::merge_dyn` in a deterministic reduction tree. One
+//!   core serves both modes: a per-shard ingest step and one
+//!   route-and-stage step, run inline by [`ShardPipeline`] or with one
+//!   consumer thread per shard behind a bounded chunk queue. Only
+//!   [`wb_core::merge::Mergeable`] algorithms participate; the rest refuse
+//!   with a typed `MergeError`.
+//! * [`workload`] — one generator per named workload (the declarative
+//!   [`WorkloadSpec`]) and the **pull-based streaming layer**
 //!   ([`workload::UpdateSource`] / [`WorkloadSpec::stream`]) every
 //!   ingestion path above is built on: chunks are generated lazily into a
 //!   caller-owned reused buffer, so memory is O(chunk) for any stream

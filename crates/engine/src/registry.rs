@@ -131,6 +131,17 @@ impl Params {
     }
 }
 
+/// Smallest accuracy `ε` any algorithm accepts (2^-16). Summaries size
+/// their counter arrays as `Θ(1/ε)` up front and the Morris base offset
+/// shrinks with `ε`, so an unbounded `ε → 0` turns one parameter into a
+/// multi-gigabyte allocation or a panic; no experiment goes below 0.05.
+pub(crate) const MIN_EPS: f64 = 1.0 / 65536.0;
+
+/// Largest universe `sis_l0` accepts (2^20). Its modulus `q ≥ n³` must
+/// fit in a `u64` and its sketch grows with `n`; the largest in-repo
+/// universe is 2^16.
+pub(crate) const MAX_SIS_UNIVERSE: u64 = 1 << 20;
+
 type Ctor = fn(&Params) -> Result<Box<dyn DynStreamAlg>, WbError>;
 
 /// `(key, summary, constructor)` for every registered algorithm.
@@ -247,6 +258,15 @@ const ENTRIES: &[(&str, &str, Ctor)] = &[
             if !(p.l0_eps > 0.0 && p.l0_eps < 1.0) {
                 return Err(WbError::invalid("l0_eps must be in (0,1)"));
             }
+            if !(p.l0_c > 0.0 && p.l0_c < 0.5) {
+                return Err(WbError::invalid("l0_c must be in (0, 1/2)"));
+            }
+            if p.n > MAX_SIS_UNIVERSE {
+                return Err(WbError::invalid(format!(
+                    "sis_l0 universe n must be <= 2^20, got {}",
+                    p.n
+                )));
+            }
             let mode = if p.random_oracle {
                 MatrixMode::RandomOracle
             } else {
@@ -261,10 +281,10 @@ const ENTRIES: &[(&str, &str, Ctor)] = &[
 ];
 
 fn check_eps(eps: f64, hi: f64) -> Result<(), WbError> {
-    if eps > 0.0 && eps < hi {
+    if eps >= MIN_EPS && eps < hi {
         Ok(())
     } else {
-        Err(WbError::invalid(format!("eps must be in (0, {hi})")))
+        Err(WbError::invalid(format!("eps must be in [2^-16, {hi})")))
     }
 }
 
@@ -457,6 +477,45 @@ mod tests {
             let err = adversary(adv, &Params::default().with_n(0));
             assert!(err.is_err(), "adversary {adv} accepted n = 0");
         }
+    }
+
+    #[test]
+    fn hostile_parameters_are_errors_not_panics_or_huge_allocations() {
+        // Each of these once panicked in a constructor or asked for
+        // gigabytes up front; every algorithm that reads the parameter
+        // must now refuse it, and no algorithm may panic on it.
+        let eps_readers = [
+            "misra_gries",
+            "space_saving",
+            "bern_mg",
+            "bernoulli_hh",
+            "robust_hh",
+            "phi_eps_hh",
+            "morris",
+            "median_morris",
+        ];
+        for eps in [1e-300, 1e-9, MIN_EPS / 2.0, 0.0, -1.0, f64::NAN] {
+            let p = Params::default().with_eps(eps);
+            for name in names() {
+                let got = std::panic::catch_unwind(|| get(name, &p).is_ok())
+                    .unwrap_or_else(|_| panic!("{name} panicked at eps {eps}"));
+                assert_eq!(got, !eps_readers.contains(&name), "{name} at eps {eps}");
+            }
+        }
+        for n in [u64::MAX, 1 << 50, MAX_SIS_UNIVERSE + 1] {
+            let p = Params::default().with_n(n);
+            for name in names() {
+                let got = std::panic::catch_unwind(|| get(name, &p).is_ok())
+                    .unwrap_or_else(|_| panic!("{name} panicked at n {n}"));
+                assert_eq!(got, name != "sis_l0", "{name} at n {n}");
+            }
+        }
+        let mut bad_c = Params::default().with_n(1 << 10);
+        bad_c.l0_c = 0.5;
+        assert!(get("sis_l0", &bad_c).is_err());
+        // The bounds themselves are accepted.
+        assert!(get("sis_l0", &Params::default().with_n(MAX_SIS_UNIVERSE)).is_ok());
+        assert!(get("misra_gries", &Params::default().with_eps(MIN_EPS)).is_ok());
     }
 
     #[test]

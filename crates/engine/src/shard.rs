@@ -22,10 +22,15 @@
 //! materialized-bucket implementation (asserted by the
 //! `streaming_pipeline` test suite).
 //!
-//! With `threads <= 1` the same routing runs fully inline on the caller's
-//! thread — no queues, no spawns — producing the identical chunk sequence
-//! per shard. The tournament uses this mode, because its cells already
-//! parallelize on the engine [pool](crate::pool).
+//! Both modes share one core: a per-shard ingest step (the shard's
+//! instance, tape, and first-failure bookkeeping) and one route-and-stage
+//! step (routing, load counting, chunk staging). With `threads <= 1`
+//! [`ShardPipeline`] runs them fully inline on the caller's thread — no
+//! queues, no spawns — producing the identical chunk sequence per shard;
+//! the threaded mode only adds what threads need (consumers, queues,
+//! buffer recycling, stall counts). The tournament uses the inline mode,
+//! because its cells already parallelize on the engine
+//! [pool](crate::pool).
 //!
 //! **White-box caveat.** Sharding never weakens the paper's adversary — it
 //! strengthens it: the adversary observes *every* shard's internal state
@@ -37,6 +42,7 @@
 
 use crate::erased::{DynStreamAlg, Update};
 use crate::workload::{SliceSource, UpdateSource};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use wb_core::merge::MergeError;
 use wb_core::rng::{derive_seed, SplitMix64, TranscriptRng};
@@ -64,6 +70,14 @@ impl Partition {
         match self {
             Partition::Hash => "hash",
             Partition::RoundRobin => "round_robin",
+        }
+    }
+
+    /// The partition's byte in checkpoint frames.
+    fn tag(self) -> u8 {
+        match self {
+            Partition::Hash => 0,
+            Partition::RoundRobin => 1,
         }
     }
 }
@@ -125,11 +139,7 @@ pub fn partition_updates(
         .map(|_| Vec::with_capacity(updates.len() / shards + 1))
         .collect();
     for (j, u) in updates.iter().enumerate() {
-        let s = match partition {
-            Partition::Hash => hash_shard(u.item(), shards),
-            Partition::RoundRobin => j % shards,
-        };
-        buckets[s].push(*u);
+        buckets[route(partition, u, j as u64, shards)].push(*u);
     }
     buckets
 }
@@ -256,20 +266,95 @@ pub(crate) fn locate_failure(
     base
 }
 
-/// A shard's ingest error, annotated with the shard index and the failing
-/// offset within the shard's subsequence.
-fn shard_failure(
-    alg: &mut dyn DynStreamAlg,
-    rng: &mut TranscriptRng,
-    chunk: &[Update],
+/// One shard: its instance, its public random tape, and its failure
+/// bookkeeping. [`ShardPipeline`] owns every shard; the threaded mode
+/// moves each one into its consumer thread.
+struct Shard {
+    index: usize,
+    alg: Box<dyn DynStreamAlg>,
+    rng: TranscriptRng,
+    /// The shard's first failure; chunks delivered after it are counted,
+    /// never processed.
+    failure: Option<WbError>,
+    /// Updates delivered so far, processed or not.
     processed: u64,
-    shard: usize,
-    e: WbError,
-) -> WbError {
-    let off = locate_failure(alg, chunk, rng, processed);
-    WbError::invalid(format!(
-        "shard {shard}: {e} (first offending update at shard offset {off})"
-    ))
+}
+
+impl Shard {
+    fn new(index: usize, alg: Box<dyn DynStreamAlg>, cfg: &ShardConfig) -> Self {
+        Shard {
+            index,
+            alg,
+            rng: TranscriptRng::from_seed(cfg.shard_seed(index)),
+            failure: None,
+            processed: 0,
+        }
+    }
+
+    /// Ingest one delivered chunk through the batched kernel. The first
+    /// failure wins: it is annotated with the shard index and the failing
+    /// offset within the shard's subsequence, and later chunks only
+    /// advance the offset. Returns `true` iff this chunk recorded the
+    /// shard's first failure.
+    fn ingest(&mut self, chunk: &[Update]) -> bool {
+        let mut failed_now = false;
+        if self.failure.is_none() {
+            if let Err(e) = self.alg.process_batch_dyn(chunk, &mut self.rng) {
+                let off = locate_failure(self.alg.as_mut(), chunk, &mut self.rng, self.processed);
+                self.failure = Some(WbError::invalid(format!(
+                    "shard {}: {e} (first offending update at shard offset {off})",
+                    self.index
+                )));
+                failed_now = true;
+            }
+        }
+        self.processed += chunk.len() as u64;
+        failed_now
+    }
+
+    /// The shard's outcome: its state, or its first failure.
+    fn into_result(self) -> Result<Box<dyn DynStreamAlg>, WbError> {
+        match self.failure {
+            Some(e) => Err(e),
+            None => Ok(self.alg),
+        }
+    }
+}
+
+/// The route-and-stage step both modes share: assign each update its
+/// shard, count the shard's load, and stage the update until the shard's
+/// chunk is full.
+struct Router {
+    partition: Partition,
+    batch: usize,
+    /// Global stream position (drives round-robin routing).
+    pos: u64,
+    loads: Vec<usize>,
+    staging: Vec<Vec<Update>>,
+}
+
+impl Router {
+    fn new(shards: usize, cfg: &ShardConfig) -> Self {
+        let batch = cfg.batch.max(1);
+        Router {
+            partition: cfg.partition,
+            batch,
+            pos: 0,
+            loads: vec![0; shards],
+            staging: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
+        }
+    }
+
+    /// Stage `u` in its shard's buffer; returns the shard whose buffer
+    /// just reached the chunk size and must be delivered.
+    #[inline]
+    fn stage(&mut self, u: &Update) -> Option<usize> {
+        let s = route(self.partition, u, self.pos, self.staging.len());
+        self.pos += 1;
+        self.loads[s] += 1;
+        self.staging[s].push(*u);
+        (self.staging[s].len() >= self.batch).then_some(s)
+    }
 }
 
 /// Merge the per-shard outcomes: the first error in **shard order** wins
@@ -310,14 +395,20 @@ pub fn ingest_sharded_source(
     source: &mut dyn UpdateSource,
     cfg: &ShardConfig,
 ) -> Result<ShardedIngest, WbError> {
-    let shards = cfg.shards.max(1);
-    let instances: Result<Vec<Box<dyn DynStreamAlg>>, WbError> = (0..shards).map(ctor).collect();
-    let instances = instances?;
-    if crate::pool::effective_threads(cfg.threads) <= 1 || shards == 1 {
-        ingest_inline(instances, source, cfg)
-    } else {
-        ingest_threaded(instances, source, cfg)
+    let mut pipeline = ShardPipeline::new(ctor, cfg)?;
+    if crate::pool::effective_threads(cfg.threads) > 1 && pipeline.shards() > 1 {
+        return pipeline.ingest_threaded(source);
     }
+    let mut buf: Vec<Update> = Vec::with_capacity(pipeline.router.batch);
+    while source.next_chunk(&mut buf) > 0 {
+        pipeline.push(&buf);
+        // Once every shard has recorded its failure nothing that follows
+        // can change the outcome — stop generating.
+        if pipeline.all_failed() {
+            break;
+        }
+    }
+    pipeline.finish()
 }
 
 /// Ingest an already-materialized slice — a [`SliceSource`] wrapper over
@@ -338,23 +429,15 @@ pub fn ingest_sharded(
 /// sessions push ingest batches as they arrive over the wire and query the
 /// merged answer whenever a client asks.
 ///
-/// Routing, chunk staging, per-shard random tapes, failure bookkeeping, and
-/// the final reduction-tree merge are all identical to the one-shot inline
-/// path (which is now a thin loop over this type), so a pipeline fed the
-/// same updates in any request sizes ends in shard states byte-identical to
-/// an offline [`ingest_sharded_source`] run of the concatenated stream —
-/// chunk boundaries are pure transport by the batching contract.
+/// The one-shot path is a pull loop over this type (its threaded mode
+/// moves the same shards and router onto consumer threads), so a pipeline
+/// fed the same updates in any request sizes ends in shard states
+/// byte-identical to an offline [`ingest_sharded_source`] run of the
+/// concatenated stream — chunk boundaries are pure transport by the
+/// batching contract.
 pub struct ShardPipeline {
-    algs: Vec<Box<dyn DynStreamAlg>>,
-    rngs: Vec<TranscriptRng>,
-    staging: Vec<Vec<Update>>,
-    failures: Vec<Option<WbError>>,
-    processed: Vec<u64>,
-    loads: Vec<usize>,
-    partition: Partition,
-    batch: usize,
-    /// Global stream position (drives round-robin routing).
-    pos: u64,
+    shards: Vec<Shard>,
+    router: Router,
     /// Cached "every shard has failed" flag: once set, pushes are no-ops
     /// (each shard's *first* failure wins and is already fixed).
     dead: bool,
@@ -369,58 +452,44 @@ impl ShardPipeline {
         ctor: &dyn Fn(usize) -> Result<Box<dyn DynStreamAlg>, WbError>,
         cfg: &ShardConfig,
     ) -> Result<Self, WbError> {
-        let shards = cfg.shards.max(1);
-        let algs: Result<Vec<Box<dyn DynStreamAlg>>, WbError> = (0..shards).map(ctor).collect();
-        Ok(Self::from_instances(algs?, cfg))
-    }
-
-    fn from_instances(instances: Vec<Box<dyn DynStreamAlg>>, cfg: &ShardConfig) -> Self {
-        let shards = instances.len();
-        let batch = cfg.batch.max(1);
-        ShardPipeline {
-            algs: instances,
-            rngs: (0..shards)
-                .map(|i| TranscriptRng::from_seed(cfg.shard_seed(i)))
-                .collect(),
-            staging: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
-            failures: (0..shards).map(|_| None).collect(),
-            processed: vec![0; shards],
-            loads: vec![0; shards],
-            partition: cfg.partition,
-            batch,
-            pos: 0,
+        let shards = (0..cfg.shards.max(1))
+            .map(|i| Ok(Shard::new(i, ctor(i)?, cfg)))
+            .collect::<Result<Vec<Shard>, WbError>>()?;
+        Ok(ShardPipeline {
+            router: Router::new(shards.len(), cfg),
+            shards,
             dead: false,
-        }
+        })
     }
 
     /// Number of shard instances.
     pub fn shards(&self) -> usize {
-        self.algs.len()
+        self.shards.len()
     }
 
     /// Updates routed so far (including ones staged but not yet delivered).
     pub fn routed(&self) -> u64 {
-        self.pos
+        self.router.pos
     }
 
     /// Current routed-load / stall statistics. Inline pipelines have no
     /// queues, so stalls are always zero here.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
-            loads: self.loads.clone(),
-            queue_stalls: vec![0; self.algs.len()],
+            loads: self.router.loads.clone(),
+            queue_stalls: vec![0; self.shards.len()],
         }
     }
 
     /// Total space held by the live shard states, in bits — what a node
     /// running this pipeline actually pays.
     pub fn space_bits(&self) -> u64 {
-        self.algs.iter().map(|a| a.space_bits_dyn()).sum()
+        self.shards.iter().map(|s| s.alg.space_bits_dyn()).sum()
     }
 
     /// The lowest-numbered shard's failure, if any shard has failed.
     pub fn first_failure(&self) -> Option<&WbError> {
-        self.failures.iter().flatten().next()
+        self.shards.iter().find_map(|s| s.failure.as_ref())
     }
 
     /// `true` once every shard has recorded a failure — nothing pushed
@@ -429,26 +498,12 @@ impl ShardPipeline {
         self.dead
     }
 
-    fn deliver(&mut self, s: usize, take_staging: bool) {
-        let chunk = std::mem::take(&mut self.staging[s]);
-        if self.failures[s].is_none() {
-            if let Err(e) = self.algs[s].process_batch_dyn(&chunk, &mut self.rngs[s]) {
-                self.failures[s] = Some(shard_failure(
-                    self.algs[s].as_mut(),
-                    &mut self.rngs[s],
-                    &chunk,
-                    self.processed[s],
-                    s,
-                    e,
-                ));
-                self.dead = self.failures.iter().all(Option::is_some);
-            }
+    /// Hand shard `s`'s staged chunk to the shard and empty the buffer.
+    fn deliver(&mut self, s: usize) {
+        if self.shards[s].ingest(&self.router.staging[s]) {
+            self.dead = self.shards.iter().all(|sh| sh.failure.is_some());
         }
-        self.processed[s] += chunk.len() as u64;
-        if take_staging {
-            self.staging[s] = chunk;
-            self.staging[s].clear();
-        }
+        self.router.staging[s].clear();
     }
 
     /// Route one update into its shard's staging buffer, delivering the
@@ -457,12 +512,8 @@ impl ShardPipeline {
         if self.dead {
             return;
         }
-        let s = route(self.partition, u, self.pos, self.algs.len());
-        self.pos += 1;
-        self.loads[s] += 1;
-        self.staging[s].push(*u);
-        if self.staging[s].len() >= self.batch {
-            self.deliver(s, true);
+        if let Some(s) = self.router.stage(u) {
+            self.deliver(s);
         }
     }
 
@@ -482,10 +533,9 @@ impl ShardPipeline {
     /// (chunk boundaries never change the eventual state, so flushing
     /// early costs nothing but the smaller batch).
     pub fn flush(&mut self) {
-        for s in 0..self.algs.len() {
-            if !self.staging[s].is_empty() {
-                self.deliver(s, false);
-                self.staging[s] = Vec::with_capacity(self.batch);
+        for s in 0..self.shards.len() {
+            if !self.router.staging[s].is_empty() {
+                self.deliver(s);
             }
         }
     }
@@ -517,10 +567,10 @@ impl ShardPipeline {
         // remaining levels reduce the owned copies exactly like
         // merge_reduce (left.merge(right), level by level).
         let mut level: Vec<Box<dyn DynStreamAlg>> = Vec::new();
-        for pair in self.algs.chunks(2) {
-            let mut left = snap(pair[0].as_ref())?;
+        for pair in self.shards.chunks(2) {
+            let mut left = snap(pair[0].alg.as_ref())?;
             if let Some(right) = pair.get(1) {
-                left.merge_dyn(right.as_ref())
+                left.merge_dyn(right.alg.as_ref())
                     .map_err(|e| WbError::invalid(format!("sharded merge: {e}")))?;
             }
             level.push(left);
@@ -548,21 +598,19 @@ impl ShardPipeline {
             ));
         }
         let mut w = SnapWriter::new();
-        w.put_usize(self.algs.len());
-        w.put_u8(match self.partition {
-            Partition::Hash => 0,
-            Partition::RoundRobin => 1,
-        });
-        w.put_usize(self.batch);
-        w.put_u64(self.pos);
-        let loads: Vec<u64> = self.loads.iter().map(|&l| l as u64).collect();
+        w.put_usize(self.shards.len());
+        w.put_u8(self.router.partition.tag());
+        w.put_usize(self.router.batch);
+        w.put_u64(self.router.pos);
+        let loads: Vec<u64> = self.router.loads.iter().map(|&l| l as u64).collect();
         w.put_u64_seq(&loads);
-        w.put_u64_seq(&self.processed);
-        for rng in &self.rngs {
-            rng.snap(&mut w);
+        let processed: Vec<u64> = self.shards.iter().map(|s| s.processed).collect();
+        w.put_u64_seq(&processed);
+        for shard in &self.shards {
+            shard.rng.snap(&mut w);
         }
-        for alg in &self.algs {
-            w.put_bytes(&alg.snapshot_dyn()?);
+        for shard in &self.shards {
+            w.put_bytes(&shard.alg.snapshot_dyn()?);
         }
         Ok(w.finish())
     }
@@ -577,27 +625,23 @@ impl ShardPipeline {
     pub fn resume(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes)?;
         let shards = r.take_usize()?;
-        if shards != self.algs.len() {
+        if shards != self.shards.len() {
             return Err(SnapError::mismatch(
-                format!("{} shards", self.algs.len()),
+                format!("{} shards", self.shards.len()),
                 format!("{shards} shards"),
             ));
         }
         let partition = r.take_u8()?;
-        let own = match self.partition {
-            Partition::Hash => 0,
-            Partition::RoundRobin => 1,
-        };
-        if partition != own {
+        if partition != self.router.partition.tag() {
             return Err(SnapError::mismatch(
-                self.partition.label(),
+                self.router.partition.label(),
                 format!("partition tag {partition}"),
             ));
         }
         let batch = r.take_usize()?;
-        if batch != self.batch {
+        if batch != self.router.batch {
             return Err(SnapError::mismatch(
-                format!("batch {}", self.batch),
+                format!("batch {}", self.router.batch),
                 format!("batch {batch}"),
             ));
         }
@@ -622,25 +666,25 @@ impl ShardPipeline {
                 "checkpoint holds undelivered staged updates",
             ));
         }
-        for rng in &mut self.rngs {
-            rng.restore(&mut r)?;
+        for shard in &mut self.shards {
+            shard.rng.restore(&mut r)?;
         }
-        for alg in &mut self.algs {
+        for shard in &mut self.shards {
             let frame = r.take_bytes()?;
-            alg.restore_dyn(&frame)?;
+            shard.alg.restore_dyn(&frame)?;
         }
         r.finish()?;
-        self.pos = pos;
-        self.loads = loads
+        self.router.pos = pos;
+        self.router.loads = loads
             .into_iter()
             .map(|l| usize::try_from(l).expect("load fits usize: it was a usize when captured"))
             .collect();
-        self.processed = processed;
-        for s in &mut self.staging {
-            s.clear();
+        for (shard, processed) in self.shards.iter_mut().zip(processed) {
+            shard.processed = processed;
+            shard.failure = None;
         }
-        for f in &mut self.failures {
-            *f = None;
+        for s in &mut self.router.staging {
+            s.clear();
         }
         self.dead = false;
         Ok(())
@@ -652,175 +696,101 @@ impl ShardPipeline {
     pub fn finish(mut self) -> Result<ShardedIngest, WbError> {
         self.flush();
         let stats = self.stats();
-        let results = self
-            .algs
-            .into_iter()
-            .zip(self.failures)
-            .map(|(alg, failure)| match failure {
-                Some(e) => Err(e),
-                None => Ok(alg),
-            })
-            .collect();
+        let results = self.shards.into_iter().map(Shard::into_result).collect();
         finish_sharded(results, stats)
     }
-}
 
-/// Single-threaded pipeline: route and ingest on the caller's thread — a
-/// pull loop over the incremental [`ShardPipeline`].
-fn ingest_inline(
-    instances: Vec<Box<dyn DynStreamAlg>>,
-    source: &mut dyn UpdateSource,
-    cfg: &ShardConfig,
-) -> Result<ShardedIngest, WbError> {
-    let mut pipeline = ShardPipeline::from_instances(instances, cfg);
-    let mut buf: Vec<Update> = Vec::with_capacity(cfg.batch.max(1));
-    while source.next_chunk(&mut buf) > 0 {
-        pipeline.push(&buf);
-        // Once every shard has recorded its failure nothing that follows
-        // can change the outcome — stop generating.
-        if pipeline.all_failed() {
-            break;
-        }
-    }
-    pipeline.finish()
-}
-
-/// Multi-threaded pipeline: one consumer thread per shard behind a bounded
-/// SPSC chunk queue, the producer on the caller's thread.
-fn ingest_threaded(
-    instances: Vec<Box<dyn DynStreamAlg>>,
-    source: &mut dyn UpdateSource,
-    cfg: &ShardConfig,
-) -> Result<ShardedIngest, WbError> {
-    let shards = instances.len();
-    let batch = cfg.batch.max(1);
-    // Consumers bump this once, at their first failure; when it reaches
-    // `shards` the producer stops generating — nothing downstream can
-    // change the outcome once every shard's first failure is fixed.
-    let failed_shards = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut full_txs = Vec::with_capacity(shards);
-        let mut empty_rxs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (i, mut alg) in instances.into_iter().enumerate() {
-            let (full_tx, full_rx) = mpsc::sync_channel::<Vec<Update>>(QUEUE_CHUNKS);
-            let (empty_tx, empty_rx) = mpsc::channel::<Vec<Update>>();
-            full_txs.push(full_tx);
-            empty_rxs.push(empty_rx);
-            let seed = cfg.shard_seed(i);
-            let failed_shards = &failed_shards;
-            handles.push(
-                scope.spawn(move || -> Result<Box<dyn DynStreamAlg>, WbError> {
-                    let mut rng = TranscriptRng::from_seed(seed);
-                    let mut failure: Option<WbError> = None;
-                    let mut processed = 0u64;
+    /// The threaded mode of [`ingest_sharded_source`]: every shard moves
+    /// into its own scoped consumer thread behind a bounded SPSC chunk
+    /// queue, while the caller's thread routes and stages with the same
+    /// [`Router`] as [`ShardPipeline::push_update`] and hands each full
+    /// chunk over instead of ingesting it.
+    fn ingest_threaded(self, source: &mut dyn UpdateSource) -> Result<ShardedIngest, WbError> {
+        let ShardPipeline {
+            shards, mut router, ..
+        } = self;
+        let n = shards.len();
+        let batch = router.batch;
+        // Consumers bump this once, at their first failure; when it reaches
+        // `n` the producer stops generating — nothing downstream can
+        // change the outcome once every shard's first failure is fixed.
+        let failed_shards = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let mut queues = Vec::with_capacity(n);
+            let mut handles = Vec::with_capacity(n);
+            for mut shard in shards {
+                let (full_tx, full_rx) = mpsc::sync_channel::<Vec<Update>>(QUEUE_CHUNKS);
+                let (empty_tx, empty_rx) = mpsc::channel::<Vec<Update>>();
+                queues.push((full_tx, empty_rx));
+                let failed_shards = &failed_shards;
+                handles.push(scope.spawn(move || {
                     // An errored consumer keeps draining (and recycling)
                     // chunks instead of dropping its receiver: closing the
                     // queue would abort the producer mid-stream and make
                     // *which other shards also fail* depend on scheduling.
                     for mut chunk in full_rx {
-                        if failure.is_none() {
-                            if let Err(e) = alg.process_batch_dyn(&chunk, &mut rng) {
-                                failure = Some(shard_failure(
-                                    alg.as_mut(),
-                                    &mut rng,
-                                    &chunk,
-                                    processed,
-                                    i,
-                                    e,
-                                ));
-                                failed_shards.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
+                        if shard.ingest(&chunk) {
+                            failed_shards.fetch_add(1, Ordering::Relaxed);
                         }
-                        processed += chunk.len() as u64;
                         chunk.clear();
                         let _ = empty_tx.send(chunk);
                     }
-                    match failure {
-                        Some(e) => Err(e),
-                        None => Ok(alg),
-                    }
-                }),
-            );
-        }
-
-        let mut staging: Vec<Vec<Update>> =
-            (0..shards).map(|_| Vec::with_capacity(batch)).collect();
-        let mut loads = vec![0usize; shards];
-        let mut queue_stalls = vec![0u64; shards];
-        let mut buf: Vec<Update> = Vec::with_capacity(batch);
-        let mut j = 0u64;
-        fn flush(
-            staging: &mut Vec<Update>,
-            full_tx: &mpsc::SyncSender<Vec<Update>>,
-            empty_rx: &mpsc::Receiver<Vec<Update>>,
-            batch: usize,
-            stalls: &mut u64,
-        ) {
-            let next = empty_rx
-                .try_recv()
-                .unwrap_or_else(|_| Vec::with_capacity(batch));
-            let chunk = std::mem::replace(staging, next);
-            // Offer without blocking first so a full queue is observable:
-            // when the consumer is the bottleneck, count the stall, then
-            // fall back to the blocking send. Consumers never close their
-            // queue while the producer lives, so send only fails if a
-            // consumer panicked — surfaced at join.
-            if let Err(mpsc::TrySendError::Full(chunk)) = full_tx.try_send(chunk) {
-                *stalls += 1;
-                let _ = full_tx.send(chunk);
+                    shard.into_result()
+                }));
             }
-        }
-        while source.next_chunk(&mut buf) > 0 {
-            for u in &buf {
-                let s = route(cfg.partition, u, j, shards);
-                j += 1;
-                loads[s] += 1;
-                staging[s].push(*u);
-                if staging[s].len() >= batch {
-                    flush(
-                        &mut staging[s],
-                        &full_txs[s],
-                        &empty_rxs[s],
-                        batch,
-                        &mut queue_stalls[s],
-                    );
+
+            let mut queue_stalls = vec![0u64; n];
+            // Swap shard `s`'s full staging buffer for a recycled one and
+            // queue it. Offer without blocking first so a full queue is
+            // observable: when the consumer is the bottleneck, count the
+            // stall, then fall back to the blocking send. Consumers never
+            // close their queue while the producer lives, so send only
+            // fails if a consumer panicked — surfaced at join.
+            let mut hand_off = |router: &mut Router, s: usize| {
+                let (full_tx, empty_rx) = &queues[s];
+                let next = empty_rx
+                    .try_recv()
+                    .unwrap_or_else(|_| Vec::with_capacity(batch));
+                let chunk = std::mem::replace(&mut router.staging[s], next);
+                if let Err(mpsc::TrySendError::Full(chunk)) = full_tx.try_send(chunk) {
+                    queue_stalls[s] += 1;
+                    let _ = full_tx.send(chunk);
+                }
+            };
+            let mut buf: Vec<Update> = Vec::with_capacity(batch);
+            while source.next_chunk(&mut buf) > 0 {
+                for u in &buf {
+                    if let Some(s) = router.stage(u) {
+                        hand_off(&mut router, s);
+                    }
+                }
+                if failed_shards.load(Ordering::Relaxed) >= n {
+                    break;
                 }
             }
-            // Every shard has failed: the outcome (lowest shard's first
-            // failure) is already fixed, so stop generating the stream.
-            if failed_shards.load(std::sync::atomic::Ordering::Relaxed) >= shards {
-                break;
+            for s in 0..n {
+                if !router.staging[s].is_empty() {
+                    hand_off(&mut router, s);
+                }
             }
-        }
-        for s in 0..shards {
-            if !staging[s].is_empty() {
-                flush(
-                    &mut staging[s],
-                    &full_txs[s],
-                    &empty_rxs[s],
-                    batch,
-                    &mut queue_stalls[s],
-                );
-            }
-        }
-        drop(full_txs); // close the queues: consumers finish and return
+            drop(queues); // close the queues: consumers finish and return
 
-        let results = handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect();
-        finish_sharded(
-            results,
-            ShardStats {
-                loads,
-                queue_stalls,
-            },
-        )
-    })
+            let results = handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect();
+            finish_sharded(
+                results,
+                ShardStats {
+                    loads: router.loads,
+                    queue_stalls,
+                },
+            )
+        })
+    }
 }
 
 /// `true` iff instances built by `ctor` can merge: constructs two fresh

@@ -68,21 +68,6 @@ use wb_core::WbError;
 /// [`crate::workload`].
 pub const WORKLOADS: &[&str] = &["zipf", "ddos", "churn", "uniform", "cycle"];
 
-// Drift guard: a new `WorkloadSpec` variant makes this match non-exhaustive
-// and fails the build until the author decides whether it joins [`WORKLOADS`]
-// and [`workload_spec`] (generators do; literal `Script`s do not).
-#[allow(dead_code)]
-fn workload_dimension_is_exhaustive(spec: &WorkloadSpec) {
-    match spec {
-        WorkloadSpec::Zipf { .. }
-        | WorkloadSpec::Ddos { .. }
-        | WorkloadSpec::Churn { .. }
-        | WorkloadSpec::Uniform { .. }
-        | WorkloadSpec::Cycle { .. } => (), // in WORKLOADS
-        WorkloadSpec::Script(_) => (), // a literal stream, not a generator
-    }
-}
-
 /// Configuration of one tournament run.
 #[derive(Debug, Clone)]
 pub struct TournamentConfig {
@@ -406,27 +391,42 @@ impl TournamentReport {
 
 /// The prelude workload for a named dimension, sized for one cell.
 pub fn workload_spec(name: &str, n: u64, m: u64, seed: u64) -> Result<WorkloadSpec, WbError> {
-    match name {
-        "zipf" => Ok(WorkloadSpec::Zipf {
+    let spec = match name {
+        "zipf" => WorkloadSpec::Zipf {
             n,
             m,
             heavy: 8,
             seed,
-        }),
-        "ddos" => Ok(WorkloadSpec::Ddos { m, seed }),
-        "churn" => Ok(WorkloadSpec::Churn {
+        },
+        "ddos" => WorkloadSpec::Ddos { m, seed },
+        "churn" => WorkloadSpec::Churn {
             n,
             // waves * (wave + wave/2) ≈ m updates.
             waves: (m / 96).max(1),
             wave: 64,
             seed,
-        }),
-        "uniform" => Ok(WorkloadSpec::Uniform { n, m, seed }),
-        "cycle" => Ok(WorkloadSpec::Cycle { items: 8, m }),
-        other => Err(WbError::invalid(format!(
-            "unknown workload '{other}' (known: {})",
-            WORKLOADS.join(", ")
-        ))),
+        },
+        "uniform" => WorkloadSpec::Uniform { n, m, seed },
+        "cycle" => WorkloadSpec::Cycle { items: 8, m },
+        other => {
+            return Err(WbError::invalid(format!(
+                "unknown workload '{other}' (known: {})",
+                WORKLOADS.join(", ")
+            )))
+        }
+    };
+    // Exhaustive on purpose: a new `WorkloadSpec` variant fails the build
+    // here until its author decides whether it joins [`WORKLOADS`] and the
+    // match above (generators do; a literal `Script` does not).
+    match spec {
+        WorkloadSpec::Zipf { .. }
+        | WorkloadSpec::Ddos { .. }
+        | WorkloadSpec::Churn { .. }
+        | WorkloadSpec::Uniform { .. }
+        | WorkloadSpec::Cycle { .. } => Ok(spec),
+        WorkloadSpec::Script(_) => Err(WbError::invalid(
+            "a literal script is not a workload dimension",
+        )),
     }
 }
 

@@ -2,9 +2,11 @@
 //! experiment runner, and the pull-based streaming layer ([`UpdateSource`])
 //! every ingestion path in the engine is built on.
 //!
-//! The raw generators were born in the `bench` crate (which now delegates
-//! here) so every consumer — binaries, tests, criterion benches, the
-//! registry's scripted adversaries — draws from one set of streams.
+//! Each workload has exactly one generator, [`WorkloadSpec::stream`], so
+//! every consumer — binaries, tests, criterion benches, the registry's
+//! scripted adversaries — draws from one set of streams. The per-draw
+//! `TranscriptRng` generators these streams replaced survive only as
+//! frozen oracles in the tests.
 //!
 //! # Streaming vs materializing
 //!
@@ -21,7 +23,7 @@
 //! `streaming_pipeline` proptest suite for every variant and chunk size).
 
 use crate::erased::Update;
-use wb_core::rng::{Reciprocal, TranscriptRng, Xoshiro256StarStar};
+use wb_core::rng::{Reciprocal, Xoshiro256StarStar};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::stream::Turnstile;
 
@@ -373,62 +375,14 @@ impl Snapshot for WordTape {
     }
 }
 
-/// The draw interface shared by the reference generators (`TranscriptRng`)
-/// and the streaming [`WordTape`], so per-update generator logic is written
-/// once and consumes the same draws on both paths by construction.
-trait DrawSource {
-    fn next_f64(&mut self) -> f64;
-    fn bernoulli(&mut self, p: f64) -> bool;
-    fn below(&mut self, n: u64) -> u64;
-}
-
-impl DrawSource for TranscriptRng {
-    fn next_f64(&mut self) -> f64 {
-        TranscriptRng::next_f64(self)
-    }
-    fn bernoulli(&mut self, p: f64) -> bool {
-        TranscriptRng::bernoulli(self, p)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        TranscriptRng::below(self, n)
-    }
-}
-
-impl DrawSource for WordTape {
-    fn next_f64(&mut self) -> f64 {
-        WordTape::next_f64(self)
-    }
-    fn bernoulli(&mut self, p: f64) -> bool {
-        WordTape::bernoulli(self, p)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        WordTape::below(self, n)
-    }
-}
-
-/// A Zipf-flavoured insertion stream: item `i ∈ [heavy_items]` receives a
-/// `~1/(i+1)`-proportional share of 70% of the mass; the rest is uniform
-/// noise over `[n]`.
-pub fn zipf_stream(n: u64, m: u64, heavy_items: u64, seed: u64) -> Vec<u64> {
-    let mut rng = TranscriptRng::from_seed(seed);
-    let sampler = ZipfSampler::new(n, heavy_items);
-    (0..m).map(|_| sampler.next(&mut rng)).collect()
-}
-
-/// One Zipf draw by the historical per-draw linear CDF walk — kept as the
-/// reference the precomputed [`ZipfSampler`] is pinned against (and its
-/// fallback for heads too large to tabulate).
-fn zipf_next<R: DrawSource>(
-    rng: &mut R,
-    n: u64,
-    heavy_items: u64,
-    weights: &[f64],
-    total: f64,
-) -> u64 {
-    if rng.bernoulli(0.7) {
-        zipf_head_walk(rng.next_f64() * total, heavy_items, weights)
+/// One Zipf draw by the per-draw linear CDF walk: the only path for heads
+/// too large to tabulate, and the reference the precomputed
+/// [`ZipfSampler`] table is pinned against.
+fn zipf_next(tape: &mut WordTape, n: u64, heavy_items: u64, weights: &[f64], total: f64) -> u64 {
+    if tape.bernoulli(0.7) {
+        zipf_head_walk(tape.next_f64() * total, heavy_items, weights)
     } else {
-        heavy_items + rng.below(n - heavy_items)
+        heavy_items + tape.below(n - heavy_items)
     }
 }
 
@@ -608,30 +562,9 @@ impl ZipfSampler {
         (s + self.thresholds[s..e].partition_point(|&t| t <= k)) as u64
     }
 
-    /// Head item for draw `f`: recovers the 53-bit integer grid point
-    /// exactly (`f = k·2⁻⁵³`, so the rescale is lossless) and counts
-    /// thresholds ≤ it.
-    #[inline]
-    fn head_item(&self, f: f64) -> u64 {
-        self.head_item_bits((f * ZIPF_GRID) as u64)
-    }
-
-    /// One Zipf draw, consuming the same words in the same order as
-    /// [`zipf_next`] and returning the same item.
-    #[inline]
-    fn next<R: DrawSource>(&self, rng: &mut R) -> u64 {
-        if self.buckets.is_empty() {
-            return zipf_next(rng, self.n, self.heavy, &self.weights, self.total);
-        }
-        if rng.bernoulli(0.7) {
-            self.head_item(rng.next_f64())
-        } else {
-            self.heavy + rng.below(self.n - self.heavy)
-        }
-    }
-
     /// The vectorized chunk kernel: `k` draws appended to `buf`, consuming
-    /// the exact word tape of `k` scalar [`ZipfSampler::next`] calls.
+    /// the exact word tape of `k` [`zipf_next`] walks and returning the
+    /// same items.
     ///
     /// Every Zipf draw consumes at least two words — the Bernoulli coin
     /// plus either the head draw or the first tail candidate — so the
@@ -720,66 +653,12 @@ fn take_word(words: &[u64], wi: &mut usize, tape: &mut WordTape) -> u64 {
     }
 }
 
-/// Synthetic IPv4 DDoS traffic: one hot /24 prefix (25%), one hot host
-/// (15%), uniform noise elsewhere.
-pub fn ddos_stream(m: u64, seed: u64) -> Vec<u64> {
-    let mut rng = TranscriptRng::from_seed(seed);
-    (0..m).map(|t| ddos_next(&mut rng, t)).collect()
-}
-
-/// One DDoS draw at stream position `t` (shared with the streaming path).
-fn ddos_next(rng: &mut TranscriptRng, t: u64) -> u64 {
-    match t % 20 {
-        0..=4 => (10 << 24) | (1 << 16) | (7 << 8) | rng.below(256),
-        5..=7 => (203 << 24) | (113 << 8) | 5,
-        _ => rng.below(1 << 32),
-    }
-}
-
-/// Turnstile churn: waves of insertions followed by partial deletions.
-pub fn churn_stream(n: u64, waves: u64, wave_size: u64, seed: u64) -> Vec<Turnstile> {
-    let mut rng = TranscriptRng::from_seed(seed);
-    let mut out = Vec::with_capacity((waves * wave_size * 3 / 2) as usize);
-    for _ in 0..waves {
-        let base = rng.below(n);
-        for i in 0..wave_size {
-            out.push(Turnstile::insert((base + i * 7) % n));
-        }
-        for i in 0..wave_size / 2 {
-            out.push(Turnstile::delete((base + i * 7) % n));
-        }
-    }
-    out
-}
-
-/// Uniform insertions over `[n]`.
-pub fn uniform_stream(n: u64, m: u64, seed: u64) -> Vec<u64> {
-    let mut rng = TranscriptRng::from_seed(seed);
-    (0..m).map(|_| rng.below(n)).collect()
-}
-
-/// Deterministic round-robin over `items` ids (`t % items`) — the
-/// few-distinct-items worst case for `log m`-bit counters. The `t % items`
-/// of the historical implementation is carried as a running wrap counter:
-/// same output, no division in the per-update loop.
-pub fn cycle_stream(items: u64, m: u64) -> Vec<u64> {
-    let items = items.max(1);
-    let mut out = Vec::with_capacity(usize::try_from(m).unwrap_or(0));
-    let mut cur = 0u64;
-    for _ in 0..m {
-        out.push(cur);
-        cur += 1;
-        if cur == items {
-            cur = 0;
-        }
-    }
-    out
-}
-
 /// Declarative workload for registry-driven experiment rows.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
-    /// [`zipf_stream`] insertions.
+    /// Zipf-flavoured insertions: head item `i < heavy` receives a
+    /// `~1/(i+1)`-proportional share of 70% of the mass; the rest is
+    /// uniform noise over `[heavy, n)`.
     Zipf {
         /// Universe size.
         n: u64,
@@ -790,14 +669,16 @@ pub enum WorkloadSpec {
         /// Generator seed.
         seed: u64,
     },
-    /// [`ddos_stream`] insertions.
+    /// Synthetic IPv4 DDoS insertions (raw 32-bit addresses): one hot
+    /// /24 prefix (25%), one hot host (15%), uniform noise elsewhere.
     Ddos {
         /// Stream length.
         m: u64,
         /// Generator seed.
         seed: u64,
     },
-    /// [`churn_stream`] turnstile updates.
+    /// Turnstile churn: waves of insertions at `(base + 7i) % n` from a
+    /// uniform `base`, each followed by deletions of its first half.
     Churn {
         /// Universe size.
         n: u64,
@@ -808,7 +689,7 @@ pub enum WorkloadSpec {
         /// Generator seed.
         seed: u64,
     },
-    /// [`uniform_stream`] insertions.
+    /// Uniform insertions over `[n]`.
     Uniform {
         /// Universe size.
         n: u64,
@@ -817,7 +698,8 @@ pub enum WorkloadSpec {
         /// Generator seed.
         seed: u64,
     },
-    /// [`cycle_stream`] insertions (`t % items`).
+    /// Deterministic round-robin insertions `t % items` — the
+    /// few-distinct-items worst case for `log m`-bit counters.
     Cycle {
         /// Number of distinct items.
         items: u64,
@@ -1029,11 +911,10 @@ enum StreamState {
 /// The lazy generator behind [`WorkloadSpec::stream`]: an [`UpdateSource`]
 /// holding only the generator's RNG/position state, never the stream.
 ///
-/// Since the bulk-kernel rework, every variant consumes pre-filled raw
-/// words from a [`WordTape`] in the same order as the historical scalar
-/// draws; uniform, ddos, cycle, and script chunks are produced by
-/// vectorized kernels, zipf and churn by the shared per-draw logic over
-/// the buffered tape.
+/// Every variant consumes pre-filled raw words from a [`WordTape`] in the
+/// same order as the historical per-draw `TranscriptRng` generators;
+/// uniform, ddos, zipf, cycle, and script chunks are produced by
+/// vectorized kernels, churn by per-wave logic over the buffered tape.
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
     state: StreamState,
@@ -1324,7 +1205,7 @@ impl UpdateSource for WorkloadStream {
                 // Phases 5..=7 of the 20-step pattern draw no word. Count
                 // the words this chunk needs, bulk-fill exactly that many,
                 // then mix addresses — one word per drawing position, in
-                // tape order, exactly as the scalar `ddos_next` consumed
+                // tape order, exactly as the per-draw generator consumed
                 // them (both its `below` calls are power-of-two masks).
                 let mut phase = (*t % 20) as u32;
                 let mut draws = 0usize;
@@ -1444,19 +1325,31 @@ impl UpdateSource for WorkloadStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wb_core::rng::TranscriptRng;
+
+    /// The items of `spec`'s stream, for shape checks.
+    fn items(spec: &WorkloadSpec) -> Vec<u64> {
+        spec.generate().iter().map(Update::item).collect()
+    }
 
     #[test]
     fn zipf_stream_has_heavy_head() {
-        let s = zipf_stream(1 << 16, 20_000, 8, 1);
+        let s = items(&WorkloadSpec::Zipf {
+            n: 1 << 16,
+            m: 20_000,
+            heavy: 8,
+            seed: 1,
+        });
         let head = s.iter().filter(|&&i| i == 0).count();
+        // Item 0 carries ~0.7/H(8) ≈ 25% of the stream.
         assert!(head > 3_000, "head count {head}");
         assert_eq!(s.len(), 20_000);
     }
 
     #[test]
     fn zipf_sampler_matches_cdf_walk_draw_for_draw() {
-        // The inverse-CDF table must map every draw to the item the linear
-        // walk would have produced, consuming the same words.
+        // The inverse-CDF chunk kernel must map every draw to the item the
+        // linear walk would have produced, consuming the same words.
         for &(n, heavy, seed) in &[
             (1u64 << 16, 64u64, 1u64),
             (1 << 16, 64, 97),
@@ -1469,10 +1362,11 @@ mod tests {
             assert!(!sampler.buckets.is_empty(), "table expected for {heavy}");
             let mut fast = WordTape::from_seed(seed);
             let mut slow = WordTape::from_seed(seed);
-            for t in 0..20_000u64 {
-                let a = sampler.next(&mut fast);
-                let b = zipf_next(&mut slow, n, heavy, &sampler.weights, sampler.total);
-                assert_eq!(a, b, "n={n} heavy={heavy} seed={seed} draw {t}");
+            let mut got = Vec::new();
+            sampler.next_chunk_into(&mut fast, 20_000, &mut got);
+            for (t, u) in got.iter().enumerate() {
+                let walked = zipf_next(&mut slow, n, heavy, &sampler.weights, sampler.total);
+                assert_eq!(u.item(), walked, "n={n} heavy={heavy} seed={seed} draw {t}");
             }
             // Equal word consumption ⇒ the tapes are still in lock-step.
             assert_eq!(fast.next_u64(), slow.next_u64());
@@ -1485,18 +1379,18 @@ mod tests {
         // the walk at every stored threshold, one grid step below it, and
         // on a pseudorandom sample of grid points.
         let sampler = ZipfSampler::new(1 << 12, 64);
-        let grid = |k: u64| k as f64 * (1.0 / ZIPF_GRID);
-        let check = |f: f64| {
+        let check = |k: u64| {
+            let f = k as f64 * (1.0 / ZIPF_GRID);
             let walked = zipf_head_walk(f * sampler.total, sampler.heavy, &sampler.weights);
-            assert_eq!(sampler.head_item(f), walked, "f = {f}");
+            assert_eq!(sampler.head_item_bits(k), walked, "f = {f}");
         };
         for &t in &sampler.thresholds {
             if t == u64::MAX {
                 continue; // sentinel: unreachable within [0, 1)
             }
-            check(grid(t));
+            check(t);
             if t > 0 {
-                check(grid(t - 1));
+                check(t - 1);
             }
         }
         let mut x = 0x243F_6A88_85A3_08D3u64; // pseudorandom grid probes
@@ -1504,31 +1398,25 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            check(grid(x >> 11));
+            check(x >> 11);
         }
     }
 
     #[test]
     fn zipf_sampler_falls_back_for_oversized_head() {
-        // Above the table cap construction would be quadratic in `heavy`;
-        // the sampler must delegate to the walk instead, identically.
-        let (n, heavy) = (1u64 << 14, ZIPF_TABLE_MAX_HEAVY + 1);
-        let sampler = ZipfSampler::new(n, heavy);
+        // Above the table cap construction would be quadratic in `heavy`,
+        // so the sampler keeps the linear walk (its stream is pinned
+        // against the frozen oracle in the byte-for-byte test below).
+        let sampler = ZipfSampler::new(1 << 14, ZIPF_TABLE_MAX_HEAVY + 1);
         assert!(sampler.buckets.is_empty());
-        let mut fast = WordTape::from_seed(13);
-        let mut slow = WordTape::from_seed(13);
-        for _ in 0..2_000 {
-            assert_eq!(
-                sampler.next(&mut fast),
-                zipf_next(&mut slow, n, heavy, &sampler.weights, sampler.total)
-            );
-        }
-        assert_eq!(fast.next_u64(), slow.next_u64());
+        assert!(!ZipfSampler::new(1 << 14, ZIPF_TABLE_MAX_HEAVY)
+            .buckets
+            .is_empty());
     }
 
     #[test]
     fn ddos_stream_shares() {
-        let s = ddos_stream(20_000, 2);
+        let s = items(&WorkloadSpec::Ddos { m: 20_000, seed: 2 });
         let subnet = s
             .iter()
             .filter(|&&ip| ip >> 8 == (10 << 16) | (1 << 8) | 7)
@@ -1538,9 +1426,15 @@ mod tests {
 
     #[test]
     fn churn_stream_shape() {
-        let s = churn_stream(1 << 10, 4, 100, 3);
+        let s = WorkloadSpec::Churn {
+            n: 1 << 10,
+            waves: 4,
+            wave: 100,
+            seed: 3,
+        }
+        .generate();
         assert_eq!(s.len(), 4 * 150);
-        assert!(s.iter().any(|u| u.delta < 0));
+        assert!(s.iter().any(|u| u.delta() < 0));
     }
 
     #[test]
@@ -1575,9 +1469,68 @@ mod tests {
 
     #[test]
     fn stream_matches_raw_generators_byte_for_byte() {
-        // The streaming path must reproduce the original materialized
-        // generators exactly — same RNG, same order — for every variant.
+        // The per-draw `TranscriptRng` generators the streams replaced,
+        // frozen as oracles: the streaming path must reproduce them exactly
+        // — same RNG, same order — for every variant.
+        fn zipf(n: u64, m: u64, heavy: u64, seed: u64) -> Vec<Update> {
+            let mut rng = TranscriptRng::from_seed(seed);
+            let weights: Vec<f64> = (0..heavy).map(|i| 1.0 / (i + 1) as f64).collect();
+            let total: f64 = weights.iter().sum();
+            (0..m)
+                .map(|_| {
+                    Update::Insert(if rng.bernoulli(0.7) {
+                        let mut u = rng.next_f64() * total;
+                        let mut item = heavy - 1;
+                        for (i, w) in weights.iter().enumerate() {
+                            if u < *w {
+                                item = i as u64;
+                                break;
+                            }
+                            u -= w;
+                        }
+                        item
+                    } else {
+                        heavy + rng.below(n - heavy)
+                    })
+                })
+                .collect()
+        }
+        fn ddos(m: u64, seed: u64) -> Vec<Update> {
+            let mut rng = TranscriptRng::from_seed(seed);
+            (0..m)
+                .map(|t| {
+                    Update::Insert(match t % 20 {
+                        0..=4 => (10 << 24) | (1 << 16) | (7 << 8) | rng.below(256),
+                        5..=7 => (203 << 24) | (113 << 8) | 5,
+                        _ => rng.below(1 << 32),
+                    })
+                })
+                .collect()
+        }
+        fn churn(n: u64, waves: u64, wave: u64, seed: u64) -> Vec<Update> {
+            let mut rng = TranscriptRng::from_seed(seed);
+            let mut out = Vec::new();
+            for _ in 0..waves {
+                let base = rng.below(n);
+                for i in 0..wave {
+                    out.push(Update::from(Turnstile::insert((base + i * 7) % n)));
+                }
+                for i in 0..wave / 2 {
+                    out.push(Update::from(Turnstile::delete((base + i * 7) % n)));
+                }
+            }
+            out
+        }
+        fn uniform(n: u64, m: u64, seed: u64) -> Vec<Update> {
+            let mut rng = TranscriptRng::from_seed(seed);
+            (0..m).map(|_| Update::Insert(rng.below(n))).collect()
+        }
+        fn cycle(items: u64, m: u64) -> Vec<Update> {
+            (0..m).map(|t| Update::Insert(t % items)).collect()
+        }
+
         let (n, m, seed) = (1 << 10, 1000, 17);
+        let oversized = ZIPF_TABLE_MAX_HEAVY + 1;
         let cases: Vec<(WorkloadSpec, Vec<Update>)> = vec![
             (
                 WorkloadSpec::Zipf {
@@ -1586,18 +1539,19 @@ mod tests {
                     heavy: 8,
                     seed,
                 },
-                zipf_stream(n, m, 8, seed)
-                    .into_iter()
-                    .map(Update::Insert)
-                    .collect(),
+                zipf(n, m, 8, seed),
             ),
             (
-                WorkloadSpec::Ddos { m, seed },
-                ddos_stream(m, seed)
-                    .into_iter()
-                    .map(Update::Insert)
-                    .collect(),
+                // Past the table cap: the linear-walk fallback.
+                WorkloadSpec::Zipf {
+                    n: 1 << 14,
+                    m,
+                    heavy: oversized,
+                    seed,
+                },
+                zipf(1 << 14, m, oversized, seed),
             ),
+            (WorkloadSpec::Ddos { m, seed }, ddos(m, seed)),
             (
                 WorkloadSpec::Churn {
                     n,
@@ -1605,22 +1559,15 @@ mod tests {
                     wave: 64,
                     seed,
                 },
-                churn_stream(n, 7, 64, seed)
-                    .into_iter()
-                    .map(Update::from)
-                    .collect(),
+                churn(n, 7, 64, seed),
             ),
+            (WorkloadSpec::Uniform { n, m, seed }, uniform(n, m, seed)),
             (
-                WorkloadSpec::Uniform { n, m, seed },
-                uniform_stream(n, m, seed)
-                    .into_iter()
-                    .map(Update::Insert)
-                    .collect(),
+                // A non-power-of-two universe exercises rejection sampling.
+                WorkloadSpec::Uniform { n: 1000, m, seed },
+                uniform(1000, m, seed),
             ),
-            (
-                WorkloadSpec::Cycle { items: 5, m },
-                cycle_stream(5, m).into_iter().map(Update::Insert).collect(),
-            ),
+            (WorkloadSpec::Cycle { items: 5, m }, cycle(5, m)),
         ];
         for (spec, reference) in cases {
             assert_eq!(spec.generate(), reference, "{}", spec.label());

@@ -364,6 +364,54 @@ fn out_of_universe_item_is_refused_at_admission() {
     assert_eq!(pool.get("panicked").and_then(Json::as_u64), Some(0));
 }
 
+/// `hello` lines whose parameters once panicked tenant construction on
+/// the reactor thread (ε = 1e-300), or asked for gigabytes up front (ε =
+/// 1e-9, a 2^50-item `sis_l0` universe, 10^8 shards), get typed refusals;
+/// the daemon keeps serving and a healthy tenant drains clean.
+#[test]
+fn hostile_hello_parameters_are_refused_and_the_daemon_keeps_serving() {
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut sess = Session::connect(server.addr());
+    for line in [
+        r#"{"cmd":"hello","tenant":"a","alg":"misra_gries","eps":1e-300}"#,
+        r#"{"cmd":"hello","tenant":"a","alg":"median_morris","eps":1e-300}"#,
+        r#"{"cmd":"hello","tenant":"a","alg":"space_saving","eps":1e-9}"#,
+        r#"{"cmd":"hello","tenant":"a","alg":"sis_l0","n":1125899906842624}"#,
+        r#"{"cmd":"hello","tenant":"a","alg":"sis_l0","n":18446744073709551615}"#,
+        r#"{"cmd":"hello","tenant":"s","alg":"count_min","shards":100000000}"#,
+    ] {
+        let reply = sess.roundtrip(line);
+        let kind = reply
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str);
+        assert!(
+            matches!(kind, Some("invalid_parameter" | "bad_request")),
+            "{line} must be refused: {}",
+            reply.to_line()
+        );
+    }
+    sess.expect_ok(r#"{"cmd":"hello","tenant":"ok","alg":"count_min","seed":1,"shards":2}"#);
+    sess.expect_ok(r#"{"cmd":"ingest","tenant":"ok","updates":[1,2,3,1]}"#);
+    let reply = sess.expect_ok(r#"{"cmd":"query","tenant":"ok"}"#);
+    assert_eq!(reply.get("processed").and_then(Json::as_u64), Some(4));
+    let mut fresh = Session::connect(server.addr());
+    fresh.expect_ok(r#"{"cmd":"metrics"}"#);
+    fresh.expect_ok(r#"{"cmd":"bye"}"#);
+    sess.expect_ok(r#"{"cmd":"bye"}"#);
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("tenants rollup");
+    assert_eq!(tenants.get("count").and_then(Json::as_u64), Some(1));
+    assert_eq!(tenants.get("accepted").and_then(Json::as_u64), Some(4));
+    assert_eq!(tenants.get("applied"), tenants.get("accepted"));
+}
+
 /// A request line with no newline must hit a bounded buffer: the daemon
 /// replies with a typed `bad_request` and closes the session instead of
 /// growing memory without limit.

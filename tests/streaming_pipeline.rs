@@ -6,7 +6,8 @@
 //! * sharded ingestion through the bounded chunk queues matches the
 //!   classic materialized-bucket dataflow (`partition_updates` +
 //!   per-bucket batched ingest + reduction-tree merge) bit for bit, for
-//!   both partition rules and for inline and threaded modes;
+//!   both partition rules and for inline and threaded modes, and the two
+//!   modes agree on shard loads and on the error a failing stream reports;
 //! * the tournament's report is invariant under the transport chunk size.
 
 use proptest::prelude::*;
@@ -116,8 +117,15 @@ proptest! {
         let spec = WorkloadSpec::Zipf { n: 1 << 10, m, heavy: 4, seed };
         let updates = spec.generate();
         let params = Params::default().with_n(1 << 10);
+        // Deletions at fixed offsets make insertion-only summaries fail.
+        let mut failing = updates.clone();
+        failing.insert(m as usize / 3, Update::Turnstile { item: 5, delta: -1 });
+        failing.insert(2 * m as usize / 3, Update::Turnstile { item: 9, delta: -1 });
+        let failing = WorkloadSpec::Script(failing);
         for name in ["misra_gries", "count_min"] {
             for partition in [Partition::Hash, Partition::RoundRobin] {
+                let mut loads = Vec::new();
+                let mut errors = Vec::new();
                 // threads: 1 exercises the inline pipeline, 4 the bounded
                 // SPSC chunk queues; both must equal the bucket reference.
                 for threads in [1usize, 4] {
@@ -142,6 +150,17 @@ proptest! {
                         reference.space_bits_dyn()
                     );
                     prop_assert_eq!(out.stats.total() as usize, updates.len());
+                    loads.push(out.stats.loads);
+                    if name == "misra_gries" {
+                        match ingest_sharded_source(&ctor, &mut failing.stream(), &cfg) {
+                            Ok(_) => prop_assert!(false, "deletions must fail misra_gries"),
+                            Err(e) => errors.push(e.to_string()),
+                        }
+                    }
+                }
+                prop_assert_eq!(&loads[0], &loads[1], "{} {:?} loads", name, partition);
+                if let [inline, threaded] = &errors[..] {
+                    prop_assert_eq!(inline, threaded, "{:?} failure", partition);
                 }
             }
         }

@@ -1,16 +1,21 @@
 //! Zipf draw-identity regression: the precomputed inverse-CDF sampler
-//! behind `zipf_stream` must reproduce the **historical per-draw linear CDF
-//! walk** byte-for-byte. The walk is reimplemented here, from the public
-//! `TranscriptRng` API alone, exactly as `zipf_stream` shipped it before
-//! the sampler existed: per draw, one `bernoulli(0.7)` coin, then either a
+//! behind `WorkloadSpec::Zipf` must reproduce the **historical per-draw
+//! linear CDF walk** byte-for-byte. The walk is reimplemented here, from
+//! the public `TranscriptRng` API alone, exactly as the scalar
+//! `zipf_stream` generator shipped it before the sampler existed: per draw, one `bernoulli(0.7)` coin, then either a
 //! `next_f64() * total` head walk over the `1/(i+1)` weights (with the
 //! rounded `u -= w` subtraction chain) or `heavy + below(n - heavy)` for
 //! the tail. Any divergence — in items, word counts, or the public
 //! transcript — is a white-box model break, not just a perf bug.
 
 use wbstream::core::rng::TranscriptRng;
-use wbstream::engine::workload::zipf_stream;
 use wbstream::engine::{Update, UpdateSource, WorkloadSpec};
+
+/// The items of the production zipf stream.
+fn zipf_stream(n: u64, m: u64, heavy: u64, seed: u64) -> Vec<u64> {
+    let spec = WorkloadSpec::Zipf { n, m, heavy, seed };
+    spec.generate().iter().map(Update::item).collect()
+}
 
 /// The historical generator, frozen: this is the exact draw sequence every
 /// committed bench point and pinned game seed was produced with.
