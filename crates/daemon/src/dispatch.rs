@@ -1,15 +1,12 @@
-//! Re-entrant request dispatch, shared by both session backends.
+//! Re-entrant request dispatch for the reactor's sessions.
 //!
-//! The thread backend ([`crate::accept`]) and the epoll reactor
-//! ([`crate::reactor`]) speak the same protocol over very different
-//! session shapes: a thread can park inside a handler (condvar waits,
-//! blocking pool submits), a reactor session must never block its event
-//! loop. This module factors the difference into a [`DispatchMode`]:
-//! handlers ask the mode for a [`Waiter`] when they hit a blocking
-//! condition — `None` means "wait here" (thread backend), `Some` means
-//! "register the waiter and return a [`PendingOp`]" (reactor). Everything
-//! else — admission checks, typed errors, reply shapes, counter updates —
-//! is written once, so the two backends cannot drift.
+//! A handler never blocks the event loop. When a request hits inbox
+//! backpressure or needs quiescence, it registers the session's
+//! [`Waiter`] under the slot lock and returns a [`PendingOp`], which the
+//! reactor resumes once a pool worker wakes it. Pool submissions go through
+//! `WorkerPool::try_submit`; a full queue defers the drain job to the
+//! reactor's retry list. Everything else — admission checks, typed errors,
+//! reply shapes, counter updates — is plain request/reply.
 //!
 //! A session has at most one [`PendingOp`] in flight: requests behind it
 //! stay unread in the session buffer, which preserves per-session reply
@@ -20,40 +17,47 @@ use crate::json::{obj, Json};
 use crate::metrics;
 use crate::proto::{self, ErrorKind, ProtoError, Request};
 use crate::server::{hex_id, write_atomic, Shared};
-use crate::tenant::{Tenant, TenantSlot, TenantState, Waiter, INBOX_CHUNKS};
+use crate::tenant::{Tenant, TenantSlot, TenantState, Waiter, WakeSink, INBOX_CHUNKS};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wb_engine::Update;
 
-/// How a session backend waits and schedules. The thread backend blocks
-/// in place; the reactor registers wakeups and defers full-queue pool
-/// submissions back to its event loop.
-pub trait DispatchMode {
-    /// A waiter for the current session, or `None` to block inline.
-    /// Handlers call this exactly when a blocking condition holds under
-    /// the slot lock; returning `Some` converts the request into a
-    /// [`PendingOp`].
-    fn waiter(&self) -> Option<Waiter>;
-
-    /// Hand `slot`'s freshly-scheduled inbox to a pool worker. Called with
-    /// the slot lock released and `scheduled` already set.
-    fn schedule(&mut self, shared: &Arc<Shared>, slot: &Arc<TenantSlot>);
+/// The session a request runs for: where it parks when it blocks, and
+/// where drain jobs the bounded pool queue refuses wait for a retry.
+pub struct SessionCtx<'a> {
+    /// Wakes the event loop that owns the session.
+    pub sink: &'a Arc<dyn WakeSink>,
+    /// The session's token.
+    pub token: u64,
+    /// The reactor's list of refused drain jobs.
+    pub deferred: &'a mut VecDeque<Arc<TenantSlot>>,
 }
 
-/// Blocking mode: condvar waits, blocking pool submission. The thread
-/// backend's mode, and the teardown mode the reactor uses to finish a
-/// pending ingest whose client vanished.
-pub struct Blocking;
-
-impl DispatchMode for Blocking {
-    fn waiter(&self) -> Option<Waiter> {
-        None
+impl SessionCtx<'_> {
+    fn waiter(&self) -> Waiter {
+        Waiter {
+            token: self.token,
+            sink: Arc::clone(self.sink),
+        }
     }
+}
 
-    fn schedule(&mut self, shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
-        let job = Arc::clone(slot);
-        shared.pool.submit(Box::new(move || job.drain_inbox()));
+/// Hand `slot`'s freshly-claimed inbox to a pool worker, or to `deferred`
+/// when the bounded queue is full. Called with the slot lock released and
+/// `scheduled` already set.
+fn schedule(shared: &Shared, deferred: &mut VecDeque<Arc<TenantSlot>>, slot: &Arc<TenantSlot>) {
+    let job = Arc::clone(slot);
+    if shared
+        .pool
+        .try_submit(Box::new(move || job.drain_inbox()))
+        .is_err()
+    {
+        shared
+            .reactor
+            .deferred_submits
+            .fetch_add(1, Ordering::Relaxed);
+        deferred.push_back(Arc::clone(slot));
     }
 }
 
@@ -66,8 +70,8 @@ pub enum Outcome {
         /// `true` for `bye`: flush the reply, then close.
         end: bool,
     },
-    /// The request blocked (only under a mode whose [`DispatchMode::waiter`]
-    /// returns `Some`); the owning reactor resumes it on wakeup.
+    /// The request blocked with a waiter registered; the owning reactor
+    /// resumes it on wakeup.
     Pending(PendingOp),
 }
 
@@ -89,8 +93,7 @@ pub struct PendingOp {
 pub enum PendingKind {
     /// An admitted ingest with chunks still to enqueue. The whole batch
     /// was counted `accepted` at admission — these chunks are owed to the
-    /// tenant even if the client disconnects (see
-    /// [`finish_ingest_blocking`]).
+    /// tenant even if the client disconnects (see [`abandon`]).
     Ingest {
         /// The admitted batch size, echoed in the reply.
         accepted: u64,
@@ -118,7 +121,7 @@ pub enum Resumed {
 }
 
 /// Dispatch one request line.
-pub fn handle_line(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, line: &str) -> Outcome {
+pub fn handle_line(shared: &Arc<Shared>, ctx: &mut SessionCtx<'_>, line: &str) -> Outcome {
     let request = match proto::parse_request(line) {
         Ok(r) => r,
         Err(e) => return Outcome::reply(e.to_json()),
@@ -132,15 +135,15 @@ pub fn handle_line(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, line: &str
         } => Outcome::reply(
             handle_hello(shared, &tenant, &alg, seed, &params).unwrap_or_else(|e| e.to_json()),
         ),
-        Request::Ingest { tenant, updates } => handle_ingest(shared, mode, &tenant, updates)
+        Request::Ingest { tenant, updates } => handle_ingest(shared, ctx, &tenant, updates)
             .unwrap_or_else(|e| Outcome::reply(e.to_json())),
-        Request::Query { tenant } => handle_quiescent(shared, mode, &tenant, PendingKind::Query),
+        Request::Query { tenant } => handle_quiescent(shared, ctx, &tenant, PendingKind::Query),
         Request::SnapshotStats { tenant } => {
-            handle_quiescent(shared, mode, &tenant, PendingKind::SnapshotStats)
+            handle_quiescent(shared, ctx, &tenant, PendingKind::SnapshotStats)
         }
         Request::Snapshot { tenant, path } => match snapshot_path(shared, &tenant, path.as_deref())
         {
-            Ok(path) => handle_quiescent(shared, mode, &tenant, PendingKind::Snapshot { path }),
+            Ok(path) => handle_quiescent(shared, ctx, &tenant, PendingKind::Snapshot { path }),
             Err(e) => Outcome::reply(e.to_json()),
         },
         Request::Restore { path } => {
@@ -170,13 +173,13 @@ pub fn handle_line(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, line: &str
 
 /// Retry a parked op after a tenant wakeup. Spurious wakes re-register:
 /// the op either completes now or parks again with a fresh waiter.
-pub fn resume(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, op: PendingOp) -> Resumed {
+pub fn resume(shared: &Arc<Shared>, ctx: &mut SessionCtx<'_>, op: PendingOp) -> Resumed {
     let PendingOp { slot, kind } = op;
     match kind {
         PendingKind::Ingest {
             accepted,
             mut remaining,
-        } => match push_chunks(shared, mode, &slot, &mut remaining) {
+        } => match push_chunks(shared, ctx, &slot, &mut remaining) {
             Pushed::Complete { pending } => Resumed::Done(ingest_reply(accepted, pending)),
             Pushed::Blocked => Resumed::Still(PendingOp {
                 slot,
@@ -193,10 +196,7 @@ pub fn resume(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, op: PendingOp) 
                 drop(st);
                 Resumed::Done(reply)
             } else {
-                let waiter = mode
-                    .waiter()
-                    .expect("resume is only reached from a waiter-capable mode");
-                st.waiters.push(waiter);
+                st.waiters.push(ctx.waiter());
                 drop(st);
                 Resumed::Still(PendingOp { slot, kind })
             }
@@ -204,19 +204,15 @@ pub fn resume(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, op: PendingOp) 
     }
 }
 
-/// Finish a pending ingest synchronously. Session teardown path: the
-/// client is gone and its reply undeliverable, but the batch was admitted
-/// (`accepted` counted), so every remaining chunk must still reach the
-/// inbox — the no-loss drain invariant (`applied == accepted`) does not
-/// care who was listening. Callers must ensure any deferred pool submit
-/// for this slot has been flushed first, or the condvar wait below would
-/// wait on a drain job that was never handed to a worker.
-pub fn finish_ingest_blocking(shared: &Arc<Shared>, op: PendingOp) {
-    if let PendingKind::Ingest { mut remaining, .. } = op.kind {
-        let mut mode = Blocking;
-        match push_chunks(shared, &mut mode, &op.slot, &mut remaining) {
-            Pushed::Complete { .. } => {}
-            Pushed::Blocked => unreachable!("blocking mode waits instead of parking"),
+/// Hand a parked op's owed work to its tenant when its session goes
+/// away. An ingest was admitted (`accepted` counted), so its remaining
+/// chunks still reach the inbox — the no-loss drain invariant
+/// (`applied == accepted`) does not care who was listening — through
+/// [`TenantSlot::hand_off`], which never waits. Parked reads are dropped.
+pub fn abandon(shared: &Shared, deferred: &mut VecDeque<Arc<TenantSlot>>, op: PendingOp) {
+    if let PendingKind::Ingest { remaining, .. } = op.kind {
+        if op.slot.hand_off(remaining) {
+            schedule(shared, deferred, &op.slot);
         }
     }
 }
@@ -298,7 +294,7 @@ fn handle_hello(
 
 fn handle_ingest(
     shared: &Arc<Shared>,
-    mode: &mut dyn DispatchMode,
+    ctx: &mut SessionCtx<'_>,
     tenant: &str,
     updates: Vec<Update>,
 ) -> Result<Outcome, ProtoError> {
@@ -336,7 +332,7 @@ fn handle_ingest(
     let chunk = shared.cfg.chunk.max(1);
     let mut remaining: VecDeque<Vec<Update>> =
         updates.chunks(chunk).map(|piece| piece.to_vec()).collect();
-    match push_chunks(shared, mode, &slot, &mut remaining) {
+    match push_chunks(shared, ctx, &slot, &mut remaining) {
         Pushed::Complete { pending } => Ok(Outcome::reply(ingest_reply(accepted, pending))),
         Pushed::Blocked => Ok(Outcome::Pending(PendingOp {
             slot,
@@ -356,8 +352,7 @@ enum Pushed {
         /// Inbox depth when the last chunk landed.
         pending: u64,
     },
-    /// The inbox filled and the mode parks instead of waiting; a waiter
-    /// was registered.
+    /// The inbox filled; a waiter was registered.
     Blocked,
 }
 
@@ -368,7 +363,7 @@ enum Pushed {
 /// otherwise wait on a job never submitted).
 fn push_chunks(
     shared: &Arc<Shared>,
-    mode: &mut dyn DispatchMode,
+    ctx: &mut SessionCtx<'_>,
     slot: &Arc<TenantSlot>,
     remaining: &mut VecDeque<Vec<Update>>,
 ) -> Pushed {
@@ -379,24 +374,19 @@ fn push_chunks(
                 pending: st.inbox.len() as u64,
             };
         }
-        while st.inbox.len() >= INBOX_CHUNKS {
+        if st.inbox.len() >= INBOX_CHUNKS {
             st.inbox_stalls += 1;
-            match mode.waiter() {
-                None => st = slot.cv.wait(st).unwrap(),
-                Some(waiter) => {
-                    st.waiters.push(waiter);
-                    return Pushed::Blocked;
-                }
-            }
+            st.waiters.push(ctx.waiter());
+            return Pushed::Blocked;
         }
         let piece = remaining.pop_front().expect("checked non-empty");
         st.inbox.push_back(piece);
         if !st.scheduled {
-            // Submit outside the slot lock — the pool queue is bounded and
-            // blocking-mode submission may park (counted as a pool stall).
+            // Submit outside the slot lock, so a pool worker never finds
+            // the tenant locked by the event loop.
             st.scheduled = true;
             drop(st);
-            mode.schedule(shared, slot);
+            schedule(shared, ctx.deferred, slot);
             st = slot.state.lock().unwrap();
         }
     }
@@ -411,10 +401,10 @@ fn ingest_reply(accepted: u64, pending: u64) -> Json {
 }
 
 /// Serve a read op that needs quiescence (`query`, `snapshot-stats`,
-/// `snapshot`): wait for it in blocking mode, park on it otherwise.
+/// `snapshot`): answer now if the tenant is quiescent, park otherwise.
 fn handle_quiescent(
     shared: &Arc<Shared>,
-    mode: &mut dyn DispatchMode,
+    ctx: &mut SessionCtx<'_>,
     tenant: &str,
     kind: PendingKind,
 ) -> Outcome {
@@ -423,15 +413,10 @@ fn handle_quiescent(
         Err(e) => return Outcome::reply(e.to_json()),
     };
     let mut st = slot.state.lock().unwrap();
-    while !st.inbox.is_empty() || st.scheduled {
-        match mode.waiter() {
-            None => st = slot.cv.wait(st).unwrap(),
-            Some(waiter) => {
-                st.waiters.push(waiter);
-                drop(st);
-                return Outcome::Pending(PendingOp { slot, kind });
-            }
-        }
+    if !st.inbox.is_empty() || st.scheduled {
+        st.waiters.push(ctx.waiter());
+        drop(st);
+        return Outcome::Pending(PendingOp { slot, kind });
     }
     let reply = finish_quiescent(&mut st, &kind).unwrap_or_else(|e| e.to_json());
     Outcome::reply(reply)

@@ -26,12 +26,11 @@
 //!
 //! Modules: [`json`] (hand-rolled reader/writer), [`proto`] (wire types +
 //! typed errors), [`tenant`] (per-tenant engine + inbox), [`dispatch`]
-//! (re-entrant request handling shared by both backends), [`accept`]
-//! (thread-per-session backend), [`reactor`] (the Linux epoll backend),
-//! [`server`] (listener, backend selection, graceful drain), [`metrics`]
-//! (snapshots and the `top` view), [`client`] (the scripting client).
+//! (re-entrant request handling), [`reactor`] (the epoll session loop,
+//! Linux only), [`server`] (listener, tenant registry, graceful drain),
+//! [`metrics`] (snapshots and the `top` view), [`client`] (the scripting
+//! client). Off Linux the library builds, but [`Server::start`] refuses.
 
-pub mod accept;
 pub mod client;
 pub mod dispatch;
 pub mod json;
@@ -44,4 +43,4 @@ pub mod tenant;
 
 pub use json::Json;
 pub use proto::{ErrorKind, ProtoError, Request};
-pub use server::{Backend, DaemonConfig, Server};
+pub use server::{DaemonConfig, Server};

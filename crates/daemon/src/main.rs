@@ -35,8 +35,8 @@ use wb_daemon::{client, DaemonConfig, Server};
 fn die(msg: &str) -> ! {
     eprintln!("wbd: {msg}");
     eprintln!(
-        "usage: wbd [--listen ADDR] [--backend epoll|thread] [--threads N] [--shards N] \
-         [--max-tenants N] [--max-updates-per-tenant N] [--chunk N] [--seed N] [--state-dir DIR]"
+        "usage: wbd [--listen ADDR] [--threads N] [--shards N] [--max-tenants N] \
+         [--max-updates-per-tenant N] [--chunk N] [--seed N] [--state-dir DIR]"
     );
     eprintln!("       wbd client --connect ADDR [--strict] [--pipeline N]");
     std::process::exit(2);
@@ -111,21 +111,17 @@ fn main() -> ExitCode {
                     ));
                 }
             }
-            "--backend" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| die("--backend requires 'epoll' or 'thread'"));
-                cfg.backend = wb_daemon::Backend::parse(&raw)
-                    .unwrap_or_else(|| die(&format!("--backend: unknown backend {raw:?}")));
-            }
             "--max-tenants" => cfg.max_tenants = parse_num("--max-tenants", args.next()),
             "--max-updates-per-tenant" => {
                 cfg.max_updates_per_tenant = parse_num("--max-updates-per-tenant", args.next())
             }
             "--chunk" => {
                 cfg.chunk = parse_num("--chunk", args.next());
-                if cfg.chunk == 0 {
-                    die("--chunk must be >= 1");
+                if !(1..=wb_daemon::tenant::MAX_CHUNK).contains(&cfg.chunk) {
+                    die(&format!(
+                        "--chunk must be in [1, {}]",
+                        wb_daemon::tenant::MAX_CHUNK
+                    ));
                 }
             }
             "--seed" => cfg.seed = parse_num("--seed", args.next()),

@@ -93,7 +93,6 @@ pub fn snapshot(shared: &Shared) -> Json {
             "uptime_ms",
             Json::from(shared.start.elapsed().as_millis() as u64),
         ),
-        ("backend", Json::from(shared.backend.label())),
         (
             "draining",
             Json::Bool(shared.draining.load(Ordering::SeqCst)),

@@ -1,5 +1,6 @@
 //! The epoll session reactor: every TCP session multiplexed onto one
-//! event-loop thread (`--backend epoll`, Linux only — the default there).
+//! event-loop thread. It is `wbd`'s only session backend, so `wbd` runs on
+//! Linux only.
 //!
 //! Each session is a nonblocking state machine: a read buffer with
 //! incremental line framing, a dispatch step through [`crate::dispatch`],
@@ -8,8 +9,9 @@
 //! per-session reply order is the request order by construction.
 //!
 //! **Wakeups.** Handlers never block the loop: when a request hits inbox
-//! backpressure or needs quiescence, it registers a [`Waiter`] carrying
-//! the session's token and returns. Pool workers complete the condition
+//! backpressure or needs quiescence, it registers a
+//! [`Waiter`](crate::tenant::Waiter) carrying the session's token and
+//! returns. Pool workers complete the condition
 //! and poke the [`WakeHub`] — a token list plus a self-pipe whose read end
 //! is registered in epoll — and the loop resumes the op. Tokens carry a
 //! generation so a wakeup for a closed (possibly reused) session slot is
@@ -22,13 +24,13 @@
 //! exits, so the no-loss drain invariant survives).
 //!
 //! The syscall surface is three `extern "C"` declarations plus a pipe —
-//! no new dependencies; non-Linux builds compile the thread backend only.
+//! no new dependencies.
 
-use crate::dispatch::{self, Outcome, PendingKind, PendingOp, Resumed};
+use crate::dispatch::{self, Outcome, PendingOp, Resumed, SessionCtx};
 use crate::json::Json;
 use crate::proto::{ErrorKind, ProtoError};
-use crate::server::{Shared, MAX_LINE_BYTES};
-use crate::tenant::{TenantSlot, Waiter, WakeSink};
+use crate::server::Shared;
+use crate::tenant::{TenantSlot, WakeSink};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -84,6 +86,8 @@ pub struct Poller {
 
 impl Poller {
     fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers; a negative return is
+        // handled below, so `Poller` only ever owns a valid fd.
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -96,6 +100,10 @@ impl Poller {
             events,
             data: token,
         };
+        // SAFETY: `ev` is a live, properly laid out `epoll_event` for the
+        // whole call (the kernel only reads it), and `self.epfd` is the
+        // epoll fd this `Poller` owns. A bad `fd` is an `EBADF` error, not
+        // undefined behaviour.
         let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -119,11 +127,18 @@ impl Poller {
     /// the ready count.
     fn wait(&self, events: &mut Vec<sys::EpollEvent>, timeout_ms: i32) -> usize {
         events.clear();
-        let cap = events.capacity().max(1);
+        events.reserve(1);
+        let cap = events.capacity().min(i32::MAX as usize);
         loop {
+            // SAFETY: `events.as_mut_ptr()` points at an allocation of
+            // `events.capacity()` elements and `cap` never exceeds it, so
+            // the kernel writes at most `cap` events inside the buffer.
             let rc =
                 unsafe { sys::epoll_wait(self.epfd, events.as_mut_ptr(), cap as i32, timeout_ms) };
             if rc >= 0 {
+                // SAFETY: the kernel initialised exactly the first `rc`
+                // events, and returns at most `maxevents`, so
+                // `rc <= cap <= events.capacity()`.
                 unsafe { events.set_len(rc as usize) };
                 return rc as usize;
             }
@@ -137,6 +152,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: the `Poller` owns `epfd` (nothing else closes it), and
+        // this is its only `close`.
         let _ = unsafe { sys::close(self.epfd) };
     }
 }
@@ -154,6 +171,8 @@ pub struct WakeHub {
 impl WakeHub {
     fn new() -> io::Result<Arc<WakeHub>> {
         let mut fds = [0i32; 2];
+        // SAFETY: `pipe2` writes exactly two `c_int`s, and `fds` is a live
+        // two-element `i32` array.
         let rc = unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -172,6 +191,8 @@ impl WakeHub {
     fn drain_pipe(&self) {
         let mut buf = [0u8; 256];
         loop {
+            // SAFETY: the kernel writes at most `buf.len()` bytes into the
+            // live local `buf`; `pipe_r` is the hub's own read end.
             let n = unsafe { sys::read(self.pipe_r, buf.as_mut_ptr().cast(), buf.len()) };
             if n < buf.len() as isize {
                 return;
@@ -186,12 +207,17 @@ impl WakeSink for WakeHub {
         let byte = 1u8;
         // EAGAIN (pipe full) means a wakeup is already queued; any other
         // failure only costs latency — the loop's timeout re-checks.
+        // SAFETY: the pointer is to the live local `byte` and the length
+        // is 1, so the kernel reads exactly that byte; `pipe_w` is the
+        // hub's own write end, open until the hub drops.
         let _ = unsafe { sys::write(self.pipe_w, (&byte as *const u8).cast(), 1) };
     }
 }
 
 impl Drop for WakeHub {
     fn drop(&mut self) {
+        // SAFETY: the hub owns both pipe ends (nothing else closes them),
+        // and this is their only `close`.
         unsafe {
             let _ = sys::close(self.pipe_r);
             let _ = sys::close(self.pipe_w);
@@ -199,9 +225,8 @@ impl Drop for WakeHub {
     }
 }
 
-/// A token that never resolves to a session: pokes the loop awake (drain
-/// notification from [`crate::Server::begin_drain`]) without any resume.
-pub const TOKEN_NOOP: u64 = 0;
+/// Shares its value with [`WAKE_ONLY`](crate::tenant::WAKE_ONLY): neither
+/// resolves to a session.
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 /// Session tokens start here; the low 32 bits are `slab index + BASE`,
@@ -211,6 +236,11 @@ const TOKEN_BASE: u64 = 2;
 fn token_of(idx: usize, gen: u32) -> u64 {
     ((gen as u64) << 32) | (idx as u64 + TOKEN_BASE)
 }
+
+/// Maximum request-line size. Generous — an ingest batch of ~400k
+/// turnstile updates still fits — but bounded, so one newline-less client
+/// cannot grow a session buffer without limit.
+const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Per-pump read budget. Level-triggered epoll re-delivers readiness, so
 /// capping one session's read keeps the loop fair without losing data.
@@ -222,8 +252,7 @@ const READ_BUDGET: usize = 256 * 1024;
 /// memory.
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// How long a drain-idle session stays registered before it is reaped —
-/// the reactor's analogue of the thread backend's 200ms read timeout. A
+/// How long a drain-idle session stays registered before it is reaped. A
 /// stop-and-wait client that reads the `shutdown` reply and then sends
 /// `bye` needs this window; without it the reply-then-send round trip
 /// races the close and the client sees a broken pipe.
@@ -380,38 +409,6 @@ impl Session {
     }
 }
 
-/// The reactor's [`dispatch::DispatchMode`]: park via [`Waiter`]s, submit
-/// via [`WorkerPool::try_submit`](wb_engine::pool::WorkerPool::try_submit)
-/// with a deferral list for a full queue.
-struct ReactorMode<'a> {
-    hub: &'a Arc<WakeHub>,
-    token: u64,
-    deferred: &'a mut VecDeque<Arc<TenantSlot>>,
-}
-
-impl dispatch::DispatchMode for ReactorMode<'_> {
-    fn waiter(&self) -> Option<Waiter> {
-        Some(Waiter {
-            token: self.token,
-            sink: Arc::clone(self.hub) as Arc<dyn WakeSink>,
-        })
-    }
-
-    fn schedule(&mut self, shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
-        let job = Arc::clone(slot);
-        match shared.pool.try_submit(Box::new(move || job.drain_inbox())) {
-            Ok(()) => {}
-            Err(_job) => {
-                shared
-                    .reactor
-                    .deferred_submits
-                    .fetch_add(1, Ordering::Relaxed);
-                self.deferred.push_back(Arc::clone(slot));
-            }
-        }
-    }
-}
-
 /// Create the epoll instance and wakeup hub. Called by
 /// [`crate::Server::start`] so setup failures surface there, not inside
 /// the reactor thread.
@@ -419,15 +416,12 @@ pub fn init() -> io::Result<(Poller, Arc<WakeHub>)> {
     Ok((Poller::new()?, WakeHub::new()?))
 }
 
-/// Poke the hub with a no-op token (drain notification).
-pub fn poke(hub: &Arc<WakeHub>) {
-    hub.wake(TOKEN_NOOP);
-}
-
 struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
     hub: Arc<WakeHub>,
+    /// `hub` as the sink parked sessions register with.
+    sink: Arc<dyn WakeSink>,
     sessions: Vec<Option<Session>>,
     gens: Vec<u32>,
     free: Vec<usize>,
@@ -451,6 +445,7 @@ pub fn run(shared: Arc<Shared>, listener: TcpListener, poller: Poller, hub: Arc<
     let mut r = Reactor {
         shared,
         poller,
+        sink: Arc::clone(&hub) as Arc<dyn WakeSink>,
         hub,
         sessions: Vec::new(),
         gens: Vec::new(),
@@ -471,8 +466,7 @@ pub fn run(shared: Arc<Shared>, listener: TcpListener, poller: Poller, hub: Arc<
         }
         r.flush_deferred();
         // Short timeout while drain jobs wait on pool space; otherwise a
-        // lazy tick that bounds drain-notice latency (like the thread
-        // backend's read timeout).
+        // lazy tick that bounds drain-notice latency.
         let timeout = if r.deferred.is_empty() { 200 } else { 5 };
         let n = r.poller.wait(&mut events, timeout);
         r.shared
@@ -595,12 +589,12 @@ impl Reactor {
         let mut sess = self.sessions[idx].take().expect("resolved");
         let mut dead = false;
         if let Some(op) = sess.pending.take() {
-            let mut mode = ReactorMode {
-                hub: &self.hub,
+            let mut ctx = SessionCtx {
+                sink: &self.sink,
                 token: sess.token,
                 deferred: &mut self.deferred,
             };
-            match dispatch::resume(&self.shared, &mut mode, op) {
+            match dispatch::resume(&self.shared, &mut ctx, op) {
                 Resumed::Done(reply) => {
                     self.queue_reply(&mut sess, &reply);
                     dead = self.advance(&mut sess);
@@ -627,12 +621,12 @@ impl Reactor {
                         }
                         self.shared.requests.fetch_add(1, Ordering::Relaxed);
                         sess.drain_idle_since = None;
-                        let mut mode = ReactorMode {
-                            hub: &self.hub,
+                        let mut ctx = SessionCtx {
+                            sink: &self.sink,
                             token: sess.token,
                             deferred: &mut self.deferred,
                         };
-                        match dispatch::handle_line(&self.shared, &mut mode, &line) {
+                        match dispatch::handle_line(&self.shared, &mut ctx, &line) {
                             Outcome::Reply { reply, end } => {
                                 self.queue_reply(sess, &reply);
                                 if end {
@@ -650,9 +644,9 @@ impl Reactor {
                     }
                     None => {
                         if sess.buffered() > MAX_LINE_BYTES {
-                            // Same refusal as the thread backend: a typed
-                            // error, then close — the buffer no longer frames
-                            // requests.
+                            // One unbounded line must not exhaust daemon
+                            // memory: a typed refusal, then close — the
+                            // buffer no longer frames requests.
                             self.shared.requests.fetch_add(1, Ordering::Relaxed);
                             let reply = ProtoError::new(
                                 ErrorKind::BadRequest,
@@ -673,10 +667,10 @@ impl Reactor {
                 return flushed && sess.pending.is_none();
             }
             if sess.eof && sess.pending.is_none() && !sess.has_full_line() {
-                // Mirror the thread backend's EOF rule: serve every complete
-                // buffered line, discard a trailing partial one. Unflushed
-                // replies are written best-effort (the peer may only have
-                // closed its write half).
+                // EOF: every complete buffered line has been served; a
+                // trailing partial one is discarded. Unflushed replies are
+                // written best-effort (the peer may only have closed its
+                // write half).
                 return true;
             }
             if self.shared.draining.load(Ordering::SeqCst)
@@ -686,8 +680,8 @@ impl Reactor {
             {
                 // EPOLLIN is off while an op is parked, so a pipelined request
                 // (typically a trailing `bye`) may already sit unread in the
-                // kernel buffer. The thread backend's pre-close read serves it;
-                // match that with one nonblocking fill before declaring idle.
+                // kernel buffer: one nonblocking fill serves it before the
+                // session counts as idle.
                 if sess.eof || sess.fill().is_err() {
                     return true;
                 }
@@ -727,9 +721,10 @@ impl Reactor {
             .fetch_add(out.len() as u64, Ordering::Relaxed);
     }
 
-    /// Tear a session down. A parked ingest is finished synchronously —
-    /// the batch was admitted, so its chunks are owed to the tenant even
-    /// though nobody reads the reply; parked reads are simply dropped.
+    /// Tear a session down. A parked ingest's chunks are handed to its
+    /// tenant without waiting ([`dispatch::abandon`]) — the batch was
+    /// admitted, so they are owed even though nobody reads the reply;
+    /// parked reads are simply dropped.
     fn finish_session(&mut self, idx: usize, sess: Session) {
         let _ = self.poller.delete(sess.stream.as_raw_fd());
         let backlog = sess.backlog() as u64;
@@ -740,13 +735,7 @@ impl Reactor {
                 .fetch_sub(backlog, Ordering::Relaxed);
         }
         if let Some(op) = sess.pending {
-            if matches!(op.kind, PendingKind::Ingest { .. }) {
-                // The parked ingest may be waiting on a drain job that the
-                // full pool queue pushed to the deferral list; hand those
-                // over first or the blocking finish below waits forever.
-                self.flush_deferred_blocking();
-                dispatch::finish_ingest_blocking(&self.shared, op);
-            }
+            dispatch::abandon(&self.shared, &mut self.deferred, op);
         }
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx);
@@ -760,9 +749,8 @@ impl Reactor {
     }
 
     /// Drain sweep: close sessions that have been fully idle (no parked
-    /// op, no buffered bytes, flushed) for [`DRAIN_GRACE`] — the
-    /// reactor's version of the thread backend's drain-on-read-timeout.
-    /// The grace window keeps EPOLLIN armed, so a stop-and-wait client
+    /// op, no buffered bytes, flushed) for [`DRAIN_GRACE`]. The grace
+    /// window keeps EPOLLIN armed, so a stop-and-wait client
     /// that reads the `shutdown` reply and only then sends `bye` is
     /// served instead of hitting a closed socket.
     fn close_idle(&mut self) {

@@ -1,16 +1,10 @@
-//! The `wbd` server: listener setup, backend selection, tenant registry,
-//! and graceful drain.
+//! The `wbd` server: listener setup, tenant registry, and graceful drain.
 //!
-//! Two session backends serve the same protocol through
-//! [`crate::dispatch`]:
-//!
-//! * **epoll reactor** ([`crate::reactor`], Linux, the default there) —
-//!   every session multiplexed as a nonblocking state machine on one
-//!   event-loop thread; blocking conditions park as pending ops resumed
-//!   by pool-worker wakeups.
-//! * **thread-per-session** ([`crate::accept`], `--backend thread` and
-//!   every non-Linux platform) — one OS thread per connection, blocking
-//!   inside handlers.
+//! Every session is served by the epoll reactor ([`crate::reactor`]): one
+//! event-loop thread multiplexes all sessions as nonblocking state
+//! machines, and requests that block park as pending ops resumed by
+//! pool-worker wakeups. The reactor is Linux-only, so off Linux
+//! [`Server::start`] refuses with [`std::io::ErrorKind::Unsupported`].
 //!
 //! Sessions are stateless beyond their socket: every request names its
 //! tenant, so one connection can drive many tenants and many connections
@@ -23,60 +17,18 @@
 //! requests get a typed `draining` refusal, in-flight queries still answer,
 //! idle sessions close, the pool finishes every accepted chunk, and the
 //! final metrics snapshot is returned from [`Server::wait`] — no accepted
-//! update is ever dropped, on either backend.
+//! update is ever dropped.
 
 use crate::json::Json;
 use crate::metrics;
-use crate::tenant::{Tenant, TenantSlot};
+use crate::tenant::{Tenant, TenantSlot, WakeSink, WAKE_ONLY};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 use wb_engine::pool::WorkerPool;
-
-/// Maximum request-line size. Generous — an ingest batch of ~400k
-/// turnstile updates still fits — but bounded, so one newline-less client
-/// cannot grow a session buffer without limit.
-pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
-
-/// Which session backend serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The Linux epoll reactor: all sessions on one event-loop thread.
-    Epoll,
-    /// Thread-per-session: the portable fallback.
-    Thread,
-}
-
-impl Backend {
-    /// Stable label (metrics, `--backend` values).
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Epoll => "epoll",
-            Backend::Thread => "thread",
-        }
-    }
-
-    /// Parse a `--backend` value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "epoll" => Some(Backend::Epoll),
-            "thread" => Some(Backend::Thread),
-            _ => None,
-        }
-    }
-}
-
-impl Default for Backend {
-    fn default() -> Backend {
-        if cfg!(target_os = "linux") {
-            Backend::Epoll
-        } else {
-            Backend::Thread
-        }
-    }
-}
 
 /// Server configuration — the `wbd` flags.
 #[derive(Debug, Clone)]
@@ -84,10 +36,6 @@ pub struct DaemonConfig {
     /// Listen address (`--listen`), e.g. `127.0.0.1:7070`; port `0` binds
     /// an ephemeral port (the loopback tests use this).
     pub listen: String,
-    /// Session backend (`--backend epoll|thread`). Defaults to the epoll
-    /// reactor on Linux; requesting `epoll` elsewhere falls back to
-    /// `thread` with a warning.
-    pub backend: Backend,
     /// Ingest pool workers (`--threads`; `0` = one per core).
     pub threads: usize,
     /// Default per-tenant shard count (`--shards`); unmergeable algorithms
@@ -100,8 +48,9 @@ pub struct DaemonConfig {
     /// refused whole with a typed `quota_exceeded` reply. `0` disables the
     /// quota.
     pub max_updates_per_tenant: u64,
-    /// Ingest chunk size (`--chunk`): the unit of inbox queueing and of
-    /// the sharded pipelines' staging buffers.
+    /// Ingest chunk size (`--chunk`, at most
+    /// [`MAX_CHUNK`](crate::tenant::MAX_CHUNK)): the unit of inbox queueing
+    /// and of the sharded pipelines' staging buffers.
     pub chunk: usize,
     /// Master seed (`--seed`); tenant seeds derive from it unless `hello`
     /// carries its own.
@@ -117,7 +66,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             listen: "127.0.0.1:7070".to_string(),
-            backend: Backend::default(),
             threads: 0,
             shards: 4,
             max_tenants: 4096,
@@ -129,9 +77,8 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Reactor-backend counters and gauges (all zero under `--backend
-/// thread`). Cheap relaxed atomics — the reactor thread is the only
-/// writer for most of them.
+/// Reactor counters and gauges. Cheap relaxed atomics — the reactor
+/// thread is the only writer for most of them.
 #[derive(Default)]
 pub struct ReactorStats {
     /// Session fds currently registered in epoll.
@@ -158,9 +105,6 @@ pub struct ReactorStats {
 pub struct Shared {
     /// The launch configuration.
     pub cfg: DaemonConfig,
-    /// The backend actually serving (resolved from `cfg.backend`; `epoll`
-    /// off Linux falls back to `thread`).
-    pub backend: Backend,
     /// Registered tenants (BTreeMap so metrics iterate deterministically).
     pub tenants: Mutex<BTreeMap<String, Arc<TenantSlot>>>,
     /// The ingest worker pool.
@@ -181,47 +125,38 @@ pub struct Shared {
     pub requests: AtomicU64,
     /// Requests answered with a typed error.
     pub protocol_errors: AtomicU64,
-    /// Reactor-backend gauges.
+    /// Reactor gauges.
     pub reactor: ReactorStats,
     /// Server start time.
     pub start: Instant,
-}
-
-/// The backend-specific running half of a [`Server`].
-enum Runtime {
-    /// Accept thread + per-session threads.
-    Thread {
-        accept: Option<std::thread::JoinHandle<()>>,
-        sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    },
-    /// The reactor thread and its wakeup hub.
-    #[cfg(target_os = "linux")]
-    Reactor {
-        handle: Option<std::thread::JoinHandle<()>>,
-        hub: Arc<crate::reactor::WakeHub>,
-    },
 }
 
 /// A running server over a [`Shared`].
 pub struct Server {
     shared: Arc<Shared>,
     addr: std::net::SocketAddr,
-    runtime: Runtime,
+    /// The reactor's event-loop thread.
+    reactor: JoinHandle<()>,
+    /// Wakes the reactor out of `epoll_wait`.
+    hub: Arc<dyn WakeSink>,
 }
 
 impl Server {
     /// Bind `cfg.listen` and start accepting. Returns once the listener is
     /// live (so callers can read [`Server::addr`] immediately).
+    ///
+    /// # Errors
+    ///
+    /// Binding or reactor set-up failures; off Linux, always
+    /// [`std::io::ErrorKind::Unsupported`].
     pub fn start(cfg: DaemonConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let backend = resolve_backend(cfg.backend);
         let workers = wb_engine::pool::effective_threads(cfg.threads);
         let pool = WorkerPool::new(cfg.threads, (workers * 4).max(16));
         let shared = Arc::new(Shared {
             cfg,
-            backend,
             tenants: Mutex::new(BTreeMap::new()),
             pool,
             draining: AtomicBool::new(false),
@@ -236,11 +171,12 @@ impl Server {
         if let Err(e) = restore_state_dir(&shared) {
             eprintln!("wbd: state-dir restore failed: {e}");
         }
-        let runtime = spawn_backend(&shared, listener, backend)?;
+        let (reactor, hub) = spawn_reactor(&shared, listener)?;
         Ok(Server {
             shared,
             addr,
-            runtime,
+            reactor,
+            hub,
         })
     }
 
@@ -258,105 +194,61 @@ impl Server {
     /// tests). Equivalent to a `shutdown` request.
     pub fn begin_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        if let Runtime::Reactor { hub, .. } = &self.runtime {
-            crate::reactor::poke(hub);
-        }
+        self.hub.wake(WAKE_ONLY);
     }
 
     /// Block until the server has fully drained: accepting stopped, every
     /// session closed, every accepted chunk applied. Returns the final
     /// metrics snapshot.
-    pub fn wait(mut self) -> Json {
-        match &mut self.runtime {
-            Runtime::Thread { accept, sessions } => {
-                if let Some(handle) = accept.take() {
-                    let _ = handle.join();
-                }
-                // Sessions keep being served while draining; each closes
-                // when its client disconnects or goes idle. Join whatever
-                // exists, then re-check (a session observed mid-join could
-                // not have spawned more — the accept loop is down).
-                loop {
-                    let batch: Vec<_> = {
-                        let mut guard = sessions.lock().unwrap();
-                        guard.drain(..).collect()
-                    };
-                    if batch.is_empty() {
-                        break;
-                    }
-                    for handle in batch {
-                        let _ = handle.join();
-                    }
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Runtime::Reactor { handle, hub } => {
-                // Poke the loop so it notices the drain flag without
-                // waiting out its poll timeout.
-                crate::reactor::poke(hub);
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-        }
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the reactor thread once the pool has drained
+    /// and `--state-dir` has been persisted, so a daemon that lost its
+    /// event loop exits non-zero instead of reporting a clean drain.
+    pub fn wait(self) -> Json {
+        // Poke the loop so it notices the drain flag without waiting out
+        // its poll timeout.
+        self.hub.wake(WAKE_ONLY);
+        let reactor = self.reactor.join();
         // No producers remain: flush every queued chunk, then snapshot.
         self.shared.pool.drain();
         if let Err(e) = persist_state_dir(&self.shared) {
             eprintln!("wbd: state-dir persist failed: {e}");
         }
+        if let Err(panic) = reactor {
+            std::panic::resume_unwind(panic);
+        }
         metrics::snapshot(&self.shared)
     }
 }
 
+/// Start the reactor thread over `listener`; returns its handle and its
+/// wakeup hub.
 #[cfg(target_os = "linux")]
-fn resolve_backend(requested: Backend) -> Backend {
-    requested
-}
-
-#[cfg(not(target_os = "linux"))]
-fn resolve_backend(requested: Backend) -> Backend {
-    if requested == Backend::Epoll {
-        eprintln!("wbd: epoll backend is Linux-only; falling back to thread-per-session");
-    }
-    Backend::Thread
-}
-
-fn spawn_backend(
+fn spawn_reactor(
     shared: &Arc<Shared>,
     listener: TcpListener,
-    backend: Backend,
-) -> std::io::Result<Runtime> {
-    match backend {
-        Backend::Thread => {
-            let sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-                Arc::new(Mutex::new(Vec::new()));
-            let accept_shared = Arc::clone(shared);
-            let accept_sessions = Arc::clone(&sessions);
-            let accept = std::thread::spawn(move || {
-                crate::accept::accept_loop(accept_shared, listener, accept_sessions);
-            });
-            Ok(Runtime::Thread {
-                accept: Some(accept),
-                sessions,
-            })
-        }
-        #[cfg(target_os = "linux")]
-        Backend::Epoll => {
-            let (poller, hub) = crate::reactor::init()?;
-            let run_shared = Arc::clone(shared);
-            let run_hub = Arc::clone(&hub);
-            let handle = std::thread::spawn(move || {
-                crate::reactor::run(run_shared, listener, poller, run_hub);
-            });
-            Ok(Runtime::Reactor {
-                handle: Some(handle),
-                hub,
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        Backend::Epoll => unreachable!("resolve_backend rewrites epoll off Linux"),
-    }
+) -> std::io::Result<(JoinHandle<()>, Arc<dyn WakeSink>)> {
+    let (poller, hub) = crate::reactor::init()?;
+    let run_shared = Arc::clone(shared);
+    let run_hub = Arc::clone(&hub);
+    let handle = std::thread::spawn(move || {
+        crate::reactor::run(run_shared, listener, poller, run_hub);
+    });
+    Ok((handle, hub))
+}
+
+/// The reactor is built on epoll, so `wbd` serves on Linux only.
+#[cfg(not(target_os = "linux"))]
+fn spawn_reactor(
+    _shared: &Arc<Shared>,
+    _listener: TcpListener,
+) -> std::io::Result<(JoinHandle<()>, Arc<dyn WakeSink>)> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "the epoll session reactor runs on Linux only",
+    ))
 }
 
 /// Hex-encode a tenant id so arbitrary id strings stay filesystem-safe.

@@ -16,14 +16,17 @@
 //! of the concatenated per-tenant stream — the white-box model's adversary
 //! loses nothing by the engine being behind a socket.
 //!
-//! **Backpressure.** The inbox holds at most [`INBOX_CHUNKS`] chunks;
-//! sessions pushing faster than the pool drains block on the slot condvar
-//! (counted in `inbox_stalls`) so memory stays bounded per tenant and
-//! pressure propagates to the client socket instead of the heap.
+//! **Backpressure.** The inbox holds at most [`INBOX_CHUNKS`] chunks from
+//! live sessions; a session pushing faster than the pool drains parks as
+//! a [`Waiter`] (counted in `inbox_stalls`) and stops reading its socket,
+//! so memory stays bounded per tenant and pressure propagates to the
+//! client instead of the heap. The one exception is
+//! [`TenantSlot::hand_off`]: a parked ingest whose client vanished queues
+//! its already-allocated remainder past the bound rather than wait.
 
 use crate::proto::{ErrorKind, HelloParams, ProtoError};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use wb_core::rng::{derive_seed, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -102,6 +105,13 @@ pub struct Tenant {
 /// no in-repo caller uses more than 8.
 pub const MAX_SHARDS: usize = 64;
 
+/// Largest ingest chunk a tenant may be built with. Every shard of a
+/// sharded tenant preallocates a staging buffer of this many updates, so
+/// an unbounded chunk (`--chunk`, or a restored snapshot's `batch`) would
+/// be an allocation its author picks; no in-repo caller uses more than
+/// 1024.
+pub const MAX_CHUNK: usize = 1 << 16;
+
 impl Tenant {
     /// Build a tenant: construct the algorithm from the registry (typed
     /// `invalid_parameter` errors for unknown names, `n == 0`, bad ε, …),
@@ -133,6 +143,12 @@ impl Tenant {
             return Err(ProtoError::new(
                 ErrorKind::InvalidParameter,
                 format!("shards must be in [1, {MAX_SHARDS}], got {wanted_shards}"),
+            ));
+        }
+        if batch > MAX_CHUNK {
+            return Err(ProtoError::new(
+                ErrorKind::InvalidParameter,
+                format!("chunk must be at most {MAX_CHUNK}, got {batch}"),
             ));
         }
         let ctor = |_: usize| registry::get(alg_name, &params);
@@ -440,18 +456,21 @@ impl Tenant {
     }
 }
 
-/// Where a reactor session asks to be poked when a tenant's inbox makes
-/// progress. The trait keeps `tenant.rs` portable: the Linux reactor
-/// implements it over its wakeup pipe; the thread backend never registers
-/// one (it blocks on [`TenantSlot::cv`] instead).
+/// Where a parked session asks to be poked when a tenant's inbox makes
+/// progress. The trait keeps `tenant.rs` free of the event loop: the
+/// reactor implements it over its wakeup pipe.
 pub trait WakeSink: Send + Sync {
     /// Record `token` as runnable and wake the event loop that owns it.
     fn wake(&self, token: u64);
 }
 
-/// One parked reactor session: its token and the sink that reaches its
-/// reactor. Registered under the slot lock while the blocking condition
-/// holds, drained (woken) by the worker that changes the condition — the
+/// A token no session carries: waking it only rouses the event loop (a
+/// drain notification) and resumes nothing.
+pub const WAKE_ONLY: u64 = 0;
+
+/// One parked session: its token and the sink that reaches its reactor.
+/// Registered under the slot lock while the blocking condition holds,
+/// drained (woken) by the worker that changes the condition — the
 /// classic no-lost-wakeup shape, with re-registration on spurious wakes.
 pub struct Waiter {
     /// The session token the reactor resolves back to a pending op.
@@ -468,22 +487,18 @@ pub struct TenantState {
     pub inbox: VecDeque<Vec<Update>>,
     /// Whether a pool job currently owns this tenant's inbox.
     pub scheduled: bool,
-    /// How often a session found the inbox full and had to wait.
+    /// How often a session found the inbox full and had to park.
     pub inbox_stalls: u64,
-    /// Reactor sessions parked on this tenant (inbox space or quiescence).
-    /// Every applied chunk and every worker hand-back drains the list;
+    /// Sessions parked on this tenant (inbox space or quiescence). Every
+    /// applied chunk and every worker hand-back drains the list;
     /// still-blocked sessions re-register after re-checking.
     pub waiters: Vec<Waiter>,
 }
 
-/// A registered tenant behind its lock + condvar (the condvar signals
-/// "inbox drained a chunk" — both queries waiting for quiescence and
-/// sessions waiting for inbox space block on it).
+/// A registered tenant behind its lock.
 pub struct TenantSlot {
     /// The guarded state.
     pub state: Mutex<TenantState>,
-    /// Signalled on every applied chunk and on worker hand-back.
-    pub cv: Condvar,
 }
 
 impl TenantSlot {
@@ -497,16 +512,14 @@ impl TenantSlot {
                 inbox_stalls: 0,
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
     /// Run the worker half: apply inbox chunks in FIFO order until the
     /// inbox is empty, then hand the tenant back (clear `scheduled`)
     /// atomically with the emptiness check, so no chunk is ever left
-    /// behind without a worker owning it. Both wait mechanisms are
-    /// notified at every progress point: the condvar for blocking
-    /// sessions, the registered [`Waiter`]s for reactor sessions.
+    /// behind without a worker owning it. Registered [`Waiter`]s are woken
+    /// at every progress point.
     pub fn drain_inbox(&self) {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -517,12 +530,10 @@ impl TenantSlot {
                     // (queries) must never see a popped-but-unapplied
                     // chunk.
                     st.tenant.apply_chunk(&chunk);
-                    self.cv.notify_all();
                     wake_waiters(&mut st);
                 }
                 None => {
                     st.scheduled = false;
-                    self.cv.notify_all();
                     wake_waiters(&mut st);
                     return;
                 }
@@ -530,14 +541,19 @@ impl TenantSlot {
         }
     }
 
-    /// Block until every accepted chunk has been applied (read-your-writes
-    /// for queries and stats).
-    pub fn await_quiescent(&self) -> std::sync::MutexGuard<'_, TenantState> {
+    /// Take over the rest of an admitted ingest whose session went away:
+    /// its chunks are owed to the tenant (`accepted` already counts them),
+    /// but nobody will resume the op. Appends them to the inbox in order —
+    /// past [`INBOX_CHUNKS`], since they are already allocated and waiting
+    /// for space would stall the caller's event loop — and claims the
+    /// tenant if no worker owns it. Returns `true` when the caller must
+    /// schedule a [`Self::drain_inbox`] job.
+    pub fn hand_off(&self, chunks: VecDeque<Vec<Update>>) -> bool {
         let mut st = self.state.lock().unwrap();
-        while !st.inbox.is_empty() || st.scheduled {
-            st = self.cv.wait(st).unwrap();
-        }
-        st
+        st.inbox.extend(chunks);
+        let claim = !st.scheduled && !st.inbox.is_empty();
+        st.scheduled |= claim;
+        claim
     }
 }
 
@@ -738,6 +754,55 @@ mod tests {
         assert!(Tenant::restore_bytes(&frame).is_ok());
     }
 
+    /// Rewrite a tenant frame with a different `batch` field, every other
+    /// field and the engine bytes kept.
+    fn with_batch(frame: &[u8], batch: usize) -> Vec<u8> {
+        let mut r = SnapReader::new(frame).unwrap();
+        let mut w = SnapWriter::new();
+        for _ in 0..3 {
+            w.put_str(&r.take_str().unwrap()); // label, id, alg
+        }
+        for _ in 0..3 {
+            w.put_u64(r.take_u64().unwrap()); // seed_base, tenant_seed, n
+        }
+        w.put_f64(r.take_f64().unwrap());
+        w.put_usize(r.take_usize().unwrap()); // shards
+        r.take_usize().unwrap();
+        w.put_usize(batch);
+        for _ in 0..5 {
+            w.put_u64(r.take_u64().unwrap()); // counters
+        }
+        w.put_bool(r.take_bool().unwrap());
+        w.put_bytes(&r.take_bytes().unwrap());
+        r.finish().unwrap();
+        w.finish()
+    }
+
+    #[test]
+    fn restore_refuses_an_oversized_chunk_instead_of_allocating_it() {
+        let mut t = Tenant::create("t", "misra_gries", 3, &hello_defaults(), 4, 64).unwrap();
+        assert_eq!(t.shards, 4);
+        t.apply_chunk(&[Update::Insert(5); 20]);
+        t.accepted = t.applied;
+        let frame = t.snapshot_bytes().unwrap();
+        assert_eq!(with_batch(&frame, 64), frame, "the rewrite is faithful");
+        assert!(Tenant::restore_bytes(&frame).is_ok());
+        // Each shard would preallocate `batch` updates: 2^32 aborts the
+        // process on allocation, 2^60 overflows the capacity computation.
+        for batch in [MAX_CHUNK + 1, 1 << 32, 1 << 60] {
+            let err = match Tenant::restore_bytes(&with_batch(&frame, batch)) {
+                Ok(_) => panic!("batch {batch} must be refused"),
+                Err(e) => e.to_string(),
+            };
+            assert!(err.contains("chunk must be at most"), "{err}");
+        }
+        let err = match Tenant::create("t", "misra_gries", 3, &hello_defaults(), 4, 1 << 32) {
+            Ok(_) => panic!("an oversized chunk must be refused"),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind, ErrorKind::InvalidParameter);
+    }
+
     #[test]
     fn slot_drains_fifo_and_quiesces() {
         let t = Tenant::create("a", "count_min", 1, &hello_defaults(), 1, 64).unwrap();
@@ -749,8 +814,45 @@ mod tests {
             st.scheduled = true;
         }
         slot.drain_inbox();
-        let st = slot.await_quiescent();
+        let st = slot.state.lock().unwrap();
         assert!(st.inbox.is_empty());
         assert!(!st.scheduled);
+        assert_eq!(st.tenant.applied, 15);
+    }
+
+    #[test]
+    fn abandoned_ingest_hands_off_without_waiting_and_applies_in_order() {
+        // A 28-chunk batch was admitted; its first INBOX_CHUNKS chunks filled
+        // the inbox and its session parked on the other 20, then vanished.
+        // The drain job owning the tenant is queued but no worker runs it.
+        let updates: Vec<Update> = (0..28 * 16u64)
+            .map(|i| Update::Insert(i * 7 % 97))
+            .collect();
+        let mut chunks: VecDeque<Vec<Update>> = updates.chunks(16).map(|c| c.to_vec()).collect();
+        let t = Tenant::create("h", "misra_gries", 5, &hello_defaults(), 4, 16).unwrap();
+        let slot = TenantSlot::new(t);
+        {
+            let mut st = slot.state.lock().unwrap();
+            st.tenant.accepted = updates.len() as u64;
+            st.inbox.extend(chunks.drain(..INBOX_CHUNKS));
+            st.scheduled = true;
+        }
+        assert_eq!(chunks.len(), 20);
+        assert!(!slot.hand_off(chunks), "an owned tenant needs no new job");
+        assert_eq!(slot.state.lock().unwrap().inbox.len(), 28);
+        slot.drain_inbox();
+
+        let mut offline = Tenant::create("h", "misra_gries", 5, &hello_defaults(), 4, 16).unwrap();
+        offline.apply_chunk(&updates);
+        let mut st = slot.state.lock().unwrap();
+        assert!(st.inbox.is_empty() && !st.scheduled);
+        assert_eq!(st.tenant.applied, st.tenant.accepted);
+        assert_eq!(st.tenant.query().unwrap(), offline.query().unwrap());
+        drop(st);
+
+        // An unowned tenant is claimed for the caller to schedule.
+        assert!(slot.hand_off(VecDeque::from([vec![Update::Insert(1)]])));
+        assert!(slot.state.lock().unwrap().scheduled);
+        assert!(!slot.hand_off(VecDeque::new()));
     }
 }

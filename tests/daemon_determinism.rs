@@ -5,20 +5,23 @@
 //!   (`derive_seed(base, ["tenant", id])`, then `["ctor"]` / `["game"]`),
 //!   flat and sharded alike;
 //! * the answers are invariant across server configurations — `--threads
-//!   1` vs `4`, transport chunk 64 vs 256, **epoll reactor vs
-//!   thread-per-session backend** — because per-tenant ordering plus the
-//!   engine's chunk-invariance contract make concurrency (and the I/O
-//!   multiplexing strategy) pure transport;
+//!   1` vs `4` × transport chunk 64 vs 256 — because per-tenant ordering
+//!   plus the engine's chunk-invariance contract make concurrency pure
+//!   transport;
 //! * protocol-level bad input dies with typed JSON errors, never a
-//!   disconnect, on either backend: unknown algorithm, `n == 0`, unknown
-//!   tenant, wrong model, out-of-range delta, hello mismatch, malformed
-//!   request, over-quota ingest.
+//!   disconnect: unknown algorithm, `n == 0`, unknown tenant, wrong model,
+//!   out-of-range delta, hello mismatch, malformed request, over-quota
+//!   ingest.
+//!
+//! `wbd` serves through its epoll reactor, so these tests run on Linux.
+
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use wb_daemon::json::Json;
 use wb_daemon::proto::answer_to_json;
-use wb_daemon::{Backend, DaemonConfig, Server};
+use wb_daemon::{DaemonConfig, Server};
 use wbstream::core::rng::{derive_seed, TranscriptRng};
 use wbstream::engine::registry::{self, Params};
 use wbstream::engine::shard::{probe_mergeable, Partition, ShardConfig, ShardPipeline};
@@ -161,18 +164,9 @@ fn offline_answer(
 /// Run the whole fleet against one server configuration; tenants are
 /// driven concurrently (one session each), batches split at `wire_batch`.
 /// Returns `(tenant id, answer json, tenant_seed, shards)` sorted by id.
-/// (On non-Linux hosts `Backend::Epoll` degrades to the thread backend,
-/// so the cross-backend comparison is vacuous there but still compiles
-/// and runs.)
-fn run_fleet(
-    backend: Backend,
-    threads: usize,
-    chunk: usize,
-    wire_batch: usize,
-) -> Vec<(String, String, u64, u64)> {
+fn run_fleet(threads: usize, chunk: usize, wire_batch: usize) -> Vec<(String, String, u64, u64)> {
     let server = Server::start(DaemonConfig {
         listen: "127.0.0.1:0".into(),
-        backend,
         threads,
         shards: DAEMON_SHARDS,
         chunk,
@@ -231,24 +225,17 @@ fn run_fleet(
 
 #[test]
 fn daemon_answers_match_offline_runs_and_are_config_invariant() {
-    // Four deliberately different servers: {thread, epoll} backends ×
-    // {single-threaded small transport chunks, 4 workers large ones}.
-    let run_a = run_fleet(Backend::Thread, 1, 64, 50);
-    let run_b = run_fleet(Backend::Thread, 4, 256, 700);
-    let run_c = run_fleet(Backend::Epoll, 1, 64, 50);
-    let run_d = run_fleet(Backend::Epoll, 4, 256, 700);
-    assert_eq!(
-        run_a, run_b,
-        "daemon answers must be invariant across --threads and chunk sizes"
-    );
-    assert_eq!(
-        run_a, run_c,
-        "the epoll reactor must answer byte-identically to the thread backend"
-    );
-    assert_eq!(
-        run_c, run_d,
-        "reactor answers must be invariant across --threads and chunk sizes"
-    );
+    // Four deliberately different servers: --threads {1, 4} × transport
+    // chunk {64 with small wire batches, 256 with large ones}.
+    let run_a = run_fleet(1, 64, 50);
+    for (threads, chunk, wire_batch) in [(4, 256, 700), (1, 256, 700), (4, 64, 50)] {
+        assert_eq!(
+            run_fleet(threads, chunk, wire_batch),
+            run_a,
+            "daemon answers must be invariant across --threads and chunk sizes \
+             (threads {threads}, chunk {chunk})"
+        );
+    }
     for (tag, &(id, alg, shards_override, turnstile)) in TENANTS.iter().enumerate() {
         let updates = stream_for(tag as u64, turnstile);
         // The offline ShardConfig batch mirrors run_a's chunk; equality
@@ -272,15 +259,8 @@ fn daemon_answers_match_offline_runs_and_are_config_invariant() {
 
 #[test]
 fn protocol_rejections_are_typed_and_keep_the_session_alive() {
-    for backend in [Backend::Thread, Backend::Epoll] {
-        rejection_sweep(backend);
-    }
-}
-
-fn rejection_sweep(backend: Backend) {
     let server = Server::start(DaemonConfig {
         listen: "127.0.0.1:0".into(),
-        backend,
         threads: 1,
         ..DaemonConfig::default()
     })
@@ -371,49 +351,46 @@ fn rejection_sweep(backend: Backend) {
 /// batch counts as rejected, and a later batch that fits still lands.
 #[test]
 fn ingest_quota_is_enforced_with_a_typed_error() {
-    for backend in [Backend::Thread, Backend::Epoll] {
-        let server = Server::start(DaemonConfig {
-            listen: "127.0.0.1:0".into(),
-            backend,
-            threads: 1,
-            max_updates_per_tenant: 10,
-            ..DaemonConfig::default()
-        })
-        .expect("start daemon");
-        let mut sess = Session::connect(server.addr());
-        sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"q\",\"alg\":\"morris\",\"seed\":1}");
-        let reply =
-            sess.expect_ok("{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[1,2,3,4,5,6,7,8]}");
-        assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(8));
-        // 8 + 5 > 10: refused whole, with the arithmetic in the message.
-        let err = sess.expect_error(
-            "{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[1,2,3,4,5]}",
-            "quota_exceeded",
-        );
-        let msg = err
-            .get("error")
-            .and_then(|e| e.get("message"))
-            .and_then(Json::as_str)
-            .unwrap();
-        assert!(msg.contains("10-update quota"), "{msg}");
-        // The session and the tenant both survived: a batch that fits the
-        // remaining headroom lands exactly at the quota...
-        let reply = sess.expect_ok("{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[9,10]}");
-        assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(2));
-        // ...and once full, even a single update is refused.
-        sess.expect_error(
-            "{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[11]}",
-            "quota_exceeded",
-        );
-        let stats = sess.expect_ok("{\"cmd\":\"snapshot-stats\",\"tenant\":\"q\"}");
-        let st = stats.get("stats").expect("stats payload");
-        assert_eq!(st.get("accepted").and_then(Json::as_u64), Some(10));
-        assert_eq!(st.get("rejected").and_then(Json::as_u64), Some(6));
-        sess.expect_ok("{\"cmd\":\"bye\"}");
-        server.begin_drain();
-        let finals = server.wait();
-        let tenants = finals.get("tenants").expect("rollup");
-        assert_eq!(tenants.get("applied").and_then(Json::as_u64), Some(10));
-        assert_eq!(tenants.get("rejected").and_then(Json::as_u64), Some(6));
-    }
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        max_updates_per_tenant: 10,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut sess = Session::connect(server.addr());
+    sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"q\",\"alg\":\"morris\",\"seed\":1}");
+    let reply =
+        sess.expect_ok("{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[1,2,3,4,5,6,7,8]}");
+    assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(8));
+    // 8 + 5 > 10: refused whole, with the arithmetic in the message.
+    let err = sess.expect_error(
+        "{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[1,2,3,4,5]}",
+        "quota_exceeded",
+    );
+    let msg = err
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap();
+    assert!(msg.contains("10-update quota"), "{msg}");
+    // The session and the tenant both survived: a batch that fits the
+    // remaining headroom lands exactly at the quota...
+    let reply = sess.expect_ok("{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[9,10]}");
+    assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(2));
+    // ...and once full, even a single update is refused.
+    sess.expect_error(
+        "{\"cmd\":\"ingest\",\"tenant\":\"q\",\"updates\":[11]}",
+        "quota_exceeded",
+    );
+    let stats = sess.expect_ok("{\"cmd\":\"snapshot-stats\",\"tenant\":\"q\"}");
+    let st = stats.get("stats").expect("stats payload");
+    assert_eq!(st.get("accepted").and_then(Json::as_u64), Some(10));
+    assert_eq!(st.get("rejected").and_then(Json::as_u64), Some(6));
+    sess.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("rollup");
+    assert_eq!(tenants.get("applied").and_then(Json::as_u64), Some(10));
+    assert_eq!(tenants.get("rejected").and_then(Json::as_u64), Some(6));
 }

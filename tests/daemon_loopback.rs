@@ -7,11 +7,17 @@
 //! * the `metrics` payload exposes the new instrumentation — per-tenant
 //!   ingest rates and accepted/rejected counters, per-shard loads + skew,
 //!   queue-stall counters, pool depth, session lifecycle counts.
+//!
+//! `wbd` serves through its epoll reactor, so these tests run on Linux.
+
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use wb_daemon::json::Json;
 use wb_daemon::{DaemonConfig, Server};
+use wbstream::core::rng::derive_seed;
+use wbstream::core::snap::SnapWriter;
 
 struct Session {
     reader: BufReader<TcpStream>,
@@ -699,6 +705,88 @@ fn protocol_snapshot_restore_continues_across_daemons() {
         server.begin_drain();
         server.wait();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `wbd-tenant` frame for a 4-shard misra_gries tenant whose header
+/// claims `batch` updates per staging buffer. Restoring it builds the
+/// tenant before reading the (empty) engine bytes.
+fn crafted_frame(batch: usize) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_str("wbd-tenant");
+    w.put_str("crafted");
+    w.put_str("misra_gries");
+    w.put_u64(7);
+    w.put_u64(derive_seed(7, &["tenant", "crafted"]));
+    w.put_u64(1024);
+    w.put_f64(0.125);
+    w.put_usize(4);
+    w.put_usize(batch);
+    for _ in 0..5 {
+        w.put_u64(0); // accepted, applied, rejected, batches, queries
+    }
+    w.put_bool(true);
+    w.put_bytes(&[]);
+    w.finish()
+}
+
+/// A snapshot's `batch` field sizes every shard's staging buffer, so an
+/// unchecked one of 2^32 would abort `wbd` on allocation and one of 2^60
+/// would panic its reactor. The restore must be a typed `snapshot_failed`,
+/// the same file in `--state-dir` must be skipped at startup, and the
+/// daemon must keep serving a healthy tenant to a clean drain.
+#[test]
+fn crafted_snapshot_chunk_is_refused_and_the_daemon_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("wbd-crafted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let huge = [1usize << 32, 1 << 60];
+    for batch in huge {
+        std::fs::write(dir.join(format!("{batch:x}.wbsnap")), crafted_frame(batch))
+            .expect("write crafted frame");
+    }
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 2,
+        state_dir: Some(dir.display().to_string()),
+        ..DaemonConfig::default()
+    })
+    .expect("a daemon with crafted files in --state-dir still starts");
+    let mut sess = Session::connect(server.addr());
+    sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"healthy\",\"alg\":\"misra_gries\",\"seed\":7}");
+    sess.expect_ok(&insert_line("healthy", 0, 300));
+    for batch in huge {
+        let reply = sess.roundtrip(&format!(
+            "{{\"cmd\":\"restore\",\"path\":\"{}/{batch:x}.wbsnap\"}}",
+            dir.display()
+        ));
+        let error = reply.get("error").expect("typed error");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("snapshot_failed")
+        );
+        let msg = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(msg.contains("chunk must be at most"), "{msg}");
+    }
+    // The reactor survived: the same session and a fresh one both serve.
+    sess.expect_ok(&insert_line("healthy", 300, 200));
+    let mut other = Session::connect(server.addr());
+    let reply = other.expect_ok("{\"cmd\":\"query\",\"tenant\":\"healthy\"}");
+    assert_eq!(reply.get("processed").and_then(Json::as_u64), Some(500));
+    let metrics = other.expect_ok("{\"cmd\":\"metrics\"}");
+    let count = metrics
+        .get("metrics")
+        .and_then(|m| m.get("tenants"))
+        .and_then(|t| t.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(count, Some(1), "neither crafted frame became a tenant");
+    other.expect_ok("{\"cmd\":\"bye\"}");
+    sess.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("rollup");
+    assert_eq!(tenants.get("accepted").and_then(Json::as_u64), Some(500));
+    assert_eq!(tenants.get("applied"), tenants.get("accepted"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
