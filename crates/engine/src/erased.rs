@@ -304,6 +304,18 @@ impl IntoAnswer for u64 {
     }
 }
 
+/// Refuse `updates` if any item lies outside the universe `[0, n)` of
+/// the algorithm `name` — the kernel would panic on it.
+fn check_universe(name: &str, updates: &[Update], n: u64) -> Result<(), WbError> {
+    match updates.iter().find(|u| u.item() >= n) {
+        Some(u) => Err(WbError::invalid(format!(
+            "{name} cannot ingest item {} (outside the universe [0, {n}))",
+            u.item()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Object-safe mirror of `StreamAlg + SpaceUsage`.
 ///
 /// Blanket-implemented for every algorithm whose update type implements
@@ -321,7 +333,8 @@ impl IntoAnswer for u64 {
 pub trait DynStreamAlg: Send {
     /// Ingest one erased update. Errors if the update is outside the
     /// algorithm's stream model (e.g. a deletion into an insertion-only
-    /// sketch).
+    /// sketch) or its item is outside the algorithm's universe
+    /// ([`DynStreamAlg::universe_dyn`]); neither case panics.
     fn process_dyn(&mut self, update: &Update, rng: &mut TranscriptRng) -> Result<(), WbError>;
 
     /// Ingest a batch of erased updates through the algorithm's
@@ -332,7 +345,8 @@ pub trait DynStreamAlg: Send {
     /// it. On a wrong-model error, updates from earlier internal segments
     /// of the same call may already be applied (heavy-delta expansions are
     /// processed in bounded segments); callers treat a failed instance as
-    /// discarded, never as rolled back.
+    /// discarded, never as rolled back. An item outside the universe
+    /// anywhere in the batch is refused before any update is applied.
     fn process_batch_dyn(
         &mut self,
         updates: &[Update],
@@ -396,6 +410,9 @@ where
     A::Output: IntoAnswer,
 {
     fn process_dyn(&mut self, update: &Update, rng: &mut TranscriptRng) -> Result<(), WbError> {
+        if let Some(n) = self.universe() {
+            check_universe(self.name(), std::slice::from_ref(update), n)?;
+        }
         let (u, repeat) = A::Update::from_update_weighted(update).ok_or_else(|| {
             WbError::invalid(format!(
                 "{} cannot ingest {update:?} (wrong stream model)",
@@ -413,6 +430,11 @@ where
         updates: &[Update],
         rng: &mut TranscriptRng,
     ) -> Result<(), WbError> {
+        // One check per batch, before anything is applied; algorithms
+        // without a universe bound pay nothing per update.
+        if let Some(n) = self.universe() {
+            check_universe(self.name(), updates, n)?;
+        }
         let mut converted: Vec<A::Update> = Vec::with_capacity(updates.len());
         let mut extra = 0u64;
         for update in updates {

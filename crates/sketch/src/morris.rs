@@ -70,16 +70,18 @@ impl MorrisCounter {
         (1.0 + a).powi(-(x as i32))
     }
 
-    /// The coin threshold for exponent `x` — the sole formula the cached
-    /// `threshold` mirrors: a coin word `w` increments iff
+    /// The coin threshold for exponent `x` — the reference formula the
+    /// cached `threshold` and the [`MedianMorris`] memo reproduce bit for
+    /// bit: a coin word `w` increments iff
     /// `w >> 11 < threshold_at(a, x)`, exactly the draw
     /// `bernoulli(prob_at(a, x))` makes from the same word.
     fn threshold_at(a: f64, x: u64) -> u64 {
         coin_threshold(Self::prob_at(a, x))
     }
 
-    /// The estimate for exponent `x` — the sole formula behind
-    /// [`Self::estimate`] and the [`MedianMorris`] memo.
+    /// The estimate for exponent `x` — the reference formula behind
+    /// [`Self::estimate`], which the [`MedianMorris`] memo reproduces bit
+    /// for bit.
     fn estimate_at(a: f64, x: u64) -> f64 {
         ((1.0 + a).powi(x as i32) - 1.0) / a
     }
@@ -210,30 +212,95 @@ struct MemoSlot {
     est: f64,
 }
 
+/// Bits of the exponents the [`PowerChain`] serves.
+const CHAIN_BITS: u32 = 31;
+
+/// Exponents the [`PowerChain`] serves: below `2^31`, where the reference
+/// formulas' `x as i32` is exact. Larger ones take the reference formulas.
+const CHAIN_LIMIT: u64 = 1 << CHAIN_BITS;
+
+/// Low exponent bits the [`PowerChain`] resolves with one table load.
+const CHAIN_LOW_BITS: u32 = 10;
+
+/// `(1+a)^x` for `x < 2^31`, bit-identical to `(1+a).powi(x as i32)`.
+///
+/// `powi` multiplies the repeated squares `b^(2^i)` of the set bits of
+/// `x` in ascending bit order, starting from `1.0`, and `powi(b, -x)` is
+/// `1.0 / powi(b, x)`. The chain keeps those squares and, for the low
+/// [`CHAIN_LOW_BITS`] bits, every ascending prefix product, each built
+/// with one multiply from a smaller entry. A power is then one table load
+/// plus one multiply per set bit above the low ones: the same products in
+/// the same order as `powi`, hence the same bits.
+#[derive(Clone)]
+struct PowerChain {
+    /// `squares[i] = (1+a)^(2^i)`, by repeated squaring.
+    squares: [f64; CHAIN_BITS as usize],
+    /// `low[l]`: the ascending product of `squares[i]` over the set bits
+    /// `i` of `l`.
+    low: [f64; 1 << CHAIN_LOW_BITS],
+}
+
+impl PowerChain {
+    fn new(a: f64) -> Box<Self> {
+        let mut squares = [0.0; CHAIN_BITS as usize];
+        let mut sq = 1.0 + a;
+        for s in &mut squares {
+            *s = sq;
+            sq *= sq;
+        }
+        let mut low = [1.0; 1 << CHAIN_LOW_BITS];
+        for l in 1..low.len() {
+            // The highest set bit of `l` is the last factor of its product.
+            let top = l.ilog2();
+            low[l] = low[l ^ (1 << top)] * squares[top as usize];
+        }
+        Box::new(PowerChain { squares, low })
+    }
+
+    /// `(1+a)^x`; `x` must be below [`CHAIN_LIMIT`].
+    #[inline]
+    fn pow(&self, x: u64) -> f64 {
+        debug_assert!(x < CHAIN_LIMIT);
+        let mut r = self.low[(x & ((1 << CHAIN_LOW_BITS) - 1)) as usize];
+        let mut high = x >> CHAIN_LOW_BITS;
+        while high != 0 {
+            r *= self.squares[(high.trailing_zeros() + CHAIN_LOW_BITS) as usize];
+            high &= high - 1;
+        }
+        r
+    }
+}
+
 /// Direct-mapped memo from an exponent `x` to `threshold_at(a, x)` and
 /// `estimate_at(a, x)`, shared by a [`MedianMorris`]'s copies (which all
 /// have the same `a`). The copies climb the same exponents one step at a
 /// time and stay close together, so each value is computed once instead
 /// of once per copy, and indexing by the low bits of `x` keeps neighbours
-/// in distinct slots. A miss recomputes with the very same formulas, so
-/// the cached values are bit-identical to fresh ones. Scratch, not state:
-/// snapshots and space accounting skip it.
+/// in distinct slots. A miss computes `r = (1+a)^x` once from a
+/// [`PowerChain`], built for the first `a` the memo sees (every caller's),
+/// and derives both values from it — the threshold as
+/// `coin_threshold(1/r)`, the estimate as `(r − 1)/a` — bit-identical to
+/// the two `powi` calls of the reference formulas. Scratch, not state:
+/// the slots and the chain are built on the first miss, and snapshots and
+/// space accounting skip them.
 #[derive(Clone, Default)]
 struct MorrisMemo {
     slots: Vec<MemoSlot>,
+    chain: Option<Box<PowerChain>>,
 }
 
 impl std::fmt::Debug for MorrisMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MorrisMemo")
             .field("slots", &self.slots.len())
+            .field("chain", &self.chain.is_some())
             .finish()
     }
 }
 
 impl MorrisMemo {
     /// `(threshold_at(a, x), estimate_at(a, x))`, computed and stored on a
-    /// miss.
+    /// miss. Every call on one memo passes the same `a`.
     #[inline]
     fn get(&mut self, a: f64, x: u64) -> (u64, f64) {
         match self.slots.get((x & MEMO_MASK) as usize) {
@@ -254,13 +321,17 @@ impl MorrisMemo {
             };
             self.slots = vec![empty; 1 << MEMO_BITS];
         }
-        let slot = MemoSlot {
-            x,
-            threshold: MorrisCounter::threshold_at(a, x),
-            est: MorrisCounter::estimate_at(a, x),
+        let (threshold, est) = if x < CHAIN_LIMIT {
+            let r = self.chain.get_or_insert_with(|| PowerChain::new(a)).pow(x);
+            (coin_threshold(1.0 / r), (r - 1.0) / a)
+        } else {
+            (
+                MorrisCounter::threshold_at(a, x),
+                MorrisCounter::estimate_at(a, x),
+            )
         };
-        self.slots[(x & MEMO_MASK) as usize] = slot;
-        (slot.threshold, slot.est)
+        self.slots[(x & MEMO_MASK) as usize] = MemoSlot { x, threshold, est };
+        (threshold, est)
     }
 }
 
@@ -597,6 +668,51 @@ mod tests {
             ma.merge_from(&mb),
             Err(MergeError::unmergeable("MedianMorris"))
         );
+    }
+
+    /// Every base offset a registry algorithm builds a memo for: the `t̂`
+    /// counter `MedianMorris::new(ε/16, 7)` of `robust_hh`, `phi_eps_hh`
+    /// and the robust HHH at the registry default ε = 1/8, the HHH
+    /// experiment's ε = 0.02 and the registry floor ε = 2^-16; the
+    /// `median_morris` and `morris` registry defaults; and a = 0.5, whose
+    /// powers overflow to infinity.
+    fn chain_bases() -> Vec<f64> {
+        let mut bases: Vec<f64> = [0.125, 0.02, 1.0 / 65536.0]
+            .iter()
+            .map(|&eps| MedianMorris::new(eps / 16.0, 7).counters()[0].base_offset())
+            .collect();
+        bases.push(MedianMorris::new(0.125, 7).counters()[0].base_offset());
+        bases.push(MorrisCounter::new(0.125, 0.01).base_offset());
+        bases.push(0.5);
+        bases
+    }
+
+    #[test]
+    fn memo_matches_reference_formulas_bit_for_bit() {
+        // Every exponent below 2^21 and a window around 2^31, where the
+        // memo switches from the power chain to the reference formulas.
+        // x = 2^31 itself is skipped: there `-(x as i32)` overflows in the
+        // reference formula (a debug-build panic), on both sides alike.
+        let window = 1u64 << 12;
+        for a in chain_bases() {
+            let mut memo = MorrisMemo::default();
+            let xs = (0..1u64 << 21)
+                .chain(CHAIN_LIMIT - window..CHAIN_LIMIT)
+                .chain(CHAIN_LIMIT + 1..CHAIN_LIMIT + window);
+            for x in xs {
+                let (threshold, est) = memo.fill(a, x);
+                assert_eq!(
+                    threshold,
+                    MorrisCounter::threshold_at(a, x),
+                    "threshold at a = {a}, x = {x}"
+                );
+                assert_eq!(
+                    est.to_bits(),
+                    MorrisCounter::estimate_at(a, x).to_bits(),
+                    "estimate at a = {a}, x = {x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,12 +26,19 @@ pub struct SsEntry {
 /// SpaceSaving summary with `k` counters over universe `[n]`.
 ///
 /// Stored struct-of-arrays (like [`crate::misra_gries::MisraGries`]): the
-/// hot membership probe scans a dense `keys` array and the eviction scan
-/// reads a dense `counts` array, both of which vectorize — `k` is small
-/// (`⌈2/ε⌉`), so linear scans beat hashing.
+/// hot membership probe scans a dense `keys` array, which vectorizes —
+/// `k` is small (`⌈2/ε⌉`), so a linear probe beats hashing. The arrays are
+/// kept in binary min-heap order on `(count, key)`, so the entry a miss
+/// evicts (the smallest count, ties to the smaller item id) is always the
+/// root: a miss replaces the root and sifts it down, a hit sifts its entry
+/// down, and a fill sifts up — `O(log k)` moves instead of a scan of all
+/// `k` counters. Keys are unique, so the `(count, key)` minimum is unique
+/// and the heap evicts exactly the entry a full scan would pick; positions
+/// are never observable (entries, snapshots and answers are item-sorted).
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
-    /// Monitored item ids; parallel to `counts` and `errs`.
+    /// Monitored item ids; parallel to `counts` and `errs`, all three in
+    /// heap order.
     keys: Vec<u64>,
     counts: Vec<u64>,
     errs: Vec<u64>,
@@ -65,7 +72,6 @@ impl SpaceSaving {
         self.insert_weighted(item, 1);
     }
 
-    /// Process `w ≥ 1` occurrences of `item` at once.
     /// Position of `item` among the monitored keys — the per-update probe.
     /// Four keys are compared per step with one combined any-match test
     /// (fusable into a single vector compare), one well-predicted branch
@@ -97,43 +103,74 @@ impl SpaceSaving {
             .map(|i| base + i)
     }
 
+    /// Process `w ≥ 1` occurrences of `item` at once.
     pub fn insert_weighted(&mut self, item: u64, w: u64) {
         self.processed += w;
         if let Some(pos) = self.find(item) {
-            self.counts[pos] += w;
+            let count = self.counts[pos] + w;
+            self.sift_down(pos, item, count, self.errs[pos]);
             return;
         }
         if self.keys.len() < self.k {
             self.keys.push(item);
             self.counts.push(w);
             self.errs.push(0);
+            self.sift_up(self.keys.len() - 1);
             return;
         }
-        // Replace the minimum-count entry; ties break on the smaller item
-        // id so the choice is deterministic regardless of storage order.
-        // The lexicographic (count, key) minimum is found in three
-        // unconditional (vectorizable) passes rather than one
-        // compare-and-branch scan; keys are unique, so exactly one entry
-        // attains it and the passes agree with the sequential scan. (An
-        // entry whose key is the u64::MAX sentinel still resolves: the
-        // candidate minimum equals its key either way.)
-        let mut min_count = u64::MAX;
-        for &c in &self.counts {
-            min_count = min_count.min(c);
+        // Evict the root, the lexicographic (count, key) minimum: the item
+        // adopts its count as both base and adoption error.
+        let min_count = self.counts[0];
+        self.sift_down(0, item, min_count + w, min_count);
+    }
+
+    /// The heap key `(count, key)` of the entry at `pos`.
+    #[inline]
+    fn rank(&self, pos: usize) -> (u64, u64) {
+        (self.counts[pos], self.keys[pos])
+    }
+
+    /// Store entry `(key, count, err)` at `pos` and move it down until no
+    /// child is `(count, key)`-smaller. The subtrees below `pos` must be
+    /// heaps; the result is one if `(count, key)` is not smaller than
+    /// `pos`'s parent.
+    #[inline]
+    fn sift_down(&mut self, mut pos: usize, key: u64, count: u64, err: u64) {
+        let len = self.keys.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            let right = child + 1;
+            if right < len && self.rank(right) < self.rank(child) {
+                child = right;
+            }
+            if (count, key) < self.rank(child) {
+                break;
+            }
+            self.keys[pos] = self.keys[child];
+            self.counts[pos] = self.counts[child];
+            self.errs[pos] = self.errs[child];
+            pos = child;
         }
-        let mut min_key = u64::MAX;
-        for (&c, &key) in self.counts.iter().zip(&self.keys) {
-            let cand = if c == min_count { key } else { u64::MAX };
-            min_key = min_key.min(cand);
+        self.keys[pos] = key;
+        self.counts[pos] = count;
+        self.errs[pos] = err;
+    }
+
+    /// Move the entry at `pos` up until its parent is `(count, key)`-smaller.
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.rank(parent) < self.rank(pos) {
+                break;
+            }
+            self.keys.swap(pos, parent);
+            self.counts.swap(pos, parent);
+            self.errs.swap(pos, parent);
+            pos = parent;
         }
-        let mut hit = 0usize;
-        for (i, (&c, &key)) in self.counts.iter().zip(&self.keys).enumerate() {
-            hit |= (usize::from(c == min_count && key == min_key)) * (i + 1);
-        }
-        let min_pos = hit - 1;
-        self.keys[min_pos] = item;
-        self.counts[min_pos] = min_count + w;
-        self.errs[min_pos] = min_count;
     }
 
     fn get(&self, item: u64) -> Option<SsEntry> {
@@ -182,13 +219,14 @@ impl SpaceSaving {
     /// count it had not exceeded), which is what makes the merge sound.
     fn floor(&self) -> u64 {
         if self.keys.len() == self.k {
-            self.counts.iter().copied().min().unwrap_or(0)
+            self.counts[0]
         } else {
             0
         }
     }
 
-    /// Replace the stored entries wholesale (merge/restore rebuilds).
+    /// Replace the stored entries wholesale (merge/restore rebuilds) and
+    /// put them in heap order. Keys must be unique.
     fn set_entries(&mut self, entries: impl IntoIterator<Item = (u64, SsEntry)>) {
         self.keys.clear();
         self.counts.clear();
@@ -197,6 +235,9 @@ impl SpaceSaving {
             self.keys.push(item);
             self.counts.push(e.count);
             self.errs.push(e.err);
+        }
+        for pos in (0..self.keys.len() / 2).rev() {
+            self.sift_down(pos, self.keys[pos], self.counts[pos], self.errs[pos]);
         }
     }
 }
@@ -363,6 +404,7 @@ impl StreamAlg for SpaceSaving {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     #[test]
@@ -505,5 +547,197 @@ mod tests {
         let mut ss = SpaceSaving::new(0.25, 1 << 10);
         ss.insert(1);
         assert!(ss.space_bits() >= 10);
+    }
+
+    /// The eviction rule the heap replaced, kept as the reference: entries
+    /// in arrival order, and a miss evicts the lexicographic `(count, key)`
+    /// minimum found by three unconditional passes over all `k` counters.
+    struct ScanOracle {
+        keys: Vec<u64>,
+        counts: Vec<u64>,
+        errs: Vec<u64>,
+        k: usize,
+        n: u64,
+        processed: u64,
+    }
+
+    impl ScanOracle {
+        fn new(k: usize, n: u64) -> Self {
+            ScanOracle {
+                keys: Vec::new(),
+                counts: Vec::new(),
+                errs: Vec::new(),
+                k,
+                n,
+                processed: 0,
+            }
+        }
+
+        fn insert_weighted(&mut self, item: u64, w: u64) {
+            self.processed += w;
+            if let Some(pos) = self.keys.iter().position(|&key| key == item) {
+                self.counts[pos] += w;
+                return;
+            }
+            if self.keys.len() < self.k {
+                self.keys.push(item);
+                self.counts.push(w);
+                self.errs.push(0);
+                return;
+            }
+            let mut min_count = u64::MAX;
+            for &c in &self.counts {
+                min_count = min_count.min(c);
+            }
+            let mut min_key = u64::MAX;
+            for (&c, &key) in self.counts.iter().zip(&self.keys) {
+                let cand = if c == min_count { key } else { u64::MAX };
+                min_key = min_key.min(cand);
+            }
+            let mut hit = 0usize;
+            for (i, (&c, &key)) in self.counts.iter().zip(&self.keys).enumerate() {
+                hit |= (usize::from(c == min_count && key == min_key)) * (i + 1);
+            }
+            let min_pos = hit - 1;
+            self.keys[min_pos] = item;
+            self.counts[min_pos] = min_count + w;
+            self.errs[min_pos] = min_count;
+        }
+
+        fn entries(&self) -> Vec<(u64, SsEntry)> {
+            let mut v: Vec<(u64, SsEntry)> = (0..self.keys.len())
+                .map(|i| {
+                    let (count, err) = (self.counts[i], self.errs[i]);
+                    (self.keys[i], SsEntry { count, err })
+                })
+                .collect();
+            v.sort_unstable_by_key(|&(i, _)| i);
+            v
+        }
+
+        fn floor(&self) -> u64 {
+            if self.keys.len() == self.k {
+                self.counts.iter().copied().min().unwrap_or(0)
+            } else {
+                0
+            }
+        }
+
+        /// The mergeable-summaries combine of [`SpaceSaving::merge`].
+        fn merge(&mut self, other: &Self) {
+            let (floor_self, floor_other) = (self.floor(), other.floor());
+            let (mine, theirs) = (self.entries(), other.entries());
+            let find = |v: &[(u64, SsEntry)], item| v.iter().find(|e| e.0 == item).map(|e| e.1);
+            let mut merged = Vec::new();
+            for &(item, e) in &mine {
+                let o = find(&theirs, item).unwrap_or(SsEntry {
+                    count: floor_other,
+                    err: floor_other,
+                });
+                let (count, err) = (e.count + o.count, e.err + o.err);
+                merged.push((item, SsEntry { count, err }));
+            }
+            for &(item, e) in &theirs {
+                if find(&mine, item).is_none() {
+                    let (count, err) = (e.count + floor_self, e.err + floor_self);
+                    merged.push((item, SsEntry { count, err }));
+                }
+            }
+            merged.sort_unstable_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
+            merged.truncate(self.k);
+            self.keys = merged.iter().map(|e| e.0).collect();
+            self.counts = merged.iter().map(|e| e.1.count).collect();
+            self.errs = merged.iter().map(|e| e.1.err).collect();
+            self.processed += other.processed;
+        }
+
+        /// The [`SpaceSaving`] snapshot layout.
+        fn snap_bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.put_usize(self.k);
+            w.put_u64(self.n);
+            w.put_u64(self.processed);
+            let entries = self.entries();
+            w.put_u64(entries.len() as u64);
+            for (item, e) in entries {
+                w.put_u64(item);
+                w.put_u64(e.count);
+                w.put_u64(e.err);
+            }
+            w.finish()
+        }
+    }
+
+    fn snap_bytes(ss: &SpaceSaving) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        ss.snap(&mut w);
+        w.finish()
+    }
+
+    /// The SoA arrays are in `(count, key)` min-heap order.
+    fn assert_heap_order(ss: &SpaceSaving) {
+        for pos in 1..ss.keys.len() {
+            let parent = (pos - 1) / 2;
+            assert!(ss.rank(parent) < ss.rank(pos), "heap order broken at {pos}");
+        }
+    }
+
+    /// The heap and the oracle agree on everything observable.
+    fn assert_agree(ss: &SpaceSaving, oracle: &ScanOracle) {
+        assert_heap_order(ss);
+        assert_eq!(ss.entries(), oracle.entries());
+        assert_eq!(snap_bytes(ss), oracle.snap_bytes());
+        let answer: Vec<(u64, f64)> = oracle
+            .entries()
+            .into_iter()
+            .map(|(i, e)| (i, e.count as f64))
+            .collect();
+        assert_eq!(ss.query(), answer);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn heap_matches_three_pass_oracle(
+            k_index in 0usize..5,
+            ops in proptest::collection::vec((0u8..16, 0u64..96, 1u64..6), 1..400),
+        ) {
+            let k = [1, 2, 3, 16, 64][k_index];
+            let n = 96;
+            let mut ss = SpaceSaving::with_counters(k, n);
+            let mut oracle = ScanOracle::new(k, n);
+            // A sibling pair fed its own stream and merged in on demand.
+            let mut side = (SpaceSaving::with_counters(k, n), ScanOracle::new(k, n));
+            for (op, x, w) in ops {
+                // Skewed toward small ids, so hits and evictions both occur.
+                let item = x * x / 96;
+                match op {
+                    0 => {
+                        ss.merge(&side.0).unwrap();
+                        oracle.merge(&side.1);
+                        assert_agree(&side.0, &side.1);
+                        side = (SpaceSaving::with_counters(k, n), ScanOracle::new(k, n));
+                    }
+                    1 => {
+                        let bytes = snap_bytes(&ss);
+                        let mut restored = SpaceSaving::with_counters(k, n);
+                        let mut r = SnapReader::new(&bytes).unwrap();
+                        restored.restore(&mut r).unwrap();
+                        r.finish().unwrap();
+                        ss = restored;
+                    }
+                    2..=5 => {
+                        side.0.insert_weighted(item, w);
+                        side.1.insert_weighted(item, w);
+                    }
+                    _ => {
+                        ss.insert_weighted(item, w);
+                        oracle.insert_weighted(item, w);
+                    }
+                }
+                assert_agree(&ss, &oracle);
+            }
+        }
     }
 }

@@ -60,3 +60,56 @@ fn erased_games_are_send() {
     .join()
     .unwrap();
 }
+
+#[test]
+fn out_of_universe_items_are_refused_without_unwinding() {
+    // Hostile items through the erased layer: an algorithm that declares a
+    // universe refuses them with `Err` before applying anything; one that
+    // declares none accepts them. Neither may unwind.
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wb_core::rng::TranscriptRng;
+    use wb_engine::erased::Update;
+
+    let n: u64 = 1 << 10;
+    let params = Params::default().with_n(n);
+    // (hostile?, a single `process_dyn` update, else a batch)
+    let mut cases: Vec<(bool, Option<Update>, Vec<Update>)> = Vec::new();
+    for item in [n, u64::MAX] {
+        cases.push((true, Some(Update::Insert(item)), Vec::new()));
+        cases.push((true, None, vec![Update::Insert(item)]));
+    }
+    cases.push((false, None, Vec::new()));
+    let mixed = [0, n - 1, u64::MAX, 1].map(Update::Insert).to_vec();
+    cases.push((true, None, mixed));
+
+    for name in registry::names() {
+        let declared = registry::get(name, &params).unwrap().universe_dyn();
+        assert!(
+            declared.is_none_or(|bound| bound == n),
+            "{name}: universe {declared:?} is not n = {n}"
+        );
+        for (hostile, one, batch) in &cases {
+            let what = format!("{one:?} / batch {batch:?}");
+            let mut alg = registry::get(name, &params).unwrap();
+            let mut rng = TranscriptRng::from_seed(7);
+            alg.process_dyn(&Update::Insert(0), &mut rng).unwrap();
+            let before = alg.snapshot_dyn().unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| match one {
+                Some(u) => alg.process_dyn(u, &mut rng),
+                None => alg.process_batch_dyn(batch, &mut rng),
+            }))
+            .unwrap_or_else(|_| panic!("{name}: {what} unwound"));
+            if *hostile && declared.is_some() {
+                let err = outcome.expect_err(&format!("{name}: {what} was accepted"));
+                assert!(err.to_string().contains("universe"), "{name}: {err}");
+                assert_eq!(
+                    alg.snapshot_dyn().unwrap(),
+                    before,
+                    "{name}: refused {what} changed the state"
+                );
+            } else {
+                outcome.unwrap_or_else(|e| panic!("{name}: {what} refused: {e}"));
+            }
+        }
+    }
+}

@@ -2,17 +2,19 @@
 //!
 //! `robust_hh` (Theorem 1.1), `phi_eps_hh` (Theorem 1.2), `sis_l0`
 //! (Theorem 1.5) and the `median_morris` counter under the first two carry
-//! memo tables, fixed-base exponentiation tables and per-batch column
-//! grouping. None of that may change an output. `batch_equivalence` only
+//! memo tables, an exponent power chain, fixed-base exponentiation tables
+//! and per-batch column grouping; `space_saving` keeps its counters in heap
+//! order. None of that may change an output. `batch_equivalence` only
 //! compares the batch path against the scalar path of the same build, so a
 //! drift that both paths share slips past it. This file pins the state
 //! itself: the FNV-1a digest of `snapshot_dyn()` followed by the
 //! `TranscriptRng` snapshot, after each stream, for the batch path at
 //! chunks {1, 7, 4096} and for per-update `process_dyn`. The constants were
-//! recorded on the implementation that predates those tables, so any
+//! recorded on the implementations that predate those tables and the
+//! heap (plain `powi` per exponent, a full scan per eviction), so any
 //! change to a sketch, a random word or its order fails here.
 //!
-//! The pinned values include `f64` bits from `powi`; CI runs this file
+//! The pinned values include `f64` bits of `(1+a)^x`; CI runs this file
 //! under `--release` as well as in the default debug profile.
 
 use wbstream::core::rng::TranscriptRng;
@@ -43,9 +45,8 @@ fn fingerprint(alg: &dyn wbstream::engine::DynStreamAlg, rng: &TranscriptRng) ->
 
 /// Fingerprint after feeding `updates` in `chunk`-sized batches, or one
 /// `process_dyn` call per update when `chunk` is `None`.
-fn run(name: &str, updates: &[Update], chunk: Option<usize>) -> u64 {
-    let params = Params::default().with_n(N);
-    let mut alg = registry::get(name, &params).unwrap();
+fn run(name: &str, params: &Params, updates: &[Update], chunk: Option<usize>) -> u64 {
+    let mut alg = registry::get(name, params).unwrap();
     let mut rng = TranscriptRng::from_seed(GAME_SEED);
     match chunk {
         Some(c) => {
@@ -62,17 +63,23 @@ fn run(name: &str, updates: &[Update], chunk: Option<usize>) -> u64 {
     fingerprint(alg.as_ref(), &rng)
 }
 
-/// Every path must land on `expected`.
+/// Every path must land on `expected` at the default parameters.
 fn check(name: &str, spec: WorkloadSpec, expected: u64) {
+    check_with(name, name, &Params::default().with_n(N), spec, expected);
+}
+
+/// Every path must land on `expected` at `params`; failures name `label`.
+fn check_with(label: &str, name: &str, params: &Params, spec: WorkloadSpec, expected: u64) {
     let updates = spec.generate();
-    let mut got = vec![("scalar".to_string(), run(name, &updates, None))];
+    let mut got = vec![("scalar".to_string(), run(name, params, &updates, None))];
     for chunk in [1, 7, 4096] {
-        got.push((format!("chunk {chunk}"), run(name, &updates, Some(chunk))));
+        let fp = run(name, params, &updates, Some(chunk));
+        got.push((format!("chunk {chunk}"), fp));
     }
     for (path, fp) in got {
         assert_eq!(
             fp, expected,
-            "{name}: {path} fingerprint {fp:#018x} != pinned {expected:#018x}"
+            "{label}: {path} fingerprint {fp:#018x} != pinned {expected:#018x}"
         );
     }
 }
@@ -86,6 +93,20 @@ fn robust_hh_matches_pinned_state() {
             m: 1 << 15,
         },
         0x7ade_5eda_3649_4a8c,
+    );
+}
+
+#[test]
+fn robust_hh_matches_pinned_state_past_exponent_2_16() {
+    // 2^18 increments at `a ≈ 1.5·10⁻⁵` carry the Morris exponents past
+    // 2^16, into the high bits of the exponent power chain.
+    check(
+        "robust_hh",
+        WorkloadSpec::Cycle {
+            items: 8,
+            m: 1 << 18,
+        },
+        0x1657_e89f_51dd_c194,
     );
 }
 
@@ -139,4 +160,44 @@ fn sis_l0_matches_pinned_state() {
         },
         0xca22_2c44_9d84_4b48,
     );
+}
+
+/// The SpaceSaving workloads: zipf with a 64-item head, where most updates
+/// miss and evict, and uniform over the whole universe.
+fn space_saving_specs() -> [(&'static str, WorkloadSpec); 2] {
+    [
+        (
+            "zipf",
+            WorkloadSpec::Zipf {
+                n: N,
+                m: 1 << 16,
+                heavy: 64,
+                seed: 0x5a5a,
+            },
+        ),
+        (
+            "uniform",
+            WorkloadSpec::Uniform {
+                n: N,
+                m: 1 << 16,
+                seed: 0x55aa,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn space_saving_matches_pinned_state() {
+    // k = 16 at the default ε and k = 64 at ε = 1/32.
+    let pins = [
+        (0.125, [0xd5a1_8d83_3f5b_a5f0, 0x6600_6bc8_2674_f557]),
+        (1.0 / 32.0, [0xacdc_ee5d_0f9d_12d7, 0x0a58_50b6_d442_f52c]),
+    ];
+    for (eps, expected) in pins {
+        let params = Params::default().with_n(N).with_eps(eps);
+        for ((workload, spec), want) in space_saving_specs().into_iter().zip(expected) {
+            let label = format!("space_saving (eps {eps}, {workload})");
+            check_with(&label, "space_saving", &params, spec, want);
+        }
+    }
 }
