@@ -139,13 +139,17 @@ impl<A: StreamAlg> Referee<A> for AcceptAll {
 enum Driver<U, Adv> {
     Adversary(Adv),
     Script(Vec<U>),
-    /// A pull-based update stream: the prelude is generated (or read) lazily
-    /// and ingested in `batch`-sized chunks through one reused buffer, so
-    /// memory stays O(batch) for any stream length.
-    Stream(Box<dyn Iterator<Item = U>>),
 }
 
 /// Fluent builder for one white-box adversarial game.
+///
+/// The stream comes from one of two drivers: an adaptive white-box
+/// adversary ([`Game::adversary`], one update and one check per round) or
+/// a materialized oblivious script ([`Game::script`], ingested in
+/// [`Game::batch`]-sized chunks with one check per chunk). Both share one
+/// check-and-record step. Long oblivious streams that should not be
+/// materialized go through the erased layer's pull-based
+/// [`run_source_erased`](crate::erased::run_source_erased) instead.
 ///
 /// `Game::new(alg)` starts with no adversary (empty stream), an accept-all
 /// referee, [`DEFAULT_MAX_ROUNDS`], seed 0, a null observer, and batch
@@ -201,30 +205,6 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
         Game {
             alg: self.alg,
             driver: Driver::Script(updates),
-            referee: self.referee,
-            observer: self.observer,
-            max_rounds: self.max_rounds,
-            seed: self.seed,
-            batch: self.batch,
-        }
-    }
-
-    /// Use a lazy, pull-based update stream as the oblivious stream source:
-    /// updates are drawn on demand and ingested in [`Game::batch`]-sized
-    /// chunks through one reused buffer, so the game's memory is O(batch)
-    /// regardless of the stream length — the typed mirror of the engine's
-    /// chunked prelude pipeline. Verdicts, rounds, and check counts are
-    /// identical to [`Game::script`] on the materialized equivalent; the
-    /// report's timeline *sampling stride* is derived from the iterator's
-    /// `size_hint`, so an inexact hint can sample at different rounds
-    /// (the timeline self-bounds either way).
-    pub fn stream(
-        self,
-        updates: impl Iterator<Item = A::Update> + 'static,
-    ) -> Game<A, NoAdversary, R, O> {
-        Game {
-            alg: self.alg,
-            driver: Driver::Stream(Box::new(updates)),
             referee: self.referee,
             observer: self.observer,
             max_rounds: self.max_rounds,
@@ -302,47 +282,33 @@ where
     /// (for post-game inspection of answers or internals).
     pub fn play(mut self) -> (GameReport, A) {
         let mut rng = TranscriptRng::from_seed(self.seed);
-        let expected_checks = match &self.driver {
+        // Take the driver out so `check` can borrow the whole builder.
+        let driver = std::mem::replace(&mut self.driver, Driver::Script(Vec::new()));
+        let expected_checks = match &driver {
             Driver::Adversary(_) => self.max_rounds,
             Driver::Script(updates) => {
                 (updates.len().min(self.max_rounds as usize) as u64).div_ceil(self.batch as u64)
             }
-            Driver::Stream(iter) => {
-                let (lo, hi) = iter.size_hint();
-                (hi.unwrap_or(lo).max(lo) as u64)
-                    .min(self.max_rounds)
-                    .div_ceil(self.batch as u64)
-                    .max(1)
-            }
         };
         let mut report = GameReport::new(self.alg.space_bits(), expected_checks);
         let mut t = 0u64;
-        match self.driver {
+        match driver {
             Driver::Adversary(mut adversary) => {
                 let mut last: Option<A::Output> = None;
                 for round in 1..=self.max_rounds {
-                    let update = match adversary.next_update(
-                        round,
-                        &self.alg,
-                        rng.transcript(),
-                        last.as_ref(),
-                    ) {
-                        Some(u) => u,
-                        None => break,
+                    let Some(update) =
+                        adversary.next_update(round, &self.alg, rng.transcript(), last.as_ref())
+                    else {
+                        break;
                     };
                     self.observer.on_update(round, &update);
                     self.referee.observe(&update);
                     self.alg.process(&update, &mut rng);
                     t = round;
-                    let space = self.alg.space_bits();
-                    let output = self.alg.query();
-                    let verdict = self.referee.check(t, &output);
-                    self.observer.on_round(t, &output, &verdict, space);
-                    report.record_check(t, space, &verdict);
-                    if !verdict.is_correct() {
-                        break;
+                    match self.check(t, &mut report) {
+                        Some(output) => last = Some(output),
+                        None => break,
                     }
-                    last = Some(output);
                 }
             }
             Driver::Script(updates) => {
@@ -354,51 +320,26 @@ where
                     }
                     self.alg.process_batch(chunk, &mut rng);
                     t += chunk.len() as u64;
-                    let space = self.alg.space_bits();
-                    let output = self.alg.query();
-                    let verdict = self.referee.check(t, &output);
-                    self.observer.on_round(t, &output, &verdict, space);
-                    report.record_check(t, space, &verdict);
-                    if !verdict.is_correct() {
+                    if self.check(t, &mut report).is_none() {
                         break;
-                    }
-                }
-            }
-            Driver::Stream(mut iter) => {
-                // Pull-based chunked ingestion: one reused buffer, refilled
-                // lazily — the stream is never materialized.
-                let mut buf: Vec<A::Update> = Vec::with_capacity(self.batch);
-                'stream: while t < self.max_rounds {
-                    buf.clear();
-                    let want = self.batch.min((self.max_rounds - t) as usize);
-                    while buf.len() < want {
-                        match iter.next() {
-                            Some(u) => buf.push(u),
-                            None => break,
-                        }
-                    }
-                    if buf.is_empty() {
-                        break 'stream;
-                    }
-                    for (k, update) in buf.iter().enumerate() {
-                        self.observer.on_update(t + 1 + k as u64, update);
-                        self.referee.observe(update);
-                    }
-                    self.alg.process_batch(&buf, &mut rng);
-                    t += buf.len() as u64;
-                    let space = self.alg.space_bits();
-                    let output = self.alg.query();
-                    let verdict = self.referee.check(t, &output);
-                    self.observer.on_round(t, &output, &verdict, space);
-                    report.record_check(t, space, &verdict);
-                    if !verdict.is_correct() {
-                        break 'stream;
                     }
                 }
             }
         }
         report.finish(t, self.alg.space_bits());
         (report, self.alg)
+    }
+
+    /// Query the algorithm, check the answer at `t`, and hand the check to
+    /// the observer and the report: the answer if the referee accepted it,
+    /// `None` at a violation.
+    fn check(&mut self, t: u64, report: &mut GameReport) -> Option<A::Output> {
+        let space = self.alg.space_bits();
+        let output = self.alg.query();
+        let verdict = self.referee.check(t, &output);
+        self.observer.on_round(t, &output, &verdict, space);
+        report.record_check(t, space, &verdict);
+        verdict.is_correct().then_some(output)
     }
 }
 
@@ -547,37 +488,6 @@ mod tests {
         assert_eq!(a1.entries(), a2.entries());
         assert_eq!(r1.checks, 512);
         assert_eq!(r2.checks, 8);
-    }
-
-    #[test]
-    fn stream_driver_matches_script_driver() {
-        // A lazily-pulled stream must play exactly like its materialized
-        // script: same rounds, same checks, same final algorithm state.
-        let script: Vec<InsertOnly> = (0..777u64).map(|t| InsertOnly(t % 9)).collect();
-        let (rs, a_script) = Game::new(MisraGries::new(0.2, 1 << 10))
-            .script(script.clone())
-            .referee(HeavyHitterReferee::new(0.2, 0.2))
-            .seed(3)
-            .batch(64)
-            .play();
-        let (rt, a_stream) = Game::new(MisraGries::new(0.2, 1 << 10))
-            .stream((0..777u64).map(|t| InsertOnly(t % 9)))
-            .referee(HeavyHitterReferee::new(0.2, 0.2))
-            .seed(3)
-            .batch(64)
-            .play();
-        assert!(rs.survived() && rt.survived());
-        assert_eq!(rs.result.rounds, rt.result.rounds);
-        assert_eq!(rs.checks, rt.checks);
-        assert_eq!(a_script.entries(), a_stream.entries());
-
-        // max_rounds truncates a stream mid-pull.
-        let report = Game::new(MisraGries::new(0.2, 1 << 10))
-            .stream((0..).map(|t: u64| InsertOnly(t % 9)))
-            .max_rounds(100)
-            .batch(32)
-            .run();
-        assert_eq!(report.result.rounds, 100);
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //! * [`DynAdversary`] / erased drive loops ([`run_source_erased`],
 //!   [`run_script_erased`], [`run_erased`]) so registries and experiment
 //!   runners can play the white-box game without knowing concrete types.
-//!   The source-driven loop is the primary ingestion path: it pulls chunks
-//!   from an [`UpdateSource`] into one reused buffer, so memory stays
-//!   O(chunk) no matter how long the stream is; the script loop is a thin
-//!   wrapper over a [`SliceSource`].
+//!   The round protocol itself — observe, ingest on the game tape, check,
+//!   record, stop at the first violation — is written once, in the
+//!   crate-internal `ErasedGame`; these loops and the
+//!   [tournament](crate::tournament)'s cells are compositions of its
+//!   steps. The source-driven loop is the primary ingestion path: it pulls
+//!   chunks from an [`UpdateSource`] into one reused buffer, so memory
+//!   stays O(chunk) no matter how long the stream is; the script loop is a
+//!   thin wrapper over a [`SliceSource`].
 
 use crate::referee::DynReferee;
 use crate::report::GameReport;
@@ -42,6 +46,13 @@ use wb_core::WbError;
 /// the batching contract) instead of materializing the whole expansion,
 /// bounding the work and memory of one erased call.
 pub const MAX_DELTA_EXPANSION: u64 = 1 << 16;
+
+/// Largest turnstile delta magnitude a turnstile algorithm accepts (2^32).
+/// Kernels add deltas into `i64` counters, multiply them by ±1 signs and
+/// sum them per batch; at this bound a daemon chunk of up to 2^16 updates
+/// sums below 2^48 in magnitude, far from overflow, while `i64::MIN` (whose
+/// negation overflows) and its neighbours are refused as out of model.
+pub const MAX_TURNSTILE_DELTA: u64 = 1 << 32;
 
 /// A stream update in either of the paper's update models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,7 +150,8 @@ pub enum StreamModel {
     /// deltas expand into repeated insertions up to
     /// [`MAX_DELTA_EXPANSION`].
     InsertOnly,
-    /// Turnstile: every signed update is in model.
+    /// Turnstile: every signed update with `|delta|` at most
+    /// [`MAX_TURNSTILE_DELTA`] is in model.
     Turnstile,
 }
 
@@ -158,7 +170,7 @@ impl StreamModel {
     /// constructing anything or touching algorithm state.
     pub fn accepts(&self, u: &Update) -> bool {
         match self {
-            StreamModel::Turnstile => true,
+            StreamModel::Turnstile => u.delta().unsigned_abs() <= MAX_TURNSTILE_DELTA,
             StreamModel::InsertOnly => match *u {
                 Update::Insert(_) => true,
                 Update::Turnstile { delta, .. } => {
@@ -225,10 +237,13 @@ impl FromUpdate for Turnstile {
         StreamModel::Turnstile
     }
 
+    /// Any update whose delta magnitude is at most [`MAX_TURNSTILE_DELTA`].
     fn from_update(u: &Update) -> Option<Self> {
         match *u {
             Update::Insert(i) => Some(Turnstile::insert(i)),
-            Update::Turnstile { item, delta } => Some(Turnstile { item, delta }),
+            Update::Turnstile { item, delta } => {
+                (delta.unsigned_abs() <= MAX_TURNSTILE_DELTA).then_some(Turnstile { item, delta })
+            }
         }
     }
 }
@@ -539,34 +554,6 @@ pub trait DynAdversary: Send {
     ) -> Option<Update>;
 }
 
-/// A [`DynAdversary`] that replays a fixed script.
-#[derive(Debug, Clone)]
-pub struct ScriptDynAdversary {
-    script: Vec<Update>,
-    pos: usize,
-}
-
-impl ScriptDynAdversary {
-    /// Replay `script` in order, then stop.
-    pub fn new(script: Vec<Update>) -> Self {
-        ScriptDynAdversary { script, pos: 0 }
-    }
-}
-
-impl DynAdversary for ScriptDynAdversary {
-    fn next_update(
-        &mut self,
-        _t: u64,
-        _alg: &dyn DynStreamAlg,
-        _transcript: &RandTranscript,
-        _last: Option<&Answer>,
-    ) -> Option<Update> {
-        let u = self.script.get(self.pos).copied();
-        self.pos += 1;
-        u
-    }
-}
-
 /// A [`DynAdversary`] that replays an [`UpdateSource`] one update per
 /// round, pulling chunks lazily into a small reused buffer — the streaming
 /// replacement for materializing a generator's whole script up front (the
@@ -643,6 +630,98 @@ where
     }
 }
 
+/// One erased game in flight: the algorithm's public random tape, the
+/// report accumulator and the update count `t`. It writes out the paper's
+/// round protocol once — the referee observes, the algorithm ingests on
+/// the game tape, `t` advances, and the answer is checked and recorded —
+/// as three steps every erased driver composes: [`ErasedGame::ingest`] a
+/// chunk, [`ErasedGame::check`] once, [`ErasedGame::play_rounds`] of an
+/// adaptive adversary. The algorithm and referee stay with the caller, so
+/// a driver can swap the state between steps (the tournament's sharded
+/// prelude hands back a merged instance).
+pub(crate) struct ErasedGame {
+    pub(crate) rng: TranscriptRng,
+    pub(crate) report: GameReport,
+    pub(crate) t: u64,
+}
+
+impl ErasedGame {
+    /// A game on the tape seeded by `seed`, sized for `expected_checks`
+    /// referee checks (see [`GameReport::new`]).
+    pub(crate) fn new(alg: &dyn DynStreamAlg, seed: u64, expected_checks: u64) -> Self {
+        ErasedGame {
+            rng: TranscriptRng::from_seed(seed),
+            report: GameReport::new(alg.space_bits_dyn(), expected_checks),
+            t: 0,
+        }
+    }
+
+    /// The referee observes `chunk` and the algorithm ingests it through
+    /// its batched kernel; `t` advances only if the algorithm accepted it.
+    pub(crate) fn ingest(
+        &mut self,
+        alg: &mut dyn DynStreamAlg,
+        referee: &mut dyn DynReferee,
+        chunk: &[Update],
+    ) -> Result<(), WbError> {
+        referee.observe_batch(chunk);
+        alg.process_batch_dyn(chunk, &mut self.rng)?;
+        self.t += chunk.len() as u64;
+        Ok(())
+    }
+
+    /// Query the algorithm, check the answer at `t` and record the check:
+    /// the answer if the referee accepted it, `None` at a violation.
+    pub(crate) fn check(
+        &mut self,
+        alg: &dyn DynStreamAlg,
+        referee: &mut dyn DynReferee,
+    ) -> Option<Answer> {
+        let space = alg.space_bits_dyn();
+        let answer = alg.query_dyn();
+        let verdict = referee.check(self.t, &answer);
+        self.report.record_check(self.t, space, &verdict);
+        verdict.is_correct().then_some(answer)
+    }
+
+    /// Up to `rounds` adaptive rounds (numbered from 1 for the adversary),
+    /// one update and one check each, stopping when the adversary does or
+    /// at the first violation. With `fold = Some(n)` every update is
+    /// folded into `[0, n)` before the referee or the algorithm sees it.
+    pub(crate) fn play_rounds(
+        &mut self,
+        alg: &mut dyn DynStreamAlg,
+        adversary: &mut dyn DynAdversary,
+        referee: &mut dyn DynReferee,
+        rounds: u64,
+        fold: Option<u64>,
+    ) -> Result<(), WbError> {
+        let mut last: Option<Answer> = None;
+        for round in 1..=rounds {
+            let Some(update) =
+                adversary.next_update(round, alg, self.rng.transcript(), last.as_ref())
+            else {
+                break;
+            };
+            let update = fold.map_or(update, |n| update.fold_into(n));
+            referee.observe(&update);
+            alg.process_dyn(&update, &mut self.rng)?;
+            self.t += 1;
+            match self.check(alg, referee) {
+                Some(answer) => last = Some(answer),
+                None => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Seal the report at `t` with the algorithm's final space.
+    pub(crate) fn finish(mut self, alg: &dyn DynStreamAlg) -> GameReport {
+        self.report.finish(self.t, alg.space_bits_dyn());
+        self.report
+    }
+}
+
 /// Drives an oblivious [`UpdateSource`] through an erased algorithm with
 /// batched ingestion: chunks of up to `chunk` updates are pulled into one
 /// reused buffer (memory stays O(chunk) for any stream length), the
@@ -658,27 +737,18 @@ pub fn run_source_erased(
     seed: u64,
 ) -> Result<GameReport, WbError> {
     let chunk = chunk.max(1);
-    let mut rng = TranscriptRng::from_seed(seed);
     let expected_checks = source
         .len_hint()
         .map_or(1, |len| len.div_ceil(chunk as u64).max(1));
-    let mut report = GameReport::new(alg.space_bits_dyn(), expected_checks);
+    let mut game = ErasedGame::new(alg, seed, expected_checks);
     let mut buf: Vec<Update> = Vec::with_capacity(chunk);
-    let mut t = 0u64;
     while source.next_chunk(&mut buf) > 0 {
-        referee.observe_batch(&buf);
-        alg.process_batch_dyn(&buf, &mut rng)?;
-        t += buf.len() as u64;
-        let space = alg.space_bits_dyn();
-        let answer = alg.query_dyn();
-        let verdict = referee.check(t, &answer);
-        report.record_check(t, space, &verdict);
-        if !verdict.is_correct() {
+        game.ingest(alg, referee, &buf)?;
+        if game.check(alg, referee).is_none() {
             break;
         }
     }
-    report.finish(t, alg.space_bits_dyn());
-    Ok(report)
+    Ok(game.finish(alg))
 }
 
 /// Drives an already-materialized script through the streaming loop — a
@@ -705,29 +775,9 @@ pub fn run_erased(
     max_rounds: u64,
     seed: u64,
 ) -> Result<GameReport, WbError> {
-    let mut rng = TranscriptRng::from_seed(seed);
-    let mut report = GameReport::new(alg.space_bits_dyn(), max_rounds);
-    let mut last: Option<Answer> = None;
-    let mut t = 0u64;
-    for round in 1..=max_rounds {
-        let update = match adversary.next_update(round, alg, rng.transcript(), last.as_ref()) {
-            Some(u) => u,
-            None => break,
-        };
-        referee.observe(&update);
-        alg.process_dyn(&update, &mut rng)?;
-        t = round;
-        let space = alg.space_bits_dyn();
-        let answer = alg.query_dyn();
-        let verdict = referee.check(t, &answer);
-        report.record_check(t, space, &verdict);
-        if !verdict.is_correct() {
-            break;
-        }
-        last = Some(answer);
-    }
-    report.finish(t, alg.space_bits_dyn());
-    Ok(report)
+    let mut game = ErasedGame::new(alg, seed, max_rounds);
+    game.play_rounds(alg, adversary, referee, max_rounds, None)?;
+    Ok(game.finish(alg))
 }
 
 #[cfg(test)]
@@ -865,6 +915,26 @@ mod tests {
             Update::Turnstile {
                 item: 3,
                 delta: MAX_DELTA_EXPANSION as i64 + 1,
+            },
+            Update::Turnstile {
+                item: 3,
+                delta: MAX_TURNSTILE_DELTA as i64,
+            },
+            Update::Turnstile {
+                item: 3,
+                delta: -(MAX_TURNSTILE_DELTA as i64),
+            },
+            Update::Turnstile {
+                item: 3,
+                delta: MAX_TURNSTILE_DELTA as i64 + 1,
+            },
+            Update::Turnstile {
+                item: 3,
+                delta: i64::MIN,
+            },
+            Update::Turnstile {
+                item: 3,
+                delta: i64::MAX,
             },
         ];
         for u in &shapes {

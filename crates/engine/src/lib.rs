@@ -7,13 +7,16 @@
 //!   `Game::new(alg).adversary(a).referee(r).max_rounds(m).seed(s).run()`.
 //!   [`Observer`] hooks and [`GameReport`]s capture per-round
 //!   space/verdict timelines; [`Game::script`] + [`Game::batch`] ingest
-//!   oblivious stream segments through the algorithms' optimized
+//!   a materialized oblivious script through the algorithms' optimized
 //!   `process_batch` paths.
 //! * [`erased`] — the object-safe layer: an [`Update`] enum over the
 //!   paper's two stream models, an [`Answer`] enum over the query shapes,
 //!   and [`DynStreamAlg`], blanket-implemented for every
 //!   `StreamAlg + SpaceUsage` whose types convert — so
-//!   `Box<dyn DynStreamAlg>` is free for all `u64`-universe sketches.
+//!   `Box<dyn DynStreamAlg>` is free for all `u64`-universe sketches. Its
+//!   one erased round step drives every erased game: the pull-based
+//!   `run_source_erased`, the adaptive `run_erased`, and both phases of
+//!   each tournament cell.
 //! * [`registry`] — string-keyed construction
 //!   (`registry::get("robust_hh", &params)`) of algorithms and
 //!   adversaries, for binaries, tests, and servers that select at runtime.

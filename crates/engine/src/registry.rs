@@ -137,6 +137,12 @@ impl Params {
 /// multi-gigabyte allocation or a panic; no experiment goes below 0.05.
 pub(crate) const MIN_EPS: f64 = 1.0 / 65536.0;
 
+/// Smallest failure probability `δ` any algorithm accepts (2^-64). The
+/// Morris base offset is `2ε²δ`; with `ε ≥` [`MIN_EPS`] it stays at least
+/// 2^-95, positive and normal, where an unbounded `δ → 0` underflows it to
+/// zero and panics the constructor. No experiment goes below 0.01.
+pub(crate) const MIN_DELTA: f64 = 1.0 / 18_446_744_073_709_551_616.0;
+
 /// Largest universe `sis_l0` accepts (2^20). Its modulus `q ≥ n³` must
 /// fit in a `u64` and its sketch grows with `n`; the largest in-repo
 /// universe is 2^16.
@@ -168,6 +174,7 @@ const ENTRIES: &[(&str, &str, Ctor)] = &[
         |p| {
             check_eps(p.eps, 1.0)?;
             check_delta(p.delta)?;
+            check_m_guess(p.m_guess)?;
             Ok(Box::new(BernMG::new(p.n, p.m_guess, p.eps, p.delta)))
         },
     ),
@@ -177,6 +184,7 @@ const ENTRIES: &[(&str, &str, Ctor)] = &[
         |p| {
             check_eps(p.eps, 1.0)?;
             check_delta(p.delta)?;
+            check_m_guess(p.m_guess)?;
             Ok(Box::new(BernoulliHeavyHitters::new(
                 p.n, p.m_guess, p.eps, p.delta,
             )))
@@ -289,10 +297,19 @@ fn check_eps(eps: f64, hi: f64) -> Result<(), WbError> {
 }
 
 fn check_delta(delta: f64) -> Result<(), WbError> {
-    if delta > 0.0 && delta < 1.0 {
+    if (MIN_DELTA..1.0).contains(&delta) {
         Ok(())
     } else {
-        Err(WbError::invalid("delta must be in (0, 1)"))
+        Err(WbError::invalid("delta must be in [2^-64, 1)"))
+    }
+}
+
+/// Fixed-horizon algorithms size their sampling rate by the horizon.
+fn check_m_guess(m_guess: u64) -> Result<(), WbError> {
+    if m_guess >= 1 {
+        Ok(())
+    } else {
+        Err(WbError::invalid("m_guess must be >= 1"))
     }
 }
 

@@ -10,9 +10,13 @@
 //! **Cell anatomy.** Each cell first ingests an *oblivious prelude* drawn
 //! from the named workload generator — the algorithm's state is preloaded
 //! with realistic traffic — and then the named adversary plays the
-//! adaptive per-round white-box game against that warm state. One
-//! [`TranscriptRng`] spans both phases, so the adversary sees the full
-//! randomness transcript, prelude included.
+//! adaptive per-round white-box game against that warm state. One game
+//! tape spans both phases, so the adversary sees the full randomness
+//! transcript, prelude included. Both phases are steps of the erased
+//! layer's one round protocol (see [`crate::erased`]); the cell adds only
+//! its own policies — one check at the end of the prelude, mid-prelude
+//! checkpoint frames, the first offending offset of an incompatible
+//! stream, and the sharded prelude.
 //!
 //! **Streaming prelude.** The prelude is never materialized: chunks of
 //! `batch` updates are pulled from [`WorkloadSpec::stream`] into one
@@ -48,19 +52,19 @@
 //! deterministic and applied identically to referee and algorithm, so
 //! ground truth stays exact.
 
-use crate::erased::{DynStreamAlg, Update};
+use crate::erased::{DynStreamAlg, ErasedGame, Update};
 use crate::experiment::json_escape;
 use crate::pool::{self, Job};
 use crate::referee::{DynReferee, RefereeSpec};
 use crate::registry::{self, Params};
-use crate::report::{header, row, GameReport};
+use crate::report::{header, row};
 use crate::shard::{self, Partition, ShardConfig};
 use crate::workload::{FoldSource, InspectSource, UpdateSource, WorkloadSpec, WorkloadStream};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
-use wb_core::rng::{derive_seed, TranscriptRng};
+use wb_core::rng::derive_seed;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::WbError;
 
@@ -805,43 +809,38 @@ fn blank_cell(cfg: &TournamentConfig, alg: &str, adversary: &str, workload: &str
 /// referee ground truth, prelude generator, and the report accumulator.
 /// Everything a resumed cell needs to continue draw-for-draw.
 fn capture_cell_frame(
-    t: u64,
+    game: &ErasedGame,
     alg: &dyn DynStreamAlg,
-    rng: &TranscriptRng,
     referee: &dyn DynReferee,
     source: &FoldSource<WorkloadStream>,
-    game: &GameReport,
 ) -> Result<Vec<u8>, SnapError> {
     let mut w = SnapWriter::new();
-    w.put_u64(t);
+    w.put_u64(game.t);
     w.put_bytes(&alg.snapshot_dyn()?);
-    rng.snap(&mut w);
+    game.rng.snap(&mut w);
     w.put_bytes(&referee.snapshot_dyn()?);
     source.snap(&mut w);
-    game.snap(&mut w);
+    game.report.snap(&mut w);
     Ok(w.finish())
 }
 
 /// Restore a [`capture_cell_frame`] frame into a freshly constructed cell
-/// (same config, same coordinates). Returns the stream position to resume
-/// from.
+/// (same config, same coordinates), stream position included.
 fn restore_cell_frame(
     frame: &[u8],
+    game: &mut ErasedGame,
     alg: &mut dyn DynStreamAlg,
-    rng: &mut TranscriptRng,
     referee: &mut dyn DynReferee,
     source: &mut FoldSource<WorkloadStream>,
-    game: &mut GameReport,
-) -> Result<u64, SnapError> {
+) -> Result<(), SnapError> {
     let mut r = SnapReader::new(frame)?;
-    let t = r.take_u64()?;
+    game.t = r.take_u64()?;
     alg.restore_dyn(&r.take_bytes()?)?;
-    rng.restore(&mut r)?;
+    game.rng.restore(&mut r)?;
     referee.restore_dyn(&r.take_bytes()?)?;
     source.restore(&mut r)?;
-    game.restore(&mut r)?;
-    r.finish()?;
-    Ok(t)
+    game.report.restore(&mut r)?;
+    r.finish()
 }
 
 fn play_cell(
@@ -873,7 +872,8 @@ fn play_cell(
     let mut params = Params::default().with_n(n).with_seed(ctor_seed);
     // Fixed-horizon algorithms must budget for the whole cell.
     params.m_guess = cfg.prelude_m + cfg.rounds;
-    let mut alg = match registry::get(alg_name, &params) {
+    let ctor = |_: usize| registry::get(alg_name, &params);
+    let mut alg = match ctor(0) {
         Ok(a) => a,
         Err(e) => return error(cell, e.to_string()),
     };
@@ -892,29 +892,21 @@ fn play_cell(
     };
     let mut referee = referee_for(alg_name, &params).build();
 
-    // One rng spans both phases: the adversary sees the prelude's transcript.
-    let mut rng = TranscriptRng::from_seed(game_seed);
     let batch = cfg.batch.max(1);
     let shards = cfg.shards.max(1);
-    // Mergeability gates the sharded path. The probe trial-merges one extra
-    // empty instance into `alg` (a no-op by the Mergeable contract — the
-    // sibling summarizes the empty stream), so it costs one construction,
-    // not two, and unmergeable algorithms keep `alg` untouched for the
+    // Mergeability gates the sharded path; unmergeable algorithms take the
     // flat path below.
-    let use_sharded = shards > 1 && {
-        match registry::get(alg_name, &params) {
-            Ok(probe) => alg.merge_dyn(probe.as_ref()).is_ok(),
+    let use_sharded = shards > 1
+        && match shard::probe_mergeable(&ctor) {
+            Ok(mergeable) => mergeable,
             Err(e) => return error(cell, e.to_string()),
-        }
-    };
-    // The prelude is checked once, at its end, in both modes — the chunk
-    // size is pure transport and must not leak into the report.
-    let expected_checks = 1 + cfg.rounds;
-    let mut game = GameReport::new(alg.space_bits_dyn(), expected_checks);
-    let mut t = 0u64;
-    let mut incompatible: Option<String> = None;
+        };
+    // One game tape spans both phases: the adversary sees the prelude's
+    // transcript. The prelude is checked once, at its end, in both modes —
+    // the chunk size is pure transport and must not leak into the report.
+    let mut game = ErasedGame::new(alg.as_ref(), game_seed, 1 + cfg.rounds);
 
-    if use_sharded {
+    let prelude = if use_sharded {
         // Phase 1, sharded: the referee observes the stream in original
         // order (teed off the producer's chunks) while the algorithm state
         // is assembled from hash-partitioned shard ingests merged in a
@@ -929,7 +921,6 @@ fn play_cell(
         // full prelude randomness transcript. If the fallback or a replay
         // is ever needed, the source is simply re-created from the spec —
         // a stream is a pure function of its seed, so nothing is cloned.
-        let ctor = |_: usize| registry::get(alg_name, &params);
         let shard_cfg = ShardConfig {
             shards,
             partition: Partition::Hash,
@@ -937,135 +928,120 @@ fn play_cell(
             batch,
             master_seed: game_seed,
         };
-        let ingested = {
-            let referee = referee.as_mut();
-            let mut source = InspectSource::new(FoldSource::new(spec.stream(), n), |chunk| {
-                referee.observe_batch(chunk)
-            });
-            shard::ingest_sharded_source(&ctor, &mut source, &shard_cfg)
-        };
-        match ingested {
-            Ok(out) => {
+        let referee = referee.as_mut();
+        let mut source = InspectSource::new(FoldSource::new(spec.stream(), n), |chunk| {
+            referee.observe_batch(chunk)
+        });
+        shard::ingest_sharded_source(&ctor, &mut source, &shard_cfg)
+            .map(|out| {
                 alg = out.merged;
-                t = out.stats.total();
-                let space = alg.space_bits_dyn();
-                let answer = alg.query_dyn();
-                let verdict = referee.check(t, &answer);
-                game.record_check(t, space, &verdict);
-            }
-            Err(e) => incompatible = Some(e.to_string()),
-        }
+                game.t = out.stats.total();
+            })
+            .map_err(|e| e.to_string())
     } else {
         // Phase 1: oblivious workload prelude, streamed chunk by chunk
         // through one reused buffer — O(batch) memory for any prelude_m.
         let mut source = FoldSource::new(spec.stream(), n);
         if let Some(frame) = ckpt.and_then(|c| c.resume) {
-            match restore_cell_frame(
+            if let Err(e) = restore_cell_frame(
                 frame,
+                &mut game,
                 alg.as_mut(),
-                &mut rng,
                 referee.as_mut(),
                 &mut source,
-                &mut game,
             ) {
-                Ok(resumed) => t = resumed,
-                Err(e) => return error(cell, format!("corrupt cell checkpoint: {e}")),
+                return error(cell, format!("corrupt cell checkpoint: {e}"));
             }
         }
-        let every = ckpt.and_then(|c| (c.every > 0).then_some(c.every));
-        let mut buf: Vec<Update> = Vec::with_capacity(batch);
-        loop {
-            if let Some(every) = every {
-                // Cut pulls at checkpoint boundaries so frames land at
-                // exact multiples of `every` regardless of --chunk. The
-                // state at update t is chunk-invariant by the batching
-                // contract, so the extra cut changes nothing else — and
-                // the frames themselves are chunk-invariant too.
-                let next = (t / every + 1) * every;
-                let want = batch.min(usize::try_from(next - t).unwrap_or(batch)).max(1);
-                if buf.capacity() != want {
-                    buf = Vec::with_capacity(want);
-                }
-            }
-            if source.next_chunk(&mut buf) == 0 {
-                break;
-            }
-            referee.observe_batch(&buf);
-            if let Err(e) = alg.process_batch_dyn(&buf, &mut rng) {
-                let off = shard::locate_failure(alg.as_mut(), &buf, &mut rng, t);
-                incompatible = Some(format!(
-                    "{e} (first offending update at stream offset {off})"
-                ));
-                // Count the updates before the offending one as ingested —
-                // the per-update semantics, independent of the chunk size.
-                t = off;
-                break;
-            }
-            t += buf.len() as u64;
-            if every.is_some_and(|every| t.is_multiple_of(every)) {
-                if let Some(c) = ckpt {
-                    // Algorithms without snapshot support simply skip
-                    // mid-cell frames; the cell still resumes from scratch.
-                    if let Ok(frame) =
-                        capture_cell_frame(t, alg.as_ref(), &rng, referee.as_ref(), &source, &game)
-                    {
-                        (c.sink)(frame);
-                    }
-                }
-            }
-        }
-        if incompatible.is_none() {
-            let space = alg.space_bits_dyn();
-            let answer = alg.query_dyn();
-            let verdict = referee.check(t, &answer);
-            game.record_check(t, space, &verdict);
-        }
-    }
+        flat_prelude(
+            &mut game,
+            alg.as_mut(),
+            referee.as_mut(),
+            &mut source,
+            batch,
+            ckpt,
+        )
+    };
 
     // Phase 2: adaptive per-round white-box game against the warm state.
-    if incompatible.is_none() && game.result.failure.is_none() {
-        let mut last = None;
-        for round in 1..=cfg.rounds {
-            let update = match adv.next_update(round, alg.as_ref(), rng.transcript(), last.as_ref())
-            {
-                Some(u) => u.fold_into(n),
-                None => break,
-            };
-            referee.observe(&update);
-            if let Err(e) = alg.process_dyn(&update, &mut rng) {
-                incompatible = Some(e.to_string());
-                break;
-            }
-            t += 1;
-            let space = alg.space_bits_dyn();
-            let answer = alg.query_dyn();
-            let verdict = referee.check(t, &answer);
-            game.record_check(t, space, &verdict);
-            if !verdict.is_correct() {
-                break;
-            }
-            last = Some(answer);
+    let outcome = prelude.and_then(|()| {
+        if game.check(alg.as_ref(), referee.as_mut()).is_some() {
+            game.play_rounds(
+                alg.as_mut(),
+                adv.as_mut(),
+                referee.as_mut(),
+                cfg.rounds,
+                Some(n),
+            )
+            .map_err(|e| e.to_string())?;
         }
-    }
+        Ok(())
+    });
 
-    game.finish(t, alg.space_bits_dyn());
-    let (verdict, detail) = if let Some(msg) = incompatible {
-        (CellVerdict::Incompatible, msg)
-    } else if let Some(f) = &game.result.failure {
-        (
+    let report = game.finish(alg.as_ref());
+    (cell.verdict, cell.detail) = match (outcome, &report.result.failure) {
+        (Err(msg), _) => (CellVerdict::Incompatible, msg),
+        (Ok(()), Some(f)) => (
             CellVerdict::Violated { round: f.round },
             f.description.clone(),
-        )
-    } else {
-        (CellVerdict::Survived, String::new())
+        ),
+        (Ok(()), None) => (CellVerdict::Survived, String::new()),
     };
-    cell.verdict = verdict;
-    cell.detail = detail;
-    cell.rounds = t;
-    cell.checks = game.checks;
-    cell.peak_space_bits = game.result.peak_space_bits;
-    cell.final_space_bits = game.result.final_space_bits;
+    cell.rounds = report.result.rounds;
+    cell.checks = report.checks;
+    cell.peak_space_bits = report.result.peak_space_bits;
+    cell.final_space_bits = report.result.final_space_bits;
     cell
+}
+
+/// The flat prelude: every chunk of `source` through [`ErasedGame::ingest`],
+/// cutting a checkpoint frame at every multiple of the context's `every`.
+/// An incompatible update ends it with the stream offset of the first
+/// offending update, and `t` counts the updates before it — the per-update
+/// semantics, independent of the chunk size.
+fn flat_prelude(
+    game: &mut ErasedGame,
+    alg: &mut dyn DynStreamAlg,
+    referee: &mut dyn DynReferee,
+    source: &mut FoldSource<WorkloadStream>,
+    batch: usize,
+    ckpt: Option<&CellCkptCtx<'_>>,
+) -> Result<(), String> {
+    let frames = ckpt.filter(|c| c.every > 0);
+    let mut buf: Vec<Update> = Vec::with_capacity(batch);
+    loop {
+        if let Some(&CellCkptCtx { every, .. }) = frames {
+            // Cut pulls at checkpoint boundaries so frames land at exact
+            // multiples of `every` regardless of --chunk. The state at
+            // update t is chunk-invariant by the batching contract, so the
+            // extra cut changes nothing else — and the frames themselves
+            // are chunk-invariant too.
+            let next = (game.t / every + 1) * every;
+            let want = batch
+                .min(usize::try_from(next - game.t).unwrap_or(batch))
+                .max(1);
+            if buf.capacity() != want {
+                buf = Vec::with_capacity(want);
+            }
+        }
+        if source.next_chunk(&mut buf) == 0 {
+            return Ok(());
+        }
+        if let Err(e) = game.ingest(alg, referee, &buf) {
+            game.t = shard::locate_failure(alg, &buf, &mut game.rng, game.t);
+            return Err(format!(
+                "{e} (first offending update at stream offset {})",
+                game.t
+            ));
+        }
+        if let Some(c) = frames.filter(|c| game.t.is_multiple_of(c.every)) {
+            // Algorithms without snapshot support simply skip mid-cell
+            // frames; the cell still resumes from scratch.
+            if let Ok(frame) = capture_cell_frame(game, alg, referee, source) {
+                (c.sink)(frame);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

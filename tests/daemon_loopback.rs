@@ -315,8 +315,9 @@ fn ingest_batch_larger_than_the_inbox_completes() {
 /// Regression: an item at or above a universe-bounded tenant's `n` used to
 /// pass admission and panic the `sis_l0` kernel inside a pool job, which
 /// poisoned the tenant's lock and then took down the reactor and the
-/// final metrics. Admission now refuses it with a typed `bad_request`; the
-/// daemon keeps serving every tenant, and each applies what it accepted.
+/// final metrics. Admission now refuses it with a typed `bad_request`, and
+/// a delta beyond the turnstile bound with `wrong_model`; the daemon keeps
+/// serving every tenant, and each applies what it accepted.
 #[test]
 fn out_of_universe_item_is_refused_at_admission() {
     let server = Server::start(DaemonConfig {
@@ -328,9 +329,21 @@ fn out_of_universe_item_is_refused_at_admission() {
     let mut sess = Session::connect(server.addr());
     sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"a\",\"alg\":\"sis_l0\",\"n\":16}");
     sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"b\",\"alg\":\"count_min\",\"seed\":1}");
-    for line in [
-        "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[100,1]]}",
-        "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[3,1],[16,-1]]}",
+    // A delta of i64::MIN is outside the turnstile model (its magnitude
+    // overflows the kernels' signed counters): `wrong_model`.
+    for (line, kind) in [
+        (
+            "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[100,1]]}",
+            "bad_request",
+        ),
+        (
+            "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[3,1],[16,-1]]}",
+            "bad_request",
+        ),
+        (
+            "{\"cmd\":\"ingest\",\"tenant\":\"a\",\"updates\":[[3,-9223372036854775808]]}",
+            "wrong_model",
+        ),
     ] {
         let reply = sess.roundtrip(line);
         assert_eq!(
@@ -338,7 +351,7 @@ fn out_of_universe_item_is_refused_at_admission() {
                 .get("error")
                 .and_then(|e| e.get("kind"))
                 .and_then(Json::as_str),
-            Some("bad_request"),
+            Some(kind),
             "{line} must be refused: {}",
             reply.to_line()
         );
@@ -365,7 +378,7 @@ fn out_of_universe_item_is_refused_at_admission() {
     }
     let tenants = finals.get("tenants").expect("tenants rollup");
     assert_eq!(tenants.get("accepted").and_then(Json::as_u64), Some(5));
-    assert_eq!(tenants.get("rejected").and_then(Json::as_u64), Some(3));
+    assert_eq!(tenants.get("rejected").and_then(Json::as_u64), Some(4));
     let pool = finals.get("pool").expect("pool stats");
     assert_eq!(pool.get("panicked").and_then(Json::as_u64), Some(0));
 }

@@ -113,3 +113,86 @@ fn out_of_universe_items_are_refused_without_unwinding() {
         }
     }
 }
+
+#[test]
+fn hostile_params_are_refused_without_unwinding() {
+    // Parameters that once panicked a constructor: δ so small that the
+    // Morris base offset 2ε²δ underflows to zero at the smallest ε, and a
+    // zero horizon for the fixed-horizon samplers. Every algorithm that
+    // reads the parameter refuses it with `Err`; no algorithm unwinds.
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let base = Params::default().with_n(1 << 10);
+    let delta_readers = ["bern_mg", "bernoulli_hh", "morris"];
+    let mut cases: Vec<(String, Params, &[&str])> = Vec::new();
+    for delta in [5e-324, f64::MIN_POSITIVE, 1e-300, 0.0] {
+        cases.push((
+            format!("eps 2^-16, delta {delta:e}"),
+            base.clone().with_eps(1.0 / 65536.0).with_delta(delta),
+            &delta_readers,
+        ));
+    }
+    cases.push((
+        "m_guess 0".to_string(),
+        base.clone().with_m_guess(0),
+        &["bern_mg", "bernoulli_hh"],
+    ));
+
+    for (what, params, readers) in &cases {
+        for name in readers.iter() {
+            let got = catch_unwind(AssertUnwindSafe(|| registry::get(name, params).is_ok()))
+                .unwrap_or_else(|_| panic!("{name} unwound at {what}"));
+            assert!(!got, "{name} accepted {what}");
+        }
+    }
+    // The floor itself is accepted, and a constructed counter is usable.
+    let floor = base.with_eps(1.0 / 65536.0).with_delta(1.0 / 2f64.powi(64));
+    for name in delta_readers {
+        let mut alg = registry::get(name, &floor).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut rng = wb_core::rng::TranscriptRng::from_seed(1);
+        alg.process_dyn(&wb_engine::erased::Update::Insert(3), &mut rng)
+            .unwrap();
+        let _ = alg.query_dyn();
+    }
+}
+
+#[test]
+fn extreme_turnstile_deltas_are_refused_without_unwinding() {
+    // Deltas at the edges of `i64` through the erased layer, one update
+    // and inside a batch: out of every model, so every algorithm refuses
+    // them with `Err`, leaves its state as it was, and never unwinds (an
+    // `i64::MIN` delta once overflowed turnstile counters). The model's
+    // pre-validation agrees with the refusal.
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wb_core::rng::TranscriptRng;
+    use wb_engine::erased::Update;
+
+    let params = Params::default().with_n(1 << 10);
+    for name in registry::names() {
+        for delta in [i64::MIN, i64::MIN + 1, i64::MAX] {
+            let hostile = Update::Turnstile { item: 1, delta };
+            for batched in [false, true] {
+                let what = format!("delta {delta} (batched: {batched})");
+                let mut alg = registry::get(name, &params).unwrap();
+                assert!(!alg.model_dyn().accepts(&hostile), "{name}: {what}");
+                let mut rng = TranscriptRng::from_seed(7);
+                alg.process_dyn(&Update::Insert(0), &mut rng).unwrap();
+                let before = alg.snapshot_dyn().unwrap();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if batched {
+                        alg.process_batch_dyn(&[Update::Insert(2), hostile], &mut rng)
+                    } else {
+                        alg.process_dyn(&hostile, &mut rng)
+                    }
+                }))
+                .unwrap_or_else(|_| panic!("{name}: {what} unwound"));
+                assert!(outcome.is_err(), "{name}: {what} was accepted");
+                assert_eq!(
+                    alg.snapshot_dyn().unwrap(),
+                    before,
+                    "{name}: refused {what} changed the state"
+                );
+            }
+        }
+    }
+}
