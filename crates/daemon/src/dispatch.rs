@@ -329,9 +329,16 @@ fn handle_ingest(
         st.tenant.accepted += accepted;
         st.tenant.batches += 1;
     }
+    // A batch that fits in one chunk is queued as it was parsed; a longer
+    // one is cut into `chunk`-sized pieces.
     let chunk = shared.cfg.chunk.max(1);
-    let mut remaining: VecDeque<Vec<Update>> =
-        updates.chunks(chunk).map(|piece| piece.to_vec()).collect();
+    let mut remaining: VecDeque<Vec<Update>> = if updates.len() > chunk {
+        updates.chunks(chunk).map(<[Update]>::to_vec).collect()
+    } else if updates.is_empty() {
+        VecDeque::new()
+    } else {
+        VecDeque::from([updates])
+    };
     match push_chunks(shared, ctx, &slot, &mut remaining) {
         Pushed::Complete { pending } => Ok(Outcome::reply(ingest_reply(accepted, pending))),
         Pushed::Blocked => Ok(Outcome::Pending(PendingOp {

@@ -10,6 +10,13 @@
 //! exponent parses as a float. `\uXXXX` escapes decode including surrogate
 //! pairs. Parsing rejects trailing garbage — one value per line, as the
 //! newline-delimited protocol requires.
+//!
+//! The lexer is also the request decoder's: `proto::parse_request` walks a
+//! line with the same object and array loops (`parse_members`,
+//! `parse_elems`) and `parse_value`, handing only the `updates` elements
+//! it can read in place to its own integer lexer. So [`Json::parse`] and
+//! the decoder accept the same lines and report the same syntax error,
+//! at the same byte, for every line they refuse.
 
 use std::fmt::Write as _;
 
@@ -76,14 +83,7 @@ impl Json {
     /// Parse exactly one JSON value from `input` (surrounding whitespace
     /// allowed, trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(value)
+        parse_line(input, |bytes, pos| parse_value(bytes, pos, 0))
     }
 
     /// Serialize onto `out` (compact, no whitespace — one line).
@@ -195,7 +195,23 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
+/// Run `value` on `input` from byte 0, then refuse anything but trailing
+/// whitespace after it: one value per line.
+pub(crate) fn parse_line<T>(
+    input: &str,
+    value: impl FnOnce(&[u8], &mut usize) -> Result<T, String>,
+) -> Result<T, String> {
+    let bytes = input.as_bytes();
+    let mut pos = 0usize;
+    let out = value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing characters at byte {pos}"));
+    }
+    Ok(out)
+}
+
+pub(crate) fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
         *pos += 1;
     }
@@ -214,9 +230,11 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
 /// a limit a line of tens of KB of `[` would overflow the session thread's
 /// stack and abort the whole process; the protocol only ever needs depth
 /// ~3.
-const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+/// Parse one value at `depth` (the top-level value is depth 0, each
+/// enclosing `[`/`{` adds one).
+pub(crate) fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
     }
@@ -243,48 +261,77 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
 }
 
 fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
+    parse_members(bytes, pos, |key, bytes, pos| {
+        members.push((key, parse_value(bytes, pos, depth + 1)?));
+        Ok(())
+    })?;
+    Ok(Json::Obj(members))
+}
+
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let mut items = Vec::new();
+    parse_elems(bytes, pos, |bytes, pos| {
+        items.push(parse_value(bytes, pos, depth + 1)?);
+        Ok(())
+    })?;
+    Ok(Json::Arr(items))
+}
+
+/// The object grammar `{ "key" : value , ... }` from the `{` at `*pos`
+/// through its `}`. `member` receives each key and must consume exactly
+/// that member's value, starting at the byte after the `:`.
+pub(crate) fn parse_members(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut member: impl FnMut(String, &[u8], &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    expect(bytes, pos, b'{')?;
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Obj(members));
+        return Ok(());
     }
     loop {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        members.push((key, value));
+        member(key, bytes, pos)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Obj(members));
+                return Ok(());
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+/// The array grammar `[ value , ... ]` from the `[` at `*pos` through its
+/// `]`. `elem` must consume exactly one element, starting at the first
+/// byte of the element or of the whitespace before it.
+pub(crate) fn parse_elems(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut elem: impl FnMut(&[u8], &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
     expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(Json::Arr(items));
+        return Ok(());
     }
     loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
+        elem(bytes, pos)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(Json::Arr(items));
+                return Ok(());
             }
             _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
         }

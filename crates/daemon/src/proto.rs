@@ -29,8 +29,26 @@
 //! input never panics the daemon or drops the connection; the session keeps
 //! serving after an error reply. Error kinds are a closed set (see
 //! [`ErrorKind`]) so scripted clients can branch without string matching.
+//!
+//! [`parse_request`] decodes a line in one pass over its bytes, with the
+//! lexer primitives of [`crate::json`]: members are read in order, the
+//! first `updates` array is decoded element by element straight into a
+//! `Vec<Update>` (plain integers and `[item, delta]` pairs are lexed in
+//! place; any other element is parsed as one [`Json`] value and read the
+//! same way), and every other member is kept as a [`Json`] value. No tree
+//! of the batch is built and no line is parsed twice. Errors come in a
+//! fixed precedence: a syntax error anywhere in the line (`malformed
+//! JSON: …`, also trailing bytes and nesting deeper than the JSON
+//! reader's limit of 64) wins over a shape error (a missing or mistyped
+//! field, or `updates[i]: …` for the first malformed element), which wins
+//! over the admission checks made later against the tenant (`wrong_model`,
+//! `quota_exceeded`, …). On a duplicated key the first value wins. The
+//! unit tests hold a tree-based reference parser, `parse_request_oracle`
+//! (`Json::parse` the whole line, then read each field from the tree), and
+//! check that both give the same `Result` — error kind and message
+//! included — on generated and damaged lines.
 
-use crate::json::{obj, Json};
+use crate::json::{self, obj, Json};
 use wb_engine::Update;
 
 /// Closed set of protocol error kinds.
@@ -189,10 +207,11 @@ pub enum Request {
 }
 
 /// Parse one request line. Errors are [`ErrorKind::BadRequest`] with a
-/// message pointing at the offending field.
+/// message pointing at the offending field; a syntax error anywhere in the
+/// line wins over a missing or mistyped field.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let bad = |msg: String| ProtoError::new(ErrorKind::BadRequest, msg);
-    let v = Json::parse(line).map_err(|e| bad(format!("malformed JSON: {e}")))?;
+    let (v, batch) = decode(line).map_err(|e| bad(format!("malformed JSON: {e}")))?;
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
@@ -249,14 +268,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }
         "ingest" => {
             let tenant = tenant_of(&v)?;
-            let raw = v
-                .get("updates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("ingest needs an array field 'updates'".to_string()))?;
-            let mut updates = Vec::with_capacity(raw.len());
-            for (i, u) in raw.iter().enumerate() {
-                updates.push(parse_update(u).map_err(|e| bad(format!("updates[{i}]: {e}")))?);
-            }
+            let updates = batch
+                .ok_or_else(|| bad("ingest needs an array field 'updates'".to_string()))?
+                .map_err(bad)?;
             Ok(Request::Ingest { tenant, updates })
         }
         "query" => Ok(Request::Query {
@@ -295,6 +309,134 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
              snapshot, restore, metrics, top, bye, shutdown)"
         ))),
     }
+}
+
+/// The first `updates` member of a request, decoded: `None` when it is
+/// absent or not an array, else the batch or `updates[i]: why` for its
+/// first malformed element.
+type Batch = Option<Result<Vec<Update>, String>>;
+
+/// Lex one request line in a single pass. The first `updates` member goes
+/// straight into a [`Batch`]; every other member is kept as a [`Json`]
+/// value in the returned object (a line that is not an object comes back
+/// as whatever value it is). `Err` is a syntax error, found before any
+/// field is looked at, so it wins over every shape error in the line.
+fn decode(line: &str) -> Result<(Json, Batch), String> {
+    json::parse_line(line, |bytes, pos| {
+        json::skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b'{') {
+            return Ok((json::parse_value(bytes, pos, 0)?, None));
+        }
+        let mut members = Vec::new();
+        let mut batch = None;
+        let mut seen_updates = false;
+        json::parse_members(bytes, pos, |key, bytes, pos| {
+            if key == "updates" && !seen_updates {
+                // Later duplicates fall through to `members`, where no
+                // lookup reaches them: the first value wins.
+                seen_updates = true;
+                batch = decode_updates(bytes, pos)?;
+            } else {
+                members.push((key, json::parse_value(bytes, pos, 1)?));
+            }
+            Ok(())
+        })?;
+        Ok((Json::Obj(members), batch))
+    })
+}
+
+/// The value of the first `updates` member (a depth-1 value).
+fn decode_updates(bytes: &[u8], pos: &mut usize) -> Result<Batch, String> {
+    json::skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b'[') {
+        json::parse_value(bytes, pos, 1)?;
+        return Ok(None);
+    }
+    let mut updates = Vec::new();
+    let mut malformed = None;
+    json::parse_elems(bytes, pos, |bytes, pos| {
+        // After a malformed element the rest is still lexed, so that a
+        // later syntax error wins, but nothing more is kept.
+        match decode_update(bytes, pos)? {
+            Ok(u) if malformed.is_none() => updates.push(u),
+            Err(e) if malformed.is_none() => {
+                malformed = Some(format!("updates[{}]: {e}", updates.len()));
+            }
+            _ => {}
+        }
+        Ok(())
+    })?;
+    Ok(Some(match malformed {
+        None => Ok(updates),
+        Some(e) => Err(e),
+    }))
+}
+
+/// One `updates` element (a depth-2 value): `Err` is a syntax error,
+/// `Ok(Err)` a shape error. A bare item of at most 19 digits and an
+/// `[item, delta]` pair of plain integers are lexed in place; any other
+/// element (a sign on an item, a fraction or exponent, a longer digit
+/// string, another shape) is parsed as a [`Json`] value and read by
+/// [`parse_update`]. Both ways give the same `Update` or message.
+fn decode_update(bytes: &[u8], pos: &mut usize) -> Result<Result<Update, String>, String> {
+    let start = *pos;
+    json::skip_ws(bytes, pos);
+    let lexed = match bytes.get(*pos) {
+        Some(b'0'..=b'9') => lex_digits(bytes, pos, 19).map(Update::Insert),
+        Some(b'[') => lex_pair(bytes, pos),
+        _ => None,
+    };
+    if let Some(u) = lexed {
+        return Ok(Ok(u));
+    }
+    *pos = start;
+    json::parse_value(bytes, pos, 2).map(|v| parse_update(&v))
+}
+
+/// A whole number token of 1 to `max` ASCII digits at `*pos` (`max` ≤ 19,
+/// so the value cannot overflow a `u64`). `None` — with `*pos` anywhere —
+/// when the token is empty, longer, or continues with a fraction,
+/// exponent or sign, all of which the JSON number lexer would read on.
+fn lex_digits(bytes: &[u8], pos: &mut usize, max: usize) -> Option<u64> {
+    let start = *pos;
+    let mut value = 0u64;
+    while let Some(&d @ b'0'..=b'9') = bytes.get(*pos) {
+        if *pos - start == max {
+            return None;
+        }
+        value = value * 10 + u64::from(d - b'0');
+        *pos += 1;
+    }
+    match bytes.get(*pos) {
+        Some(b'.' | b'e' | b'E' | b'+' | b'-') => None,
+        _ if *pos == start => None,
+        _ => Some(value),
+    }
+}
+
+/// `[item, delta]` at the `[` at `*pos`: an item of at most 19 digits and
+/// a delta of at most 18 digits after an optional `-`, so both fit.
+/// `None` — with `*pos` anywhere — for any other array.
+fn lex_pair(bytes: &[u8], pos: &mut usize) -> Option<Update> {
+    *pos += 1;
+    json::skip_ws(bytes, pos);
+    let item = lex_digits(bytes, pos, 19)?;
+    json::skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b',') {
+        return None;
+    }
+    *pos += 1;
+    json::skip_ws(bytes, pos);
+    let negative = bytes.get(*pos) == Some(&b'-');
+    *pos += usize::from(negative);
+    let magnitude = lex_digits(bytes, pos, 18)? as i64;
+    json::skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b']') {
+        return None;
+    }
+    *pos += 1;
+    let delta = if negative { -magnitude } else { magnitude };
+    Some(Update::Turnstile { item, delta })
 }
 
 /// One update: a bare non-negative integer is an insert; a two-element
@@ -451,5 +593,481 @@ mod tests {
         assert_eq!(ErrorKind::WrongModel.label(), "wrong_model");
         assert_eq!(ErrorKind::InvalidParameter.label(), "invalid_parameter");
         assert_eq!(ErrorKind::UnknownTenant.label(), "unknown_tenant");
+    }
+
+    /// The reference parser: `Json::parse` the whole line, then read every
+    /// field out of the tree.
+    fn parse_request_oracle(line: &str) -> Result<Request, ProtoError> {
+        let bad = |msg: String| ProtoError::new(ErrorKind::BadRequest, msg);
+        let v = Json::parse(line).map_err(|e| bad(format!("malformed JSON: {e}")))?;
+        let cmd = v
+            .get("cmd")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("missing string field 'cmd'".to_string()))?;
+        let tenant_of = |v: &Json| -> Result<String, ProtoError> {
+            match v.get("tenant").and_then(Json::as_str) {
+                Some(t) if !t.is_empty() => Ok(t.to_string()),
+                _ => Err(bad("missing non-empty string field 'tenant'".to_string())),
+            }
+        };
+        match cmd {
+            "hello" => {
+                let tenant = tenant_of(&v)?;
+                let alg = v
+                    .get("alg")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| bad("hello needs a string field 'alg'".to_string()))?
+                    .to_string();
+                let seed = match v.get("seed") {
+                    None => None,
+                    Some(s) => Some(
+                        s.as_u64()
+                            .ok_or_else(|| bad("'seed' must be a u64".to_string()))?,
+                    ),
+                };
+                let n = match v.get("n") {
+                    None => None,
+                    Some(x) => Some(
+                        x.as_u64()
+                            .ok_or_else(|| bad("'n' must be a u64".to_string()))?,
+                    ),
+                };
+                let eps = match v.get("eps") {
+                    None => None,
+                    Some(Json::Float(x)) => Some(*x),
+                    Some(Json::Int(i)) => Some(*i as f64),
+                    Some(_) => return Err(bad("'eps' must be a number".to_string())),
+                };
+                let shards = match v.get("shards") {
+                    None => None,
+                    Some(x) => Some(
+                        x.as_u64()
+                            .filter(|&s| s >= 1)
+                            .ok_or_else(|| bad("'shards' must be a u64 >= 1".to_string()))?
+                            as usize,
+                    ),
+                };
+                Ok(Request::Hello {
+                    tenant,
+                    alg,
+                    seed,
+                    params: HelloParams { n, eps, shards },
+                })
+            }
+            "ingest" => {
+                let tenant = tenant_of(&v)?;
+                let raw = v
+                    .get("updates")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| bad("ingest needs an array field 'updates'".to_string()))?;
+                let mut updates = Vec::with_capacity(raw.len());
+                for (i, u) in raw.iter().enumerate() {
+                    updates.push(parse_update(u).map_err(|e| bad(format!("updates[{i}]: {e}")))?);
+                }
+                Ok(Request::Ingest { tenant, updates })
+            }
+            "query" => Ok(Request::Query {
+                tenant: tenant_of(&v)?,
+            }),
+            "snapshot-stats" => Ok(Request::SnapshotStats {
+                tenant: tenant_of(&v)?,
+            }),
+            "snapshot" => {
+                let tenant = tenant_of(&v)?;
+                let path = match v.get("path") {
+                    None => None,
+                    Some(p) => Some(
+                        p.as_str()
+                            .filter(|p| !p.is_empty())
+                            .ok_or_else(|| bad("'path' must be a non-empty string".to_string()))?
+                            .to_string(),
+                    ),
+                };
+                Ok(Request::Snapshot { tenant, path })
+            }
+            "restore" => match v.get("path").and_then(Json::as_str) {
+                Some(p) if !p.is_empty() => Ok(Request::Restore {
+                    path: p.to_string(),
+                }),
+                _ => Err(bad(
+                    "restore needs a non-empty string field 'path'".to_string()
+                )),
+            },
+            "metrics" => Ok(Request::Metrics),
+            "top" => Ok(Request::Top),
+            "bye" => Ok(Request::Bye),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(bad(format!(
+                "unknown command '{other}' (known: hello, ingest, query, snapshot-stats, \
+                 snapshot, restore, metrics, top, bye, shutdown)"
+            ))),
+        }
+    }
+
+    /// `parse_request` agrees with the oracle on `line`, error kind and
+    /// message included; returns the shared result.
+    fn agree(line: &str) -> Result<Request, ProtoError> {
+        let got = parse_request(line);
+        assert_eq!(got, parse_request_oracle(line), "{line:?}");
+        got
+    }
+
+    fn ingest_of(updates: &str) -> String {
+        format!(r#"{{"cmd":"ingest","tenant":"t","updates":[{updates}]}}"#)
+    }
+
+    fn bad_message(line: &str) -> String {
+        let err = agree(line).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadRequest, "{line}");
+        err.message
+    }
+
+    #[test]
+    fn decoder_numbers_match_the_oracle() {
+        let batch = |updates: &str| match agree(&ingest_of(updates)) {
+            Ok(Request::Ingest { updates, .. }) => updates,
+            other => panic!("{updates}: {other:?}"),
+        };
+        assert_eq!(batch("18446744073709551615"), [Update::Insert(u64::MAX)]);
+        assert_eq!(
+            batch("9999999999999999999"),
+            [Update::Insert(9_999_999_999_999_999_999)]
+        );
+        assert_eq!(batch("-0, 01, 007"), [0, 1, 7].map(Update::Insert));
+        assert_eq!(
+            batch("[18446744073709551615,-9223372036854775808],[0,9223372036854775807],[3,-0]"),
+            [
+                Update::Turnstile {
+                    item: u64::MAX,
+                    delta: i64::MIN
+                },
+                Update::Turnstile {
+                    item: 0,
+                    delta: i64::MAX
+                },
+                Update::Turnstile { item: 3, delta: 0 },
+            ]
+        );
+        let bare = "updates[1]: bare update must be a non-negative u64 item";
+        assert_eq!(bad_message(&ingest_of("1,18446744073709551616")), bare);
+        assert_eq!(bad_message(&ingest_of("1,-5")), bare);
+        let shape = "updates[1]: update must be ITEM or [ITEM, DELTA]";
+        for float in ["1.0", "1e3", "+5", "1E+2"] {
+            assert_eq!(
+                bad_message(&ingest_of(&format!("1,{float}"))),
+                shape,
+                "{float}"
+            );
+        }
+        assert_eq!(
+            bad_message(&ingest_of("[1,9223372036854775808]")),
+            "updates[0]: turnstile delta must be an i64"
+        );
+        assert_eq!(
+            bad_message(&ingest_of("[-1,1]")),
+            "updates[0]: turnstile item must be a u64"
+        );
+        let forty = "1234567890".repeat(4);
+        assert_eq!(
+            bad_message(&ingest_of(&forty)),
+            format!("malformed JSON: bad number '{forty}'")
+        );
+    }
+
+    #[test]
+    fn decoder_shapes_keys_and_precedence_match_the_oracle() {
+        let shape = "update must be ITEM or [ITEM, DELTA]";
+        for (updates, at) in [
+            ("[1]", 0),
+            ("2,[1,2,3]", 1),
+            (r#"3,4,"five""#, 2),
+            ("{}", 0),
+        ] {
+            assert_eq!(
+                bad_message(&ingest_of(updates)),
+                format!("updates[{at}]: {shape}")
+            );
+        }
+        // `updates` before `cmd`, and a second `updates` key: the first wins
+        // whether it is a batch, a bad batch or not an array at all.
+        let ingest = |updates: Vec<Update>| Request::Ingest {
+            tenant: "t".into(),
+            updates,
+        };
+        assert_eq!(
+            agree(r#"{"updates":[4,[5,-1]],"tenant":"t","cmd":"ingest"}"#),
+            Ok(ingest(vec![
+                Update::Insert(4),
+                Update::Turnstile { item: 5, delta: -1 }
+            ]))
+        );
+        assert_eq!(
+            agree(r#"{"cmd":"ingest","tenant":"t","updates":[1],"updates":[2,3]}"#),
+            Ok(ingest(vec![Update::Insert(1)]))
+        );
+        assert_eq!(
+            bad_message(r#"{"cmd":"ingest","tenant":"t","updates":[-1],"updates":[2]}"#),
+            "updates[0]: bare update must be a non-negative u64 item"
+        );
+        assert_eq!(
+            bad_message(r#"{"cmd":"ingest","tenant":"t","updates":7,"updates":[2]}"#),
+            "ingest needs an array field 'updates'"
+        );
+        assert_eq!(
+            agree(r#"{"cmd":"ingest","tenant":"t","upd\u0061tes":[9]}"#),
+            Ok(ingest(vec![Update::Insert(9)]))
+        );
+        // A syntax error anywhere wins over a shape error before it; shape
+        // errors are reported in field order (`cmd`, `tenant`, `updates`).
+        for line in [
+            r#"{"cmd":"ingest","tenant":"t","updates":["five",1,]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[[1],2] x}"#,
+            r#"{"updates":[-1],"cmd":"ingest","tenant":"t""#,
+            r#"{"cmd":"frob","updates":[1.5],"x":tru}"#,
+        ] {
+            assert!(bad_message(line).starts_with("malformed JSON: "), "{line}");
+        }
+        assert_eq!(
+            bad_message(r#"{"cmd":"ingest","updates":[-1]}"#),
+            "missing non-empty string field 'tenant'"
+        );
+        // Other commands ignore `updates`, malformed or not.
+        assert_eq!(
+            agree(r#"{"cmd":"query","tenant":"t","updates":[[1,2,3],"x"]}"#),
+            Ok(Request::Query { tenant: "t".into() })
+        );
+        for line in ["", "  ", "[1,2]", r#""cmd""#, "7", "null", "{}"] {
+            assert!(agree(line).is_err(), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn decoder_nesting_limit_matches_the_oracle() {
+        // The object and the `updates` array are two levels, so an element
+        // opening k arrays nests its innermost value k + 2 deep.
+        let nested = |k: usize| ingest_of(&format!("1,{}1{}", "[".repeat(k), "]".repeat(k)));
+        assert_eq!(
+            bad_message(&nested(json::MAX_DEPTH - 2)),
+            "updates[1]: update must be ITEM or [ITEM, DELTA]"
+        );
+        let err = bad_message(&nested(json::MAX_DEPTH - 1));
+        assert!(
+            err.starts_with("malformed JSON: nesting deeper than"),
+            "{err}"
+        );
+        let bomb = ingest_of(&"[".repeat(100_000));
+        assert!(bad_message(&bomb).contains("nesting"));
+    }
+
+    /// The line generator's stream (SplitMix64, seeded by the property).
+    /// A `wild` line may also draw values and shapes the protocol refuses.
+    struct Mix {
+        state: u64,
+        wild: bool,
+    }
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
+            options[self.below(options.len() as u64) as usize]
+        }
+
+        /// Whitespace the grammar allows between tokens, usually none.
+        fn ws(&mut self) -> &'static str {
+            ["", "", "", " ", "\t", " \r\n "][self.below(6) as usize]
+        }
+    }
+
+    /// An item: small, at the `u64` and 19-digit edges, or (wild) past them.
+    fn item(g: &mut Mix) -> String {
+        match g.below(10) {
+            0 => g
+                .pick(&[
+                    "18446744073709551615",
+                    "9999999999999999999",
+                    "10000000000000000000",
+                ])
+                .into(),
+            1 => g.pick(&["0", "-0", "01", "007"]).into(),
+            2 if g.wild => g
+                .pick(&[
+                    "18446744073709551616",
+                    "-3",
+                    "1.0",
+                    "1e3",
+                    "+5",
+                    "0.5e1",
+                    "1-2",
+                    "-",
+                ])
+                .into(),
+            3 => g.next().to_string(),
+            _ => g.below(5000).to_string(),
+        }
+    }
+
+    /// A delta: small, at the `i64` and 18-digit edges, or (wild) past them.
+    fn delta(g: &mut Mix) -> String {
+        match g.below(8) {
+            0 => g
+                .pick(&[
+                    "-9223372036854775808",
+                    "9223372036854775807",
+                    "999999999999999999",
+                    "-1000000000000000000",
+                    "-0",
+                ])
+                .into(),
+            1 if g.wild => g
+                .pick(&[
+                    "9223372036854775808",
+                    "-9223372036854775809",
+                    "2.5",
+                    "-1e2",
+                    "--1",
+                ])
+                .into(),
+            _ => (g.below(21) as i64 - 10).to_string(),
+        }
+    }
+
+    fn element(g: &mut Mix) -> String {
+        match g.below(12) {
+            0 if g.wild => g
+                .pick(&[
+                    "[1]", "[1,2,3]", "\"five\"", "[]", "null", "{}", "[[1,2]]", "[-1,2]",
+                ])
+                .into(),
+            1..=4 => {
+                let (a, b, c, d) = (g.ws(), g.ws(), g.ws(), g.ws());
+                format!("[{a}{}{b},{c}{}{d}]", item(g), delta(g))
+            }
+            _ => item(g),
+        }
+    }
+
+    /// A request line of one of the commands: members in random order,
+    /// whitespace between tokens, sometimes a duplicated or escaped key.
+    fn request_line(g: &mut Mix) -> String {
+        let cmd = g.pick(&[
+            "hello", "ingest", "ingest", "ingest", "query", "snapshot", "restore",
+        ]);
+        let mut members: Vec<(String, String)> = vec![("cmd".into(), format!("\"{cmd}\""))];
+        let tenant = match g.below(8) {
+            0 if g.wild => None,
+            1 if g.wild => Some(g.pick(&["\"\"", "7"])),
+            _ => Some(g.pick(&["\"t\"", "\"c0-mg\""])),
+        };
+        if let Some(tenant) = tenant {
+            members.push(("tenant".into(), tenant.into()));
+        }
+        match cmd {
+            "hello" => {
+                members.push(("alg".into(), "\"misra_gries\"".into()));
+                for (key, value) in [
+                    ("seed", item(g)),
+                    ("n", item(g)),
+                    ("eps", delta(g)),
+                    ("shards", item(g)),
+                ] {
+                    if g.below(2) == 0 {
+                        members.push((key.into(), value));
+                    }
+                }
+            }
+            "snapshot" | "restore" => {
+                let path = match g.below(4) {
+                    0 if g.wild => None,
+                    1 if g.wild => Some(g.pick(&["\"\"", "3"])),
+                    _ => Some("\"/tmp/x.wbsnap\""),
+                };
+                if let Some(path) = path {
+                    members.push(("path".into(), path.into()));
+                }
+            }
+            _ => {}
+        }
+        if cmd == "ingest" || g.below(4) == 0 {
+            let len = match g.below(8) {
+                0 => 1024,
+                1 => 0,
+                _ => g.below(12),
+            };
+            let elements: Vec<String> = (0..len).map(|_| element(g)).collect();
+            let sep = format!("{},{}", g.ws(), g.ws());
+            let value = match g.below(12) {
+                0 if g.wild => g.pick(&["7", "\"x\"", "{}", "null"]).into(),
+                _ => format!("[{}{}{}]", g.ws(), elements.join(&sep), g.ws()),
+            };
+            members.push(("updates".into(), value));
+        }
+        if g.below(6) == 0 {
+            // A duplicated key: the oracle keeps the first value.
+            let (key, _) = members[g.below(members.len() as u64) as usize].clone();
+            let value = if key == "updates" {
+                format!("[{}]", element(g))
+            } else {
+                item(g)
+            };
+            members.push((key, value));
+        }
+        for i in (1..members.len()).rev() {
+            members.swap(i, g.below(i as u64 + 1) as usize);
+        }
+        if g.below(10) == 0 {
+            members[0].0 = members[0].0.replace('t', "\\u0074");
+        }
+        let body: Vec<String> = members
+            .iter()
+            .map(|(k, v)| format!("{}\"{k}\"{}:{}{v}{}", g.ws(), g.ws(), g.ws(), g.ws()))
+            .collect();
+        format!("{}{{{}}}{}", g.ws(), body.join(","), g.ws())
+    }
+
+    /// Byte-level damage: truncate, or insert or delete one structural
+    /// byte. Every generated line is ASCII, so any cut is a char boundary.
+    fn mutate(line: &mut String, op: u8, at: u64, which: u8) {
+        const BYTES: &[u8] = b"[],-.e+\" ";
+        let byte = BYTES[which as usize % BYTES.len()];
+        match op {
+            0 => line.truncate(at as usize % (line.len() + 1)),
+            1 => line.insert(at as usize % (line.len() + 1), byte as char),
+            2 => {
+                let hits: Vec<usize> = line.match_indices(byte as char).map(|(i, _)| i).collect();
+                if !hits.is_empty() {
+                    line.remove(hits[at as usize % hits.len()]);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn decoder_matches_tree_oracle(
+            seed in proptest::any::<u64>(),
+            damage in proptest::collection::vec((0u8..4, proptest::any::<u64>(), 0u8..9), 0..3),
+        ) {
+            let mut g = Mix { state: seed, wild: seed & 1 == 1 };
+            let mut line = request_line(&mut g);
+            agree(&line).ok();
+            for (op, at, which) in damage {
+                mutate(&mut line, op, at, which);
+                agree(&line).ok();
+            }
+        }
     }
 }

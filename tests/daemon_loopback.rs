@@ -981,3 +981,117 @@ fn requests_trailing_a_shutdown_are_served_during_drain() {
         "the drain must apply the batch accepted before it began"
     );
 }
+
+/// The request decoder on a live daemon: pipelined `ingest` lines that mix
+/// bare items and `[item, delta]` pairs with whitespace between every
+/// token are each acknowledged with their exact `accepted` count; a line
+/// whose element `k` is malformed is refused with `bad_request` naming
+/// `updates[k]` and changes nothing; the session keeps serving, and the
+/// quiescent answer is the exact L0 of what was accepted.
+#[test]
+fn pipelined_spaced_ingest_lines_decode_exactly() {
+    use std::collections::HashMap;
+
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        shards: 2,
+        chunk: 16,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut sess = Session::connect(server.addr());
+    sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"ws\",\"alg\":\"exact_l0\",\"seed\":5}");
+    let ws = [" ", "\t", "  ", " \r ", "\t \t"];
+    let mut net: HashMap<u64, i64> = HashMap::new();
+    let mut lines = Vec::new();
+    let mut accepted = Vec::new();
+    for b in 0..12u64 {
+        let sp = |i: u64| ws[((b * 7 + i) % ws.len() as u64) as usize];
+        let mut elems = Vec::new();
+        for i in 0..(20 + 9 * b) {
+            let item = (b * 31 + i * 17) % 61;
+            let (text, delta) = match i % 4 {
+                0 | 2 => (item.to_string(), 1),
+                1 => {
+                    let delta = if i % 8 == 1 { -1 } else { 3 };
+                    let (a, c, d, e) = (sp(i), sp(i + 1), sp(i + 2), sp(i + 3));
+                    (format!("[{a}{item}{c},{d}{delta}{e}]"), delta)
+                }
+                _ => (format!("[{item},-2]"), -2),
+            };
+            *net.entry(item).or_default() += delta;
+            elems.push(text);
+        }
+        let (a, c, d) = (sp(0), sp(1), sp(2));
+        lines.push(format!(
+            "{a}{{{c}\"cmd\"{d}:{a}\"ingest\"{c},{d}\"tenant\"{a}:{c}\"ws\"{d},{a}\"updates\"{c}:{d}[{a}{}{c}]{d}}}{a}",
+            elems.join(&format!("{d},{a}"))
+        ));
+        accepted.push(elems.len() as u64);
+    }
+    // Element k of this line is an unsigned item with a fraction: the
+    // whole batch is refused before admission.
+    let k = 5;
+    let bad = (0..9)
+        .map(|i| {
+            if i == k {
+                "7.5".to_string()
+            } else {
+                format!("[ {i} , 1 ]")
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(" , ");
+    lines.insert(
+        4,
+        format!("{{ \"cmd\" : \"ingest\" , \"tenant\" : \"ws\" , \"updates\" : [ {bad} ] }}"),
+    );
+    let mut pipelined = lines.join("\n");
+    pipelined.push('\n');
+    sess.writer
+        .write_all(pipelined.as_bytes())
+        .expect("send pipelined lines");
+    for (i, line) in lines.iter().enumerate() {
+        let reply = sess.read_reply();
+        if i == 4 {
+            let error = reply.get("error").expect("the malformed line is refused");
+            assert_eq!(
+                error.get("kind").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.starts_with(&format!("updates[{k}]: ")), "{message}");
+            continue;
+        }
+        let want = accepted[if i < 4 { i } else { i - 1 }];
+        assert_eq!(
+            reply.get("accepted").and_then(Json::as_u64),
+            Some(want),
+            "{line:?} -> {}",
+            reply.to_line()
+        );
+    }
+    let total: u64 = accepted.iter().sum();
+    let reply = sess.expect_ok("{\"cmd\":\"query\",\"tenant\":\"ws\"}");
+    assert_eq!(reply.get("processed").and_then(Json::as_u64), Some(total));
+    let l0 = net.values().filter(|&&f| f != 0).count() as u64;
+    let answer = reply.get("answer").expect("answer");
+    assert_eq!(
+        answer.get("value").and_then(Json::as_u64),
+        Some(l0),
+        "{}",
+        answer.to_line()
+    );
+    let reply = sess.expect_ok("{\"cmd\":\"snapshot-stats\",\"tenant\":\"ws\"}");
+    let stats = reply.get("stats").expect("tenant stats");
+    assert_eq!(stats.get("accepted").and_then(Json::as_u64), Some(total));
+    assert_eq!(stats.get("applied").and_then(Json::as_u64), Some(total));
+    assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(0));
+    sess.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("tenants rollup");
+    assert_eq!(tenants.get("applied").and_then(Json::as_u64), Some(total));
+    assert_eq!(tenants.get("accepted").and_then(Json::as_u64), Some(total));
+}

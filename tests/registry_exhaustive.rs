@@ -196,3 +196,71 @@ fn extreme_turnstile_deltas_are_refused_without_unwinding() {
         }
     }
 }
+
+#[test]
+fn huge_batches_match_a_chunked_feed_without_unwinding() {
+    // One batch of the daemon's largest chunk (`tenant::MAX_CHUNK`
+    // updates) and one update longer, fed through every algorithm in one
+    // `process_batch_dyn` call and one `process_dyn` call per update. Each
+    // feed must return (never unwind), and end in the outcome, answer and
+    // snapshot of the same updates fed in 1024-update chunks. All of them
+    // are in the algorithm's model, so every feed is accepted.
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wb_core::rng::TranscriptRng;
+    use wb_daemon::tenant::MAX_CHUNK;
+    use wb_engine::erased::{DynStreamAlg, Update};
+
+    let n: u64 = 1 << 10;
+    let params = Params::default().with_n(n);
+    type Feed = fn(&mut dyn DynStreamAlg, &[Update], &mut TranscriptRng) -> Result<(), String>;
+    let batched: Feed = |alg, updates, rng| {
+        alg.process_batch_dyn(updates, rng)
+            .map_err(|e| e.to_string())
+    };
+    let scalar: Feed = |alg, updates, rng| {
+        updates
+            .iter()
+            .try_for_each(|u| alg.process_dyn(u, rng))
+            .map_err(|e| e.to_string())
+    };
+    let chunked: Feed = |alg, updates, rng| {
+        updates
+            .chunks(1024)
+            .try_for_each(|c| alg.process_batch_dyn(c, rng))
+            .map_err(|e| e.to_string())
+    };
+    for name in registry::names() {
+        let deletions = registry::get(name, &params)
+            .unwrap()
+            .model_dyn()
+            .accepts(&Update::Turnstile { item: 1, delta: -1 });
+        for len in [MAX_CHUNK, MAX_CHUNK + 1] {
+            let updates: Vec<Update> = (0..len as u64)
+                .map(|i| {
+                    let item = i.wrapping_mul(0x9e37_79b9) % n;
+                    match (deletions, i % 3) {
+                        (true, 0) => Update::Turnstile { item, delta: -1 },
+                        (true, _) => Update::Turnstile { item, delta: 2 },
+                        (false, _) => Update::Insert(item),
+                    }
+                })
+                .collect();
+            let run = |feed: Feed, how: &str| {
+                let mut alg = registry::get(name, &params).unwrap();
+                let mut rng = TranscriptRng::from_seed(11);
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| feed(alg.as_mut(), &updates, &mut rng)))
+                        .unwrap_or_else(|_| panic!("{name}: {how} feed of {len} unwound"));
+                (outcome.is_ok(), alg.query_dyn(), alg.snapshot_dyn().ok())
+            };
+            let reference = run(chunked, "chunked");
+            assert!(reference.0, "{name}: in-model updates refused");
+            for (feed, how) in [(batched, "batched"), (scalar, "scalar")] {
+                assert!(
+                    run(feed, how) == reference,
+                    "{name}: {how} feed of {len} differs from the chunked feed"
+                );
+            }
+        }
+    }
+}
