@@ -10,8 +10,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wb_core::rng::TranscriptRng;
 use wb_engine::registry::{self, Params};
-use wb_engine::shard::{ingest_sharded, Partition, ShardConfig};
-use wb_engine::{Update, WorkloadSpec};
+use wb_engine::shard::{ingest_sharded_source, Partition, ShardConfig};
+use wb_engine::{SliceSource, Update, WorkloadSpec};
 
 const M: u64 = 1 << 18;
 const BATCH: usize = 1 << 10;
@@ -52,8 +52,12 @@ fn bench_sharded_ingestion(c: &mut Criterion) {
                         batch: BATCH,
                         master_seed: 1,
                     };
-                    let out =
-                        ingest_sharded(&|_| registry::get(alg, &params), &stream, &cfg).unwrap();
+                    let out = ingest_sharded_source(
+                        &|_| registry::get(alg, &params),
+                        &mut SliceSource::new(&stream),
+                        &cfg,
+                    )
+                    .unwrap();
                     black_box(out.merged.query_dyn())
                 })
             });

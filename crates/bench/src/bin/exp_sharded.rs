@@ -18,35 +18,17 @@
 use wb_core::rng::TranscriptRng;
 use wb_engine::experiment::{run_cli, ExperimentSpec, Row, RunnerConfig, Section};
 use wb_engine::registry::{self, Params};
-use wb_engine::shard::{ingest_sharded_source, Partition, ShardConfig};
-use wb_engine::{Answer, RefereeSpec, Update, WorkloadSpec};
+use wb_engine::shard::{ingest_sharded_source, probe_mergeable, Partition, ShardConfig};
+use wb_engine::tournament::referee_for;
+use wb_engine::{Answer, Update, WorkloadSpec};
 
-/// Mergeable registry algorithms and the referee guarding each one's
-/// guarantee (mirrors `wb_engine::tournament::referee_for`).
-fn mergeable_algs(p: &Params) -> Vec<(&'static str, RefereeSpec)> {
-    vec![
-        (
-            "misra_gries",
-            RefereeSpec::HeavyHitters {
-                eps: p.eps,
-                tol: p.eps,
-                phi: None,
-                grace: 64,
-            },
-        ),
-        (
-            "space_saving",
-            RefereeSpec::HeavyHitters {
-                eps: p.eps,
-                tol: p.eps,
-                phi: None,
-                grace: 64,
-            },
-        ),
-        ("count_min", RefereeSpec::Accept),
-        ("ams_f2", RefereeSpec::Accept),
-        ("exact_l0", RefereeSpec::L0Sandwich { factor: 1.0 }),
-    ]
+/// Mergeable registry algorithms, in registry order: every name whose
+/// fresh instances trial-merge under `p`.
+fn mergeable_algs(p: &Params) -> Vec<&'static str> {
+    registry::names()
+        .into_iter()
+        .filter(|&alg| probe_mergeable(&|_| registry::get(alg, p)).expect("registry"))
+        .collect()
 }
 
 /// Largest pointwise answer difference between two erased answers.
@@ -75,7 +57,8 @@ fn main() {
         &["alg x shards", "partition", "drift", "ok", "loads", "skew"],
         16,
     );
-    for (alg, referee) in mergeable_algs(&params) {
+    for alg in mergeable_algs(&params) {
+        let referee = referee_for(alg, &params);
         for shards in [2usize, 4, 8] {
             for partition in [Partition::Hash, Partition::RoundRobin] {
                 let params = params.clone();

@@ -69,8 +69,8 @@ pub enum SnapError {
     /// A decoded value is structurally impossible (bad discriminant,
     /// length out of range, invariant violation).
     Corrupt(String),
-    /// The type does not support snapshots (the [`crate::stream::StreamAlg`]
-    /// default — mirrors `merge_from`'s unmergeable default).
+    /// The value cannot be snapshotted in its current state (a failed
+    /// tenant or sharded pipeline, whose error chain is not serializable).
     Unsupported(String),
     /// The snapshot belongs to a different type or configuration than the
     /// instance it is being restored into.
@@ -85,7 +85,7 @@ pub enum SnapError {
 }
 
 impl SnapError {
-    /// The standard "this type has no snapshot support" error.
+    /// The standard "this value cannot be snapshotted" error.
     pub fn unsupported(name: impl Into<String>) -> Self {
         SnapError::Unsupported(name.into())
     }

@@ -245,36 +245,6 @@ pub trait StreamAlg {
         Err(MergeError::unmergeable(self.name()))
     }
 
-    /// Serialize the algorithm's full mutable state into `w` (see
-    /// [`crate::snap`]). The default declares the algorithm
-    /// unsnapshotable — mirroring [`StreamAlg::merge_from`] — and
-    /// algorithms implement [`Snapshot`] and override this to delegate:
-    ///
-    /// ```ignore
-    /// fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-    ///     Snapshot::snap(self, w);
-    ///     Ok(())
-    /// }
-    /// ```
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError>
-    where
-        Self: Sized,
-    {
-        let _ = w;
-        Err(SnapError::unsupported(self.name()))
-    }
-
-    /// Overwrite the algorithm's mutable state from `r` — the restore half
-    /// of [`StreamAlg::snapshot_state`], applied to an instance constructed
-    /// with the same parameters (and ctor seed) as the snapshotted one.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
-    where
-        Self: Sized,
-    {
-        let _ = r;
-        Err(SnapError::unsupported(self.name()))
-    }
-
     /// Answer the fixed query for the stream seen so far.
     fn query(&self) -> Self::Output;
 
@@ -631,30 +601,6 @@ mod tests {
         f.update(2, 7);
         g.update(2, 7);
         assert_eq!(g.l1(), f.l1());
-    }
-
-    #[test]
-    fn default_snapshot_state_is_unsupported() {
-        struct Opaque;
-        impl StreamAlg for Opaque {
-            type Update = InsertOnly;
-            type Output = u64;
-            fn process(&mut self, _u: &InsertOnly, _rng: &mut TranscriptRng) {}
-            fn query(&self) -> u64 {
-                0
-            }
-        }
-        let mut w = SnapWriter::new();
-        assert_eq!(
-            Opaque.snapshot_state(&mut w),
-            Err(SnapError::unsupported("Opaque"))
-        );
-        let bytes = SnapWriter::new().finish();
-        let mut r = SnapReader::new(&bytes).unwrap();
-        assert_eq!(
-            Opaque.restore_state(&mut r),
-            Err(SnapError::unsupported("Opaque"))
-        );
     }
 
     #[test]

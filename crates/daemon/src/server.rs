@@ -168,7 +168,7 @@ impl Server {
             reactor: ReactorStats::default(),
             start: Instant::now(),
         });
-        if let Err(e) = restore_state_dir(&shared) {
+        if let Err(e) = load_state_dir(&shared) {
             eprintln!("wbd: state-dir restore failed: {e}");
         }
         let (reactor, hub) = spawn_reactor(&shared, listener)?;
@@ -270,7 +270,7 @@ pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Res
 /// Startup half of `--state-dir`: restore every `*.wbsnap` file present.
 /// Individual corrupt files are reported and skipped — one bad snapshot
 /// must not keep the daemon from serving the rest.
-fn restore_state_dir(shared: &Arc<Shared>) -> std::io::Result<()> {
+fn load_state_dir(shared: &Arc<Shared>) -> std::io::Result<()> {
     let Some(dir) = shared.cfg.state_dir.clone() else {
         return Ok(());
     };

@@ -686,9 +686,9 @@ mod tests {
                     batch: 64,
                     master_seed: game_seed,
                 };
-                wb_engine::shard::ingest_sharded(
+                wb_engine::shard::ingest_sharded_source(
                     &|_| registry::get("misra_gries", &params),
-                    &updates,
+                    &mut wb_engine::SliceSource::new(&updates),
                     &cfg,
                 )
                 .unwrap()

@@ -10,29 +10,32 @@
 //!   studies (insertion-only and turnstile);
 //! * [`Answer`] — a closed enum over the query-answer shapes the workspace
 //!   algorithms produce (heavy-hitter lists, scalar estimates, counts);
-//! * [`DynStreamAlg`] — an object-safe mirror of `StreamAlg + SpaceUsage`,
-//!   blanket-implemented for every algorithm whose update type converts
-//!   from [`Update`] and whose output converts into [`Answer`] — i.e. all
-//!   `u64`-universe sketches get `Box<dyn DynStreamAlg>` for free;
+//! * [`DynStreamAlg`] — an object-safe mirror of
+//!   `StreamAlg + SpaceUsage + Snapshot`, blanket-implemented for every
+//!   algorithm whose update type converts from [`Update`] and whose output
+//!   converts into [`Answer`] — i.e. all `u64`-universe sketches get
+//!   `Box<dyn DynStreamAlg>` for free. In the white-box model the whole
+//!   state is public, so every erased algorithm can write it out: the
+//!   [`Snapshot`] bound is checked by the compiler, not by convention;
 //! * [`DynAdversary`] / erased drive loops ([`run_source_erased`],
-//!   [`run_script_erased`], [`run_erased`]) so registries and experiment
-//!   runners can play the white-box game without knowing concrete types.
-//!   The round protocol itself — observe, ingest on the game tape, check,
-//!   record, stop at the first violation — is written once, in the
-//!   crate-internal `ErasedGame`; these loops and the
-//!   [tournament](crate::tournament)'s cells are compositions of its
-//!   steps. The source-driven loop is the primary ingestion path: it pulls
-//!   chunks from an [`UpdateSource`] into one reused buffer, so memory
-//!   stays O(chunk) no matter how long the stream is; the script loop is a
-//!   thin wrapper over a [`SliceSource`].
+//!   [`run_erased`]) so registries and experiment runners can play the
+//!   white-box game without knowing concrete types. The round protocol
+//!   itself — observe, ingest on the game tape, check, record, stop at the
+//!   first violation — is written once, in the crate-internal
+//!   `ErasedGame`; these loops and the [tournament](crate::tournament)'s
+//!   cells are compositions of its steps. The source-driven loop is the
+//!   one ingestion path for oblivious streams: it pulls chunks from an
+//!   [`UpdateSource`] into one reused buffer, so memory stays O(chunk) no
+//!   matter how long the stream is. A materialized script enters it
+//!   through [`SliceSource`](crate::workload::SliceSource).
 
 use crate::referee::DynReferee;
 use crate::report::GameReport;
-use crate::workload::{SliceSource, UpdateSource};
+use crate::workload::UpdateSource;
 use std::any::Any;
 use wb_core::merge::MergeError;
 use wb_core::rng::{RandTranscript, Reciprocal, TranscriptRng};
-use wb_core::snap::{SnapError, SnapReader, SnapWriter};
+use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::SpaceUsage;
 use wb_core::stream::{InsertOnly, StreamAlg, Turnstile};
 use wb_core::WbError;
@@ -331,10 +334,10 @@ fn check_universe(name: &str, updates: &[Update], n: u64) -> Result<(), WbError>
     }
 }
 
-/// Object-safe mirror of `StreamAlg + SpaceUsage`.
+/// Object-safe mirror of `StreamAlg + SpaceUsage + Snapshot`.
 ///
-/// Blanket-implemented for every algorithm whose update type implements
-/// [`FromUpdate`] and whose output implements [`IntoAnswer`]; the
+/// Blanket-implemented for every snapshotable algorithm whose update type
+/// implements [`FromUpdate`] and whose output implements [`IntoAnswer`]; the
 /// [`registry`](crate::registry) hands out `Box<dyn DynStreamAlg>` built
 /// from string keys. Method names carry a `_dyn` suffix so calls through
 /// `Box<dyn DynStreamAlg>` never shadow the typed inherent methods.
@@ -401,14 +404,14 @@ pub trait DynStreamAlg: Send {
     /// Serialize the algorithm's mutable state into a self-describing
     /// snapshot frame: `magic | version | name | state`. The embedded name
     /// lets [`DynStreamAlg::restore_dyn`] reject a frame taken from a
-    /// different algorithm before touching any state. Algorithms without a
-    /// snapshot implementation report [`SnapError::Unsupported`].
+    /// different algorithm before touching any state. The blanket
+    /// implementation cannot fail.
     fn snapshot_dyn(&self) -> Result<Vec<u8>, SnapError>;
 
     /// Restore state from a frame produced by [`DynStreamAlg::snapshot_dyn`]
     /// on an instance constructed with the same parameters and construction
     /// seed. Validates the embedded algorithm name, delegates payload
-    /// validation to the concrete [`StreamAlg::restore_state`], and rejects
+    /// validation to the concrete [`Snapshot::restore`], and rejects
     /// trailing bytes. On error the state may be partially overwritten;
     /// callers discard the instance.
     fn restore_dyn(&mut self, bytes: &[u8]) -> Result<(), SnapError>;
@@ -420,7 +423,7 @@ pub trait DynStreamAlg: Send {
 
 impl<A> DynStreamAlg for A
 where
-    A: StreamAlg + SpaceUsage + Send + 'static,
+    A: StreamAlg + SpaceUsage + Snapshot + Send + 'static,
     A::Update: FromUpdate,
     A::Output: IntoAnswer,
 {
@@ -515,7 +518,7 @@ where
     fn snapshot_dyn(&self) -> Result<Vec<u8>, SnapError> {
         let mut w = SnapWriter::new();
         w.put_str(self.name());
-        self.snapshot_state(&mut w)?;
+        Snapshot::snap(self, &mut w);
         Ok(w.finish())
     }
 
@@ -525,7 +528,7 @@ where
         if found != self.name() {
             return Err(SnapError::mismatch(self.name(), found));
         }
-        self.restore_state(&mut r)?;
+        Snapshot::restore(self, &mut r)?;
         r.finish()
     }
 
@@ -751,21 +754,6 @@ pub fn run_source_erased(
     Ok(game.finish(alg))
 }
 
-/// Drives an already-materialized script through the streaming loop — a
-/// thin [`SliceSource`] wrapper over [`run_source_erased`], kept for tests
-/// and callers that hold literal scripts. Chunk boundaries (and therefore
-/// referee checks and reports) are identical to pulling the same stream
-/// from any other source with the same `batch`.
-pub fn run_script_erased(
-    alg: &mut dyn DynStreamAlg,
-    script: &[Update],
-    referee: &mut dyn DynReferee,
-    batch: usize,
-    seed: u64,
-) -> Result<GameReport, WbError> {
-    run_source_erased(alg, &mut SliceSource::new(script), referee, batch, seed)
-}
-
 /// Drives an adaptive erased adversary through the per-round white-box game
 /// (the erased mirror of the typed game loop).
 pub fn run_erased(
@@ -784,6 +772,7 @@ pub fn run_erased(
 mod tests {
     use super::*;
     use crate::referee::RefereeSpec;
+    use crate::workload::SliceSource;
     use wb_sketch::{MisraGries, SpaceSaving};
 
     #[test]
@@ -1018,7 +1007,14 @@ mod tests {
             grace: 0,
         }
         .build();
-        let report = run_script_erased(alg.as_mut(), &script, referee.as_mut(), 64, 7).unwrap();
+        let report = run_source_erased(
+            alg.as_mut(),
+            &mut SliceSource::new(&script),
+            referee.as_mut(),
+            64,
+            7,
+        )
+        .unwrap();
         assert!(report.result.survived());
         assert_eq!(report.result.rounds, 500);
         assert!(report.checks >= 500 / 64);
@@ -1045,7 +1041,14 @@ mod tests {
         let mut b: Box<dyn DynStreamAlg> = Box::new(MisraGries::new(0.125, 1 << 10));
         let mut ref_a = referee_spec.clone().build();
         let mut ref_b = referee_spec.build();
-        let ra = run_script_erased(a.as_mut(), &script, ref_a.as_mut(), 128, 3).unwrap();
+        let ra = run_source_erased(
+            a.as_mut(),
+            &mut SliceSource::new(&script),
+            ref_a.as_mut(),
+            128,
+            3,
+        )
+        .unwrap();
         let rb = run_source_erased(b.as_mut(), &mut spec.stream(), ref_b.as_mut(), 128, 3).unwrap();
         assert_eq!(ra.result.rounds, rb.result.rounds);
         assert_eq!(ra.checks, rb.checks);

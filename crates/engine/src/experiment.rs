@@ -34,6 +34,9 @@
 //!   O(chunk) however large `M` is;
 //! * `--chunk N` — override every game row's ingestion chunk size (checks
 //!   still happen at chunk boundaries).
+//!
+//! Any other argument exits with status 2 and the known-flag list, as the
+//! `tournament` and `wbd` binaries do.
 
 use crate::erased::run_source_erased;
 use crate::pool::{self, Job};
@@ -312,10 +315,15 @@ impl RunnerConfig {
                 "--threads" => cfg.threads = numeric(args.next(), "--threads"),
                 "--prelude-m" => cfg.prelude_m = Some(numeric(args.next(), "--prelude-m")),
                 "--chunk" => cfg.chunk = Some(numeric::<usize>(args.next(), "--chunk").max(1)),
-                other => eprintln!(
-                    "ignoring unknown flag '{other}' (known: --quick, --json, --threads, \
-                     --prelude-m, --chunk)"
-                ),
+                other => {
+                    // Refused, not skipped: a typo such as `--quikc` would
+                    // otherwise run the full-scale workload.
+                    eprintln!(
+                        "unknown flag '{other}' (known: --quick, --json, --threads, \
+                         --prelude-m, --chunk)"
+                    );
+                    std::process::exit(2);
+                }
             }
         }
         cfg

@@ -12,11 +12,13 @@
 //! * [`erased`] — the object-safe layer: an [`Update`] enum over the
 //!   paper's two stream models, an [`Answer`] enum over the query shapes,
 //!   and [`DynStreamAlg`], blanket-implemented for every
-//!   `StreamAlg + SpaceUsage` whose types convert — so
-//!   `Box<dyn DynStreamAlg>` is free for all `u64`-universe sketches. Its
-//!   one erased round step drives every erased game: the pull-based
-//!   `run_source_erased`, the adaptive `run_erased`, and both phases of
-//!   each tournament cell.
+//!   `StreamAlg + SpaceUsage + Snapshot` whose types convert — so
+//!   `Box<dyn DynStreamAlg>` is free for all `u64`-universe sketches, and
+//!   every erased algorithm can write out its public state. Its one
+//!   erased round step drives every erased game: the pull-based
+//!   `run_source_erased` (a materialized script enters through
+//!   [`SliceSource`]), the adaptive `run_erased`, and both phases of each
+//!   tournament cell.
 //! * [`registry`] — string-keyed construction
 //!   (`registry::get("robust_hh", &params)`) of algorithms and
 //!   adversaries, for binaries, tests, and servers that select at runtime.
@@ -68,16 +70,18 @@
 //! # Example: registry + batched ingestion
 //!
 //! ```
-//! use wb_engine::erased::{run_script_erased, Update};
+//! use wb_engine::erased::{run_source_erased, Update};
 //! use wb_engine::referee::RefereeSpec;
 //! use wb_engine::registry::{self, Params};
+//! use wb_engine::workload::SliceSource;
 //!
 //! let mut alg = registry::get("misra_gries", &Params::default()).unwrap();
 //! let script: Vec<Update> = (0..4_096).map(|t| Update::Insert(t % 8)).collect();
 //! let mut referee = RefereeSpec::HeavyHitters {
 //!     eps: 0.125, tol: 0.125, phi: None, grace: 0,
 //! }.build();
-//! let report = run_script_erased(alg.as_mut(), &script, referee.as_mut(), 256, 1).unwrap();
+//! let mut source = SliceSource::new(&script);
+//! let report = run_source_erased(alg.as_mut(), &mut source, referee.as_mut(), 256, 1).unwrap();
 //! assert!(report.survived());
 //! ```
 
@@ -99,8 +103,8 @@ pub use pool::{PoolStats, WorkerPool};
 pub use referee::{DynReferee, RefereeSpec};
 pub use report::GameReport;
 pub use shard::{
-    ingest_sharded, ingest_sharded_source, merge_reduce, Partition, ShardConfig, ShardPipeline,
-    ShardStats, ShardedIngest,
+    ingest_sharded_source, merge_reduce, Partition, ShardConfig, ShardPipeline, ShardStats,
+    ShardedIngest,
 };
 pub use tournament::{
     run_tournament, AlgSummary, CellReport, CellVerdict, TournamentConfig, TournamentReport,

@@ -41,7 +41,7 @@
 //! [`MergeError::Unmergeable`] for the refusals.
 
 use crate::erased::{DynStreamAlg, Update};
-use crate::workload::{SliceSource, UpdateSource};
+use crate::workload::UpdateSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use wb_core::merge::MergeError;
@@ -127,23 +127,6 @@ pub fn hash_shard(item: u64, shards: usize) -> usize {
     (SplitMix64::new(item).next_u64() % shards as u64) as usize
 }
 
-/// Split `updates` into `S` per-shard buckets, preserving relative order
-/// within each bucket.
-pub fn partition_updates(
-    updates: &[Update],
-    shards: usize,
-    partition: Partition,
-) -> Vec<Vec<Update>> {
-    let shards = shards.max(1);
-    let mut buckets: Vec<Vec<Update>> = (0..shards)
-        .map(|_| Vec::with_capacity(updates.len() / shards + 1))
-        .collect();
-    for (j, u) in updates.iter().enumerate() {
-        buckets[route(partition, u, j as u64, shards)].push(*u);
-    }
-    buckets
-}
-
 /// Fold `instances` into one by a deterministic reduction tree: at every
 /// level, instance `2i+1` merges into instance `2i`; survivors repeat until
 /// one remains. Equivalent to a left fold in outcome for associative
@@ -184,14 +167,6 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// All-zero stats for `shards` shards.
-    pub fn zeroed(shards: usize) -> Self {
-        ShardStats {
-            loads: vec![0; shards],
-            queue_stalls: vec![0; shards],
-        }
-    }
-
     /// Total updates routed across all shards.
     pub fn total(&self) -> u64 {
         self.loads.iter().map(|&l| l as u64).sum()
@@ -409,18 +384,6 @@ pub fn ingest_sharded_source(
         }
     }
     pipeline.finish()
-}
-
-/// Ingest an already-materialized slice — a [`SliceSource`] wrapper over
-/// [`ingest_sharded_source`], kept for callers that hold literal scripts.
-/// The per-shard chunk boundaries (and therefore the shard states) are
-/// identical to the streaming path's.
-pub fn ingest_sharded(
-    ctor: &dyn Fn(usize) -> Result<Box<dyn DynStreamAlg>, WbError>,
-    updates: &[Update],
-    cfg: &ShardConfig,
-) -> Result<ShardedIngest, WbError> {
-    ingest_sharded_source(ctor, &mut SliceSource::new(updates), cfg)
 }
 
 /// A long-lived inline sharded ingestion pipeline: the incremental form of
@@ -809,6 +772,7 @@ pub fn probe_mergeable(
 mod tests {
     use super::*;
     use crate::registry::{self, Params};
+    use crate::workload::SliceSource;
 
     fn registry_ctor(
         name: &'static str,
@@ -830,31 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cover_the_stream_exactly() {
-        let updates = zipfish(1000, 1 << 10);
-        for partition in [Partition::Hash, Partition::RoundRobin] {
-            let buckets = partition_updates(&updates, 4, partition);
-            assert_eq!(buckets.len(), 4);
-            assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 1000);
-            if partition == Partition::Hash {
-                // Same item, same shard — across all buckets.
-                for (s, bucket) in buckets.iter().enumerate() {
-                    for u in bucket {
-                        assert_eq!(hash_shard(u.item(), 4), s);
-                    }
-                }
-            } else {
-                // Round-robin: bucket sizes differ by at most one.
-                let (min, max) = (
-                    buckets.iter().map(Vec::len).min().unwrap(),
-                    buckets.iter().map(Vec::len).max().unwrap(),
-                );
-                assert!(max - min <= 1);
-            }
-        }
-    }
-
-    #[test]
     fn sharded_linear_sketch_equals_single_stream_exactly() {
         // CountMin is linear: the merged table must be bit-identical to
         // single-stream ingestion, for both partitions and any threads.
@@ -872,9 +811,12 @@ mod tests {
                     batch: 128,
                     master_seed: 7,
                 };
-                let out =
-                    ingest_sharded(&registry_ctor("count_min", params.clone()), &updates, &cfg)
-                        .unwrap();
+                let out = ingest_sharded_source(
+                    &registry_ctor("count_min", params.clone()),
+                    &mut SliceSource::new(&updates),
+                    &cfg,
+                )
+                .unwrap();
                 assert_eq!(
                     out.merged.query_dyn(),
                     single.query_dyn(),
@@ -900,15 +842,15 @@ mod tests {
             batch: 256,
             master_seed: 3,
         };
-        let a = ingest_sharded(
+        let a = ingest_sharded_source(
             &registry_ctor("misra_gries", params.clone()),
-            &updates,
+            &mut SliceSource::new(&updates),
             &cfg(1),
         )
         .unwrap();
-        let b = ingest_sharded(
+        let b = ingest_sharded_source(
             &registry_ctor("misra_gries", params.clone()),
-            &updates,
+            &mut SliceSource::new(&updates),
             &cfg(8),
         )
         .unwrap();
@@ -935,7 +877,11 @@ mod tests {
             shards: 2,
             ..ShardConfig::default()
         };
-        let err = match ingest_sharded(&ctor, &zipfish(64, 1 << 10), &cfg) {
+        let err = match ingest_sharded_source(
+            &ctor,
+            &mut SliceSource::new(&zipfish(64, 1 << 10)),
+            &cfg,
+        ) {
             Ok(_) => panic!("unmergeable multi-shard ingest must error"),
             Err(e) => e,
         };
@@ -970,9 +916,9 @@ mod tests {
         let params = Params::default().with_n(256);
         let updates = zipfish(512, 256);
         let cfg = ShardConfig::default();
-        let out = ingest_sharded(
+        let out = ingest_sharded_source(
             &registry_ctor("space_saving", params.clone()),
-            &updates,
+            &mut SliceSource::new(&updates),
             &cfg,
         )
         .unwrap();
@@ -1001,7 +947,7 @@ mod tests {
             master_seed: 11,
         };
         let ctor = registry_ctor("misra_gries", params.clone());
-        let offline = ingest_sharded(&ctor, &updates, &cfg).unwrap();
+        let offline = ingest_sharded_source(&ctor, &mut SliceSource::new(&updates), &cfg).unwrap();
         for granularity in [1usize, 7, 128, 1000] {
             let mut p = ShardPipeline::new(&ctor, &cfg).unwrap();
             for piece in updates.chunks(granularity) {
@@ -1036,14 +982,17 @@ mod tests {
             // A mid-stream snapshot answers like an offline run of the
             // prefix...
             let mid = p.snapshot_merged(&ctor).unwrap();
-            let mid_offline = ingest_sharded(&ctor, &updates[..1000], &cfg).unwrap();
+            let mid_offline =
+                ingest_sharded_source(&ctor, &mut SliceSource::new(&updates[..1000]), &cfg)
+                    .unwrap();
             assert_eq!(mid.query_dyn(), mid_offline.merged.query_dyn(), "{name}");
             // ...and never perturbs the live shard states: keep ingesting
             // and both the next snapshot and the destructive finish agree
             // with the full offline run.
             p.push(&updates[1000..]);
             let full = p.snapshot_merged(&ctor).unwrap();
-            let offline = ingest_sharded(&ctor, &updates, &cfg).unwrap();
+            let offline =
+                ingest_sharded_source(&ctor, &mut SliceSource::new(&updates), &cfg).unwrap();
             assert_eq!(full.query_dyn(), offline.merged.query_dyn(), "{name}");
             let out = p.finish().unwrap();
             assert_eq!(out.merged.query_dyn(), offline.merged.query_dyn(), "{name}");

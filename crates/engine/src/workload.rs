@@ -16,11 +16,15 @@
 //! `m` at available RAM and spends most of its wall-clock on allocation.
 //! [`WorkloadSpec::stream`] therefore produces a [`WorkloadStream`] — a
 //! lazy generator that fills a caller-owned, reused chunk buffer — and
-//! [`WorkloadSpec::generate`] is a thin collect wrapper kept for tests and
-//! small scripts. The two are **byte-identical**: the stream drives the
-//! same RNG in the same order, so concatenating chunks of any size
-//! reproduces `generate()` exactly (asserted by the
-//! `streaming_pipeline` proptest suite for every variant and chunk size).
+//! [`WorkloadSpec::generate`] is a thin collect over it for callers that
+//! need the whole stream (ground truth, tests). The two are
+//! **byte-identical**: concatenating chunks of any size reproduces
+//! `generate()` exactly (asserted by the `streaming_pipeline` proptest
+//! suite for every variant and chunk size).
+//!
+//! Every spec is a generator. A stream that is already materialized — a
+//! literal script, a test fixture — reaches the ingestion paths through
+//! [`SliceSource`], the one slice-shaped [`UpdateSource`].
 
 use crate::erased::Update;
 use wb_core::rng::{Reciprocal, Xoshiro256StarStar};
@@ -77,8 +81,12 @@ fn chunk_cap(buf: &Vec<Update>) -> usize {
 }
 
 /// An [`UpdateSource`] over a borrowed, already-materialized slice — the
-/// bridge that lets slice-shaped callers (tests, literal scripts) drive the
-/// streaming ingestion paths.
+/// one way a slice (a literal script, a test fixture) enters the
+/// streaming ingestion paths ([`run_source_erased`],
+/// [`ingest_sharded_source`]).
+///
+/// [`run_source_erased`]: crate::erased::run_source_erased
+/// [`ingest_sharded_source`]: crate::shard::ingest_sharded_source
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     rest: &'a [Update],
@@ -706,8 +714,6 @@ pub enum WorkloadSpec {
         /// Stream length.
         m: u64,
     },
-    /// A literal update script.
-    Script(Vec<Update>),
 }
 
 impl WorkloadSpec {
@@ -716,9 +722,7 @@ impl WorkloadSpec {
     /// [`WorkloadSpec::generate`] uses, so concatenating the chunks (of any
     /// size) reproduces the materialized stream byte for byte.
     ///
-    /// Memory is O(1) in the stream length for every generator variant;
-    /// only a literal [`WorkloadSpec::Script`] keeps its updates resident
-    /// (it *is* the materialized form).
+    /// Memory is O(1) in the stream length for every variant.
     pub fn stream(&self) -> WorkloadStream {
         let state = match self {
             WorkloadSpec::Zipf { n, m, heavy, seed } => StreamState::Zipf {
@@ -756,23 +760,15 @@ impl WorkloadSpec {
                 m: *m,
                 cur: 0,
             },
-            WorkloadSpec::Script(v) => StreamState::Script {
-                script: v.clone(),
-                pos: 0,
-            },
         };
         WorkloadStream { state }
     }
 
     /// Materialize the update stream — a thin collect over
-    /// [`WorkloadSpec::stream`], kept for tests and small literal scripts.
-    /// Large-`m` callers should pull chunks from the stream instead.
+    /// [`WorkloadSpec::stream`], for ground truth and tests that need the
+    /// whole stream at once. Large-`m` callers should pull chunks from the
+    /// stream instead.
     pub fn generate(&self) -> Vec<Update> {
-        if let WorkloadSpec::Script(v) = self {
-            // A script already is its materialized form; skip the pull
-            // loop's two extra copies.
-            return v.clone();
-        }
         let mut source = self.stream();
         let mut out = Vec::with_capacity(self.len().min(1 << 20) as usize);
         let mut buf = Vec::with_capacity(DEFAULT_CHUNK);
@@ -790,7 +786,6 @@ impl WorkloadSpec {
             | WorkloadSpec::Uniform { m, .. }
             | WorkloadSpec::Cycle { m, .. } => *m,
             WorkloadSpec::Churn { waves, wave, .. } => waves * (wave + wave / 2),
-            WorkloadSpec::Script(v) => v.len() as u64,
         }
     }
 
@@ -816,15 +811,13 @@ impl WorkloadSpec {
                     *wave /= 2;
                 }
             }
-            WorkloadSpec::Script(v) => v.truncate(cap as usize),
         }
         w
     }
 
     /// The same workload resized to roughly `m` updates (up or down) — how
     /// the `--prelude-m` CLI flag rescales declarative rows without
-    /// touching their other parameters. A literal script cannot grow; it is
-    /// truncated like [`WorkloadSpec::capped`].
+    /// touching their other parameters.
     pub fn resized(&self, m: u64) -> WorkloadSpec {
         let mut w = self.clone();
         match &mut w {
@@ -835,7 +828,6 @@ impl WorkloadSpec {
             WorkloadSpec::Churn { waves, wave, .. } => {
                 *waves = (m / (*wave + *wave / 2).max(1)).max(1);
             }
-            WorkloadSpec::Script(v) => v.truncate(m as usize),
         }
         w
     }
@@ -848,7 +840,6 @@ impl WorkloadSpec {
             WorkloadSpec::Churn { .. } => "churn",
             WorkloadSpec::Uniform { .. } => "uniform",
             WorkloadSpec::Cycle { .. } => "cycle",
-            WorkloadSpec::Script(_) => "script",
         }
     }
 }
@@ -902,10 +893,6 @@ enum StreamState {
         /// Running `t % items` wrap counter (no division per update).
         cur: u64,
     },
-    Script {
-        script: Vec<Update>,
-        pos: usize,
-    },
 }
 
 /// The lazy generator behind [`WorkloadSpec::stream`]: an [`UpdateSource`]
@@ -913,8 +900,8 @@ enum StreamState {
 ///
 /// Every variant consumes pre-filled raw words from a [`WordTape`] in the
 /// same order as the historical per-draw `TranscriptRng` generators;
-/// uniform, ddos, zipf, cycle, and script chunks are produced by
-/// vectorized kernels, churn by per-wave logic over the buffered tape.
+/// uniform, ddos, zipf and cycle chunks are produced by vectorized
+/// kernels, churn by per-wave logic over the buffered tape.
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
     state: StreamState,
@@ -944,7 +931,6 @@ impl WorkloadStream {
                 };
                 waves_left * per_wave + in_wave
             }
-            StreamState::Script { script, pos } => script.len().saturating_sub(*pos) as u64,
         }
     }
 }
@@ -957,7 +943,6 @@ fn stream_tag(state: &StreamState) -> u8 {
         StreamState::Churn { .. } => 2,
         StreamState::Uniform { .. } => 3,
         StreamState::Cycle { .. } => 4,
-        StreamState::Script { .. } => 5,
     }
 }
 
@@ -969,7 +954,6 @@ fn tag_label(tag: u8) -> &'static str {
         2 => "churn",
         3 => "uniform",
         4 => "cycle",
-        5 => "script",
         _ => "unknown",
     }
 }
@@ -1039,10 +1023,6 @@ impl Snapshot for WorkloadStream {
                 w.put_u64(*m);
                 w.put_u64(*t);
                 w.put_u64(*cur);
-            }
-            StreamState::Script { script, pos } => {
-                w.put_u64(script.len() as u64);
-                w.put_usize(*pos);
             }
         }
     }
@@ -1155,24 +1135,6 @@ impl Snapshot for WorkloadStream {
                 }
                 *t = st;
                 *cur = scur;
-                Ok(())
-            }
-            StreamState::Script { script, pos } => {
-                let slen = r.take_u64()?;
-                if slen != script.len() as u64 {
-                    return Err(SnapError::mismatch(
-                        format!("script(len={})", script.len()),
-                        format!("script(len={slen})"),
-                    ));
-                }
-                let spos = r.take_usize()?;
-                if spos > script.len() {
-                    return Err(SnapError::corrupt(format!(
-                        "script position {spos} > len {}",
-                        script.len()
-                    )));
-                }
-                *pos = spos;
                 Ok(())
             }
         }
@@ -1307,11 +1269,6 @@ impl UpdateSource for WorkloadStream {
                 }
                 *cur = c;
                 *t += k as u64;
-            }
-            StreamState::Script { script, pos } => {
-                let take = cap.min(script.len() - *pos);
-                buf.extend_from_slice(&script[*pos..*pos + take]);
-                *pos += take;
             }
         }
         buf.len()
@@ -1642,7 +1599,6 @@ mod tests {
                 seed: 24,
             },
             WorkloadSpec::Cycle { items: 7, m: 500 },
-            WorkloadSpec::Script((0..500).map(Update::Insert).collect()),
         ]
     }
 
@@ -1767,7 +1723,5 @@ mod tests {
         };
         let grown = churn.resized(10_000);
         assert!(grown.len() >= 10_000 - 96 && grown.len() <= 10_000 + 96);
-        let script = WorkloadSpec::Script((0..50).map(Update::Insert).collect());
-        assert_eq!(script.resized(10).len(), 10, "scripts cannot grow");
     }
 }

@@ -350,15 +350,6 @@ impl StreamAlg for AmsF2 {
         Mergeable::merge(self, other)
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     fn query(&self) -> f64 {
         self.estimate()
     }

@@ -291,15 +291,6 @@ impl StreamAlg for CountMin {
         Mergeable::merge(self, other)
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     /// The fixed query in attack experiments: the victim item `0`'s
     /// estimate.
     fn query(&self) -> u64 {

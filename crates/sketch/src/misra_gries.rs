@@ -302,15 +302,6 @@ impl StreamAlg for MisraGries {
         Mergeable::merge(self, other)
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     fn query(&self) -> Vec<(u64, f64)> {
         self.entries()
             .into_iter()

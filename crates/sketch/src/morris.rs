@@ -180,15 +180,6 @@ impl StreamAlg for MorrisCounter {
         self.estimate()
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     fn name(&self) -> &'static str {
         "MorrisCounter"
     }
@@ -512,15 +503,6 @@ impl StreamAlg for MedianMorris {
 
     fn query(&self) -> f64 {
         self.estimate()
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
     }
 
     fn name(&self) -> &'static str {

@@ -435,15 +435,6 @@ impl StreamAlg for PhiEpsHeavyHitters {
         }
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     fn query(&self) -> Vec<(u64, f64)> {
         self.report()
     }

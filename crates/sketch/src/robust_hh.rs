@@ -192,15 +192,6 @@ impl StreamAlg for RobustL1HeavyHitters {
         }
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     fn query(&self) -> Vec<(u64, f64)> {
         self.heavy_hitters()
     }

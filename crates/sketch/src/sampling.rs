@@ -187,15 +187,6 @@ impl StreamAlg for BernoulliHeavyHitters {
         self.processed += updates.len() as u64;
     }
 
-    fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        Snapshot::snap(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
-
     fn query(&self) -> Vec<(u64, f64)> {
         self.estimates()
     }

@@ -11,9 +11,9 @@ use wbstream::core::referee::HeavyHitterReferee;
 use wbstream::core::rng::RandTranscript;
 use wbstream::core::space::SpaceUsage;
 use wbstream::core::stream::InsertOnly;
-use wbstream::engine::erased::run_script_erased;
+use wbstream::engine::erased::run_source_erased;
 use wbstream::engine::registry::{self, Params};
-use wbstream::engine::{Game, RecordingObserver, RefereeSpec, Update};
+use wbstream::engine::{Game, RecordingObserver, RefereeSpec, SliceSource, Update};
 use wbstream::sketch::{MisraGries, RobustL1HeavyHitters};
 
 fn main() {
@@ -123,9 +123,14 @@ fn main() {
         grace: 64,
     }
     .build();
-    let erased_report =
-        run_script_erased(named.as_mut(), &script, referee.as_mut(), 1024, 0xC0FFEE)
-            .expect("insertion stream fits the model");
+    let erased_report = run_source_erased(
+        named.as_mut(),
+        &mut SliceSource::new(&script),
+        referee.as_mut(),
+        1024,
+        0xC0FFEE,
+    )
+    .expect("insertion stream fits the model");
     println!(
         "\nregistry run: {} over {} updates in {} batches — survived: {}",
         named.name_dyn(),

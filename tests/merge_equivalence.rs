@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 use wbstream::core::rng::TranscriptRng;
 use wbstream::engine::registry::{self, Params};
-use wbstream::engine::shard::{ingest_sharded, probe_mergeable, Partition, ShardConfig};
+use wbstream::engine::shard::{ingest_sharded_source, probe_mergeable, Partition, ShardConfig};
+use wbstream::engine::workload::SliceSource;
 use wbstream::engine::{Answer, RefereeSpec, Update};
 
 /// Mergeable registry algorithms whose merge is exact (linear state):
@@ -43,8 +44,12 @@ fn single_answer(name: &str, updates: &[Update], cfg: &ShardConfig) -> Answer {
 
 fn sharded_answer(name: &str, updates: &[Update], cfg: &ShardConfig) -> Answer {
     let p = params();
-    let out = ingest_sharded(&|_| registry::get(name, &p), updates, cfg)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let out = ingest_sharded_source(
+        &|_| registry::get(name, &p),
+        &mut SliceSource::new(updates),
+        cfg,
+    )
+    .unwrap_or_else(|e| panic!("{name}: {e}"));
     out.merged.query_dyn()
 }
 

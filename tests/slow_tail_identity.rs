@@ -1,4 +1,4 @@
-//! Byte-identity pins for the paper's slow white-box kernels.
+//! Byte-identity pins for every registry algorithm.
 //!
 //! `robust_hh` (Theorem 1.1), `phi_eps_hh` (Theorem 1.2), `sis_l0`
 //! (Theorem 1.5) and the `median_morris` counter under the first two carry
@@ -9,10 +9,15 @@
 //! drift that both paths share slips past it. This file pins the state
 //! itself: the FNV-1a digest of `snapshot_dyn()` followed by the
 //! `TranscriptRng` snapshot, after each stream, for the batch path at
-//! chunks {1, 7, 4096} and for per-update `process_dyn`. The constants were
-//! recorded on the implementations that predate those tables and the
-//! heap (plain `powi` per exponent, a full scan per eviction), so any
-//! change to a sketch, a random word or its order fails here.
+//! chunks {1, 7, 4096} and for per-update `process_dyn`. The constants of
+//! those five kernels were recorded on the implementations that predate
+//! the tables and the heap (plain `powi` per exponent, a full scan per
+//! eviction). The other seven registry algorithms are pinned too —
+//! `misra_gries`, `bern_mg`, `bernoulli_hh`, `morris` and `count_min` on
+//! insertion-only workloads, `ams_f2` and `exact_l0` on turnstile churn —
+//! so every `snapshot_dyn` frame the registry can produce is fixed, and
+//! any change to a sketch, its snapshot layout, a random word or its order
+//! fails here.
 //!
 //! The pinned values include `f64` bits of `(1+a)^x`; CI runs this file
 //! under `--release` as well as in the default debug profile.
@@ -159,6 +164,101 @@ fn sis_l0_matches_pinned_state() {
             seed: 0x0c4u64,
         },
         0xca22_2c44_9d84_4b48,
+    );
+}
+
+#[test]
+fn misra_gries_matches_pinned_state() {
+    check(
+        "misra_gries",
+        WorkloadSpec::Zipf {
+            n: N,
+            m: 1 << 15,
+            heavy: 64,
+            seed: 0x3a61,
+        },
+        0xe88f_8979_0355_ba25,
+    );
+}
+
+#[test]
+fn bern_mg_matches_pinned_state() {
+    check(
+        "bern_mg",
+        WorkloadSpec::Zipf {
+            n: N,
+            m: 1 << 15,
+            heavy: 64,
+            seed: 0xbe44,
+        },
+        0x99a8_b0ac_33df_c3a0,
+    );
+}
+
+#[test]
+fn bernoulli_hh_matches_pinned_state() {
+    check(
+        "bernoulli_hh",
+        WorkloadSpec::Uniform {
+            n: N,
+            m: 1 << 15,
+            seed: 0xbe41,
+        },
+        0xd443_a6d6_ed3b_40ad,
+    );
+}
+
+#[test]
+fn morris_matches_pinned_state() {
+    check(
+        "morris",
+        WorkloadSpec::Cycle {
+            items: 8,
+            m: 1 << 15,
+        },
+        0x1126_1600_4a9a_16bb,
+    );
+}
+
+#[test]
+fn count_min_matches_pinned_state() {
+    check(
+        "count_min",
+        WorkloadSpec::Zipf {
+            n: N,
+            m: 1 << 15,
+            heavy: 16,
+            seed: 0xc0c0,
+        },
+        0x238a_0f71_5725_cbb4,
+    );
+}
+
+#[test]
+fn ams_f2_matches_pinned_state() {
+    check(
+        "ams_f2",
+        WorkloadSpec::Churn {
+            n: N,
+            waves: 3,
+            wave: 4096,
+            seed: 0xa2f2,
+        },
+        0xb264_0436_ea15_6abb,
+    );
+}
+
+#[test]
+fn exact_l0_matches_pinned_state() {
+    check(
+        "exact_l0",
+        WorkloadSpec::Churn {
+            n: N,
+            waves: 3,
+            wave: 4096,
+            seed: 0xe10,
+        },
+        0x7e13_373d_dd42_6899,
     );
 }
 

@@ -4,23 +4,24 @@
 //! * `WorkloadSpec::stream()` chunk-concatenation equals `generate()` for
 //!   every workload variant and for chunk sizes {1, 7, 4096};
 //! * sharded ingestion through the bounded chunk queues matches the
-//!   classic materialized-bucket dataflow (`partition_updates` +
-//!   per-bucket batched ingest + reduction-tree merge) bit for bit, for
-//!   both partition rules and for inline and threaded modes, and the two
-//!   modes agree on shard loads and on the error a failing stream reports;
+//!   classic materialized-bucket dataflow (the `partition_updates` oracle
+//!   below + per-bucket batched ingest + reduction-tree merge) bit for
+//!   bit, for both partition rules and for inline and threaded modes, and
+//!   the two modes agree on shard loads and on the error a failing stream
+//!   reports;
 //! * the tournament's report is invariant under the transport chunk size.
 
 use proptest::prelude::*;
 use wbstream::core::rng::TranscriptRng;
 use wbstream::engine::registry::{self, Params};
 use wbstream::engine::shard::{
-    ingest_sharded_source, merge_reduce, partition_updates, Partition, ShardConfig,
+    hash_shard, ingest_sharded_source, merge_reduce, Partition, ShardConfig,
 };
-use wbstream::engine::workload::UpdateSource;
+use wbstream::engine::workload::{SliceSource, UpdateSource};
 use wbstream::engine::{DynStreamAlg, Update, WorkloadSpec};
 
-/// Every generator variant at proptest-friendly sizes, plus a literal
-/// script. `m` perturbs the stream length, `seed` the tape.
+/// Every generator variant at proptest-friendly sizes. `m` perturbs the
+/// stream length, `seed` the tape.
 fn variants(m: u64, seed: u64) -> Vec<WorkloadSpec> {
     vec![
         WorkloadSpec::Zipf {
@@ -42,7 +43,6 @@ fn variants(m: u64, seed: u64) -> Vec<WorkloadSpec> {
             seed,
         },
         WorkloadSpec::Cycle { items: 8, m },
-        WorkloadSpec::Script((0..m).map(|t| Update::Insert(t % 37)).collect()),
     ]
 }
 
@@ -60,6 +60,55 @@ fn concat_chunks(spec: &WorkloadSpec, chunk: usize) -> Vec<Update> {
         out.extend_from_slice(&buf);
     }
     out
+}
+
+/// Split `updates` into `S` per-shard buckets, preserving relative order
+/// within each bucket — an independent bucket oracle for the pipeline's
+/// router: hash partitioning sends update `j` to `hash_shard(item, S)`,
+/// round-robin to `j % S`.
+fn partition_updates(updates: &[Update], shards: usize, partition: Partition) -> Vec<Vec<Update>> {
+    let mut buckets = vec![Vec::new(); shards];
+    for (j, u) in updates.iter().enumerate() {
+        let shard = match partition {
+            Partition::Hash => hash_shard(u.item(), shards),
+            Partition::RoundRobin => j % shards,
+        };
+        buckets[shard].push(*u);
+    }
+    buckets
+}
+
+#[test]
+fn partitions_cover_the_stream_exactly() {
+    let updates: Vec<Update> = (0..1000u64)
+        .map(|t| {
+            Update::Insert(match t % 10 {
+                0..=4 => 1,
+                5..=7 => 2,
+                _ => t.wrapping_mul(2654435761) % (1 << 10),
+            })
+        })
+        .collect();
+    for partition in [Partition::Hash, Partition::RoundRobin] {
+        let buckets = partition_updates(&updates, 4, partition);
+        assert_eq!(buckets.len(), 4);
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 1000);
+        if partition == Partition::Hash {
+            // Same item, same shard — across all buckets.
+            for (s, bucket) in buckets.iter().enumerate() {
+                for u in bucket {
+                    assert_eq!(hash_shard(u.item(), 4), s);
+                }
+            }
+        } else {
+            // Round-robin: bucket sizes differ by at most one.
+            let (min, max) = (
+                buckets.iter().map(Vec::len).min().unwrap(),
+                buckets.iter().map(Vec::len).max().unwrap(),
+            );
+            assert!(max - min <= 1);
+        }
+    }
 }
 
 /// The historical materialized-bucket sharded dataflow, kept here as the
@@ -121,7 +170,6 @@ proptest! {
         let mut failing = updates.clone();
         failing.insert(m as usize / 3, Update::Turnstile { item: 5, delta: -1 });
         failing.insert(2 * m as usize / 3, Update::Turnstile { item: 9, delta: -1 });
-        let failing = WorkloadSpec::Script(failing);
         for name in ["misra_gries", "count_min"] {
             for partition in [Partition::Hash, Partition::RoundRobin] {
                 let mut loads = Vec::new();
@@ -152,7 +200,7 @@ proptest! {
                     prop_assert_eq!(out.stats.total() as usize, updates.len());
                     loads.push(out.stats.loads);
                     if name == "misra_gries" {
-                        match ingest_sharded_source(&ctor, &mut failing.stream(), &cfg) {
+                        match ingest_sharded_source(&ctor, &mut SliceSource::new(&failing), &cfg) {
                             Ok(_) => prop_assert!(false, "deletions must fail misra_gries"),
                             Err(e) => errors.push(e.to_string()),
                         }
