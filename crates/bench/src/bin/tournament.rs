@@ -27,11 +27,12 @@
 //!   `(S, alg, adversary, workload, role)` and can be replayed alone.
 //! * `--json <path|->` — write the sorted JSON-lines report (timing-free).
 //! * `--cells` — print every cell, not just the per-algorithm summary.
-//! * `--resume PATH` — checkpoint file. Completed cells found in the file
-//!   are reused; in-flight cells continue from their latest mid-prelude
-//!   frame; progress is persisted back to PATH (atomic tmp+rename) as
-//!   cells finish. A killed run restarted with the same flags produces a
-//!   report byte-identical to an uninterrupted one.
+//! * `--resume PATH` — checkpoint file for `run_tournament`. Completed
+//!   cells found in the file are reused; in-flight cells continue from
+//!   their latest mid-prelude frame; progress is persisted back to PATH
+//!   (atomic tmp+rename) as cells finish. A killed run restarted with the same
+//!   flags produces a report byte-identical to an uninterrupted one. A
+//!   file that cannot be read, or was taken under other flags, exits 1.
 //! * `--checkpoint-every N` — also capture a mid-prelude frame every `N`
 //!   prelude updates per cell (flat ingestion only), so even a single
 //!   giant cell survives a kill without restarting its prelude. Requires
@@ -40,9 +41,7 @@
 
 use std::io::Write as _;
 use wb_engine::registry;
-use wb_engine::tournament::{
-    run_tournament, run_tournament_checkpointed, CheckpointConfig, TournamentConfig, WORKLOADS,
-};
+use wb_engine::tournament::{run_tournament, CheckpointConfig, TournamentConfig, WORKLOADS};
 
 fn main() {
     let mut quick = false;
@@ -163,22 +162,20 @@ fn main() {
     // the default hook so worker backtraces don't interleave with tables.
     // (Binary-only: the library never touches process-global panic state.)
     std::panic::set_hook(Box::new(|_| {}));
-    let report = match &resume {
-        Some(path) => {
-            let ckpt = CheckpointConfig {
-                path: path.into(),
-                every: checkpoint_every,
-            };
-            match run_tournament_checkpointed(&cfg, &ckpt) {
-                Ok(report) => report,
-                Err(e) => {
-                    let _ = std::panic::take_hook();
-                    eprintln!("could not resume from {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let ckpt = resume.as_ref().map(|path| CheckpointConfig {
+        path: path.into(),
+        every: checkpoint_every,
+    });
+    let report = match run_tournament(&cfg, ckpt.as_ref()) {
+        Ok(report) => report,
+        Err(e) => {
+            let _ = std::panic::take_hook();
+            eprintln!(
+                "could not resume from {}: {e}",
+                resume.as_deref().unwrap_or_default()
+            );
+            std::process::exit(1);
         }
-        None => run_tournament(&cfg),
     };
     let _ = std::panic::take_hook();
     report.print_summary();

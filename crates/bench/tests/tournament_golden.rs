@@ -24,7 +24,7 @@ fn check_golden(shards: usize, file: &str) {
         cfg.master_seed, 42,
         "--quick runs at the default master seed"
     );
-    let actual = run_tournament(&cfg).json_lines().join("\n") + "\n";
+    let actual = run_tournament(&cfg, None).unwrap().json_lines().join("\n") + "\n";
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")

@@ -94,40 +94,6 @@ impl GameResult {
     }
 }
 
-/// An adversary that plays a fixed script of updates (an *oblivious* stream
-/// expressed in the white-box interface). Useful as a baseline and for
-/// driving deterministic workloads through the game harness.
-#[derive(Debug, Clone)]
-pub struct ScriptAdversary<U> {
-    script: Vec<U>,
-    pos: usize,
-}
-
-impl<U> ScriptAdversary<U> {
-    /// Adversary that replays `script` in order, then stops.
-    pub fn new(script: Vec<U>) -> Self {
-        ScriptAdversary { script, pos: 0 }
-    }
-}
-
-impl<A> WhiteBoxAdversary<A> for ScriptAdversary<A::Update>
-where
-    A: StreamAlg,
-    A::Update: Clone,
-{
-    fn next_update(
-        &mut self,
-        _t: u64,
-        _alg: &A,
-        _transcript: &RandTranscript,
-        _last_output: Option<&A::Output>,
-    ) -> Option<A::Update> {
-        let u = self.script.get(self.pos)?.clone();
-        self.pos += 1;
-        Some(u)
-    }
-}
-
 /// An adversary defined by a closure over the full white-box view.
 pub struct FnAdversary<F> {
     f: F,

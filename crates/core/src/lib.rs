@@ -46,7 +46,7 @@
 //! pick a workspace algorithm by name from `wb_engine::registry`:
 //!
 //! ```
-//! use wb_core::game::{ScriptAdversary, FnReferee, Verdict};
+//! use wb_core::game::{FnReferee, Verdict};
 //! use wb_core::rng::TranscriptRng;
 //! use wb_core::space::SpaceUsage;
 //! use wb_core::stream::{InsertOnly, StreamAlg};
@@ -65,11 +65,10 @@
 //! }
 //!
 //! let report = Game::new(ExactCounter(0))
-//!     .adversary(ScriptAdversary::new((0..100).map(InsertOnly).collect::<Vec<_>>()))
+//!     .script((0..100).map(InsertOnly).collect())
 //!     .referee(FnReferee::new(|t: u64, out: &u64| {
 //!         if *out == t { Verdict::Correct } else { Verdict::violation("count mismatch") }
 //!     }))
-//!     .max_rounds(100)
 //!     .seed(7)
 //!     .run();
 //! assert!(report.survived());

@@ -2,28 +2,26 @@
 //! white-box adversarial game.
 //!
 //! ```
-//! use wb_engine::{Game, RecordingObserver};
-//! use wb_core::game::{FnReferee, ScriptAdversary, Verdict};
+//! use wb_engine::Game;
+//! use wb_core::game::{FnReferee, Verdict};
 //! use wb_core::stream::InsertOnly;
 //! use wb_sketch::MisraGries;
 //!
 //! let script: Vec<InsertOnly> = (0..500).map(|t| InsertOnly(t % 4)).collect();
-//! let mut timeline = RecordingObserver::new();
 //! let report = Game::new(MisraGries::new(0.1, 1 << 10))
-//!     .adversary(ScriptAdversary::new(script))
+//!     .script(script)
 //!     .referee(FnReferee::new(|_t, _out: &Vec<(u64, f64)>| Verdict::Correct))
-//!     .max_rounds(500)
 //!     .seed(7)
-//!     .observer(&mut timeline)
 //!     .run();
 //! assert!(report.survived());
 //! assert_eq!(report.result.rounds, 500);
-//! assert_eq!(timeline.rounds.len(), 500);
+//! assert_eq!(report.checks, 500);
 //! ```
 //!
-//! Beyond the bare game loop it offers [`Observer`] hooks, structured
-//! [`GameReport`]s with space/verdict timelines, and a batched ingestion
-//! path for oblivious scripts ([`Game::script`] + [`Game::batch`]).
+//! Every game reports through one [`GameReport`] (first violation, rounds,
+//! peak space, and space/verdict timelines). A fixed oblivious script
+//! enters through [`Game::script`] and is ingested in [`Game::batch`]-sized
+//! chunks; adaptive adversaries enter through [`Game::adversary`].
 
 use crate::report::GameReport;
 use wb_core::game::{Referee, Verdict, WhiteBoxAdversary};
@@ -34,77 +32,6 @@ use wb_core::stream::StreamAlg;
 /// Default round cap when [`Game::max_rounds`] is not called: generous for
 /// experiments, finite so an adversary that never stops cannot hang a run.
 pub const DEFAULT_MAX_ROUNDS: u64 = 1 << 20;
-
-/// Per-round hook into an engine-driven game.
-///
-/// All methods have no-op defaults; implement what you need. Observers are
-/// usually attached by mutable reference ([`Game::observer`] accepts
-/// `&mut O`) so the caller keeps the collected data after the game.
-pub trait Observer<A: StreamAlg> {
-    /// Called for every update before the algorithm processes it.
-    fn on_update(&mut self, t: u64, update: &A::Update) {
-        let _ = (t, update);
-    }
-
-    /// Called after every referee check (per round in the adaptive game,
-    /// per batch boundary under batched ingestion).
-    fn on_round(&mut self, t: u64, output: &A::Output, verdict: &Verdict, space_bits: u64) {
-        let _ = (t, output, verdict, space_bits);
-    }
-}
-
-/// The do-nothing default observer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl<A: StreamAlg> Observer<A> for NullObserver {}
-
-impl<A: StreamAlg, O: Observer<A>> Observer<A> for &mut O {
-    fn on_update(&mut self, t: u64, update: &A::Update) {
-        (**self).on_update(t, update);
-    }
-
-    fn on_round(&mut self, t: u64, output: &A::Output, verdict: &Verdict, space_bits: u64) {
-        (**self).on_round(t, output, verdict, space_bits);
-    }
-}
-
-/// One checked round as seen by a [`RecordingObserver`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundRecord {
-    /// Round index (1-indexed update count at the check).
-    pub t: u64,
-    /// `space_bits()` after the round.
-    pub space_bits: u64,
-    /// Whether the referee accepted the answer.
-    pub correct: bool,
-}
-
-/// An [`Observer`] that records every checked round's space and verdict —
-/// the full-resolution counterpart of the strided timeline in
-/// [`GameReport`].
-#[derive(Debug, Clone, Default)]
-pub struct RecordingObserver {
-    /// One record per referee check, in order.
-    pub rounds: Vec<RoundRecord>,
-}
-
-impl RecordingObserver {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<A: StreamAlg> Observer<A> for RecordingObserver {
-    fn on_round(&mut self, t: u64, _output: &A::Output, verdict: &Verdict, space_bits: u64) {
-        self.rounds.push(RoundRecord {
-            t,
-            space_bits,
-            correct: verdict.is_correct(),
-        });
-    }
-}
 
 /// Placeholder adversary for a builder whose stream source has not been
 /// chosen yet (or is a script): it ends the stream immediately.
@@ -152,28 +79,26 @@ enum Driver<U, Adv> {
 /// [`run_source_erased`](crate::erased::run_source_erased) instead.
 ///
 /// `Game::new(alg)` starts with no adversary (empty stream), an accept-all
-/// referee, [`DEFAULT_MAX_ROUNDS`], seed 0, a null observer, and batch
-/// size 1. Each setter returns the builder; [`Game::run`] plays the game
-/// and returns a [`GameReport`]; [`Game::play`] additionally hands back the
-/// algorithm for post-game inspection.
-pub struct Game<A: StreamAlg, Adv, R, O> {
+/// referee, [`DEFAULT_MAX_ROUNDS`], seed 0, and batch size 1. Each setter
+/// returns the builder; [`Game::run`] plays the game and returns a
+/// [`GameReport`]; [`Game::play`] additionally hands back the algorithm for
+/// post-game inspection.
+pub struct Game<A: StreamAlg, Adv, R> {
     alg: A,
     driver: Driver<A::Update, Adv>,
     referee: R,
-    observer: O,
     max_rounds: u64,
     seed: u64,
     batch: usize,
 }
 
-impl<A: StreamAlg> Game<A, NoAdversary, AcceptAll, NullObserver> {
+impl<A: StreamAlg> Game<A, NoAdversary, AcceptAll> {
     /// Start building a game around `alg`.
     pub fn new(alg: A) -> Self {
         Game {
             alg,
             driver: Driver::Adversary(NoAdversary),
             referee: AcceptAll,
-            observer: NullObserver,
             max_rounds: DEFAULT_MAX_ROUNDS,
             seed: 0,
             batch: 1,
@@ -181,9 +106,9 @@ impl<A: StreamAlg> Game<A, NoAdversary, AcceptAll, NullObserver> {
     }
 }
 
-impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
+impl<A: StreamAlg, Adv, R> Game<A, Adv, R> {
     /// Set the white-box adversary (the adaptive stream source).
-    pub fn adversary<Adv2>(self, adversary: Adv2) -> Game<A, Adv2, R, O>
+    pub fn adversary<Adv2>(self, adversary: Adv2) -> Game<A, Adv2, R>
     where
         Adv2: WhiteBoxAdversary<A>,
     {
@@ -191,7 +116,6 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
             alg: self.alg,
             driver: Driver::Adversary(adversary),
             referee: self.referee,
-            observer: self.observer,
             max_rounds: self.max_rounds,
             seed: self.seed,
             batch: self.batch,
@@ -201,12 +125,11 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
     /// Use a fixed, oblivious update script as the stream source. Script
     /// games may ingest in batches ([`Game::batch`]) through the
     /// algorithms' optimized [`StreamAlg::process_batch`] path.
-    pub fn script(self, updates: Vec<A::Update>) -> Game<A, NoAdversary, R, O> {
+    pub fn script(self, updates: Vec<A::Update>) -> Game<A, NoAdversary, R> {
         Game {
             alg: self.alg,
             driver: Driver::Script(updates),
             referee: self.referee,
-            observer: self.observer,
             max_rounds: self.max_rounds,
             seed: self.seed,
             batch: self.batch,
@@ -214,7 +137,7 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
     }
 
     /// Set the referee holding ground truth.
-    pub fn referee<R2>(self, referee: R2) -> Game<A, Adv, R2, O>
+    pub fn referee<R2>(self, referee: R2) -> Game<A, Adv, R2>
     where
         R2: Referee<A>,
     {
@@ -222,23 +145,6 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
             alg: self.alg,
             driver: self.driver,
             referee,
-            observer: self.observer,
-            max_rounds: self.max_rounds,
-            seed: self.seed,
-            batch: self.batch,
-        }
-    }
-
-    /// Attach an observer (commonly `&mut RecordingObserver`).
-    pub fn observer<O2>(self, observer: O2) -> Game<A, Adv, R, O2>
-    where
-        O2: Observer<A>,
-    {
-        Game {
-            alg: self.alg,
-            driver: self.driver,
-            referee: self.referee,
-            observer,
             max_rounds: self.max_rounds,
             seed: self.seed,
             batch: self.batch,
@@ -266,12 +172,11 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
     }
 }
 
-impl<A, Adv, R, O> Game<A, Adv, R, O>
+impl<A, Adv, R> Game<A, Adv, R>
 where
     A: StreamAlg + SpaceUsage,
     Adv: WhiteBoxAdversary<A>,
     R: Referee<A>,
-    O: Observer<A>,
 {
     /// Play the game, returning the structured report.
     pub fn run(self) -> GameReport {
@@ -301,7 +206,6 @@ where
                     else {
                         break;
                     };
-                    self.observer.on_update(round, &update);
                     self.referee.observe(&update);
                     self.alg.process(&update, &mut rng);
                     t = round;
@@ -314,8 +218,7 @@ where
             Driver::Script(updates) => {
                 let total = updates.len().min(self.max_rounds as usize);
                 for chunk in updates[..total].chunks(self.batch) {
-                    for (k, update) in chunk.iter().enumerate() {
-                        self.observer.on_update(t + 1 + k as u64, update);
+                    for update in chunk {
                         self.referee.observe(update);
                     }
                     self.alg.process_batch(chunk, &mut rng);
@@ -330,14 +233,13 @@ where
         (report, self.alg)
     }
 
-    /// Query the algorithm, check the answer at `t`, and hand the check to
-    /// the observer and the report: the answer if the referee accepted it,
-    /// `None` at a violation.
+    /// Query the algorithm, check the answer at `t`, and record the check in
+    /// the report: the answer if the referee accepted it, `None` at a
+    /// violation.
     fn check(&mut self, t: u64, report: &mut GameReport) -> Option<A::Output> {
         let space = self.alg.space_bits();
         let output = self.alg.query();
         let verdict = self.referee.check(t, &output);
-        self.observer.on_round(t, &output, &verdict, space);
         report.record_check(t, space, &verdict);
         verdict.is_correct().then_some(output)
     }
@@ -346,7 +248,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wb_core::game::{FnAdversary, FnReferee, ScriptAdversary};
+    use wb_core::game::{FnAdversary, FnReferee};
     use wb_core::referee::HeavyHitterReferee;
     use wb_core::space::bits_for_count;
     use wb_core::stream::InsertOnly;
@@ -407,7 +309,7 @@ mod tests {
     #[test]
     fn exact_counter_survives_a_script_that_ends_early() {
         let report = Game::new(ExactCounter(0))
-            .adversary(ScriptAdversary::new(vec![InsertOnly(0); 100]))
+            .script(vec![InsertOnly(0); 100])
             .referee(count_referee())
             .max_rounds(1_000)
             .seed(1)
@@ -443,7 +345,7 @@ mod tests {
         // `pad % 1000` blindly is a 1/1000-per-round event, and with this
         // fixed seed 20 blind rounds never hit it.
         let report = Game::new(LeakyCounter { count: 0, pad: 0 })
-            .adversary(ScriptAdversary::new(vec![InsertOnly(1); 20]))
+            .script(vec![InsertOnly(1); 20])
             .referee(count_referee())
             .max_rounds(20)
             .seed(3)
@@ -455,7 +357,7 @@ mod tests {
     #[test]
     fn builder_stops_at_first_violation() {
         let report = Game::new(ExactCounter(0))
-            .adversary(ScriptAdversary::new(vec![InsertOnly(0); 100]))
+            .script(vec![InsertOnly(0); 100])
             .referee(FnReferee::new(|_t, out: &u64| {
                 if *out <= 5 {
                     Verdict::Correct
@@ -488,21 +390,6 @@ mod tests {
         assert_eq!(a1.entries(), a2.entries());
         assert_eq!(r1.checks, 512);
         assert_eq!(r2.checks, 8);
-    }
-
-    #[test]
-    fn observer_sees_every_check_and_update() {
-        let mut obs = RecordingObserver::new();
-        let report = Game::new(ExactCounter(0))
-            .adversary(ScriptAdversary::new(vec![InsertOnly(0); 50]))
-            .referee(count_referee())
-            .max_rounds(100)
-            .observer(&mut obs)
-            .run();
-        assert_eq!(obs.rounds.len(), 50);
-        assert!(obs.rounds.iter().all(|r| r.correct));
-        assert_eq!(obs.rounds.last().unwrap().t, 50);
-        assert_eq!(report.checks, 50);
     }
 
     #[test]

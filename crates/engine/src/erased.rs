@@ -191,34 +191,17 @@ pub trait FromUpdate: Sized + Clone {
     /// The model this update type accepts, as data.
     fn model() -> StreamModel;
 
-    /// Convert, or reject as model-incompatible.
-    fn from_update(u: &Update) -> Option<Self>;
-
     /// Convert into `(update, repeat)`: the native update plus how many
-    /// times it must be processed. The default repeats once; insertion-only
-    /// types override it so a positive multi-unit turnstile delta expands
-    /// into `delta` unit insertions (bounded by [`MAX_DELTA_EXPANSION`])
-    /// instead of being spuriously rejected as model-incompatible.
-    fn from_update_weighted(u: &Update) -> Option<(Self, u64)> {
-        Self::from_update(u).map(|c| (c, 1))
-    }
+    /// times it must be processed, or `None` to reject it as
+    /// model-incompatible. Insertion-only types expand a positive
+    /// multi-unit turnstile delta into `delta` unit insertions (bounded by
+    /// [`MAX_DELTA_EXPANSION`]) instead of spuriously rejecting it.
+    fn from_update_weighted(u: &Update) -> Option<(Self, u64)>;
 }
 
 impl FromUpdate for InsertOnly {
     fn model() -> StreamModel {
         StreamModel::InsertOnly
-    }
-
-    /// Strict single-unit conversion: only `Insert` and unit-delta
-    /// turnstile updates map to one `InsertOnly`. A multi-unit delta is
-    /// `None` here — it is *not* one insertion, and silently dropping its
-    /// weight would undercount; weighted callers go through
-    /// [`FromUpdate::from_update_weighted`], which expands it instead.
-    fn from_update(u: &Update) -> Option<Self> {
-        match Self::from_update_weighted(u) {
-            Some((c, 1)) => Some(c),
-            _ => None,
-        }
     }
 
     /// Any positive delta is `delta` insertions; zero, negative, or
@@ -240,13 +223,13 @@ impl FromUpdate for Turnstile {
         StreamModel::Turnstile
     }
 
-    /// Any update whose delta magnitude is at most [`MAX_TURNSTILE_DELTA`].
-    fn from_update(u: &Update) -> Option<Self> {
+    /// Any update whose delta magnitude is at most [`MAX_TURNSTILE_DELTA`],
+    /// processed once.
+    fn from_update_weighted(u: &Update) -> Option<(Self, u64)> {
         match *u {
-            Update::Insert(i) => Some(Turnstile::insert(i)),
-            Update::Turnstile { item, delta } => {
-                (delta.unsigned_abs() <= MAX_TURNSTILE_DELTA).then_some(Turnstile { item, delta })
-            }
+            Update::Insert(i) => Some((Turnstile::insert(i), 1)),
+            Update::Turnstile { item, delta } => (delta.unsigned_abs() <= MAX_TURNSTILE_DELTA)
+                .then_some((Turnstile { item, delta }, 1)),
         }
     }
 }
@@ -778,20 +761,20 @@ mod tests {
     #[test]
     fn update_conversions() {
         assert_eq!(
-            InsertOnly::from_update(&Update::Insert(4)),
-            Some(InsertOnly(4))
+            InsertOnly::from_update_weighted(&Update::Insert(4)),
+            Some((InsertOnly(4), 1))
         );
         assert_eq!(
-            InsertOnly::from_update(&Update::Turnstile { item: 4, delta: 1 }),
-            Some(InsertOnly(4))
+            InsertOnly::from_update_weighted(&Update::Turnstile { item: 4, delta: 1 }),
+            Some((InsertOnly(4), 1))
         );
         assert_eq!(
-            InsertOnly::from_update(&Update::Turnstile { item: 4, delta: -1 }),
+            InsertOnly::from_update_weighted(&Update::Turnstile { item: 4, delta: -1 }),
             None
         );
         assert_eq!(
-            Turnstile::from_update(&Update::Insert(9)),
-            Some(Turnstile::insert(9))
+            Turnstile::from_update_weighted(&Update::Insert(9)),
+            Some((Turnstile::insert(9), 1))
         );
         assert_eq!(Update::Insert(3).delta(), 1);
         assert_eq!(Update::Turnstile { item: 3, delta: -2 }.item(), 3);
@@ -855,11 +838,11 @@ mod tests {
                 "delta {delta} must be rejected"
             );
         }
-        // The strict single-unit conversion still rejects multi-unit deltas
-        // (weight must never be silently dropped).
+        // A multi-unit delta converts with its weight (never silently
+        // dropped).
         assert_eq!(
-            InsertOnly::from_update(&Update::Turnstile { item: 9, delta: 7 }),
-            None
+            InsertOnly::from_update_weighted(&Update::Turnstile { item: 9, delta: 7 }),
+            Some((InsertOnly(9), 7))
         );
         // Expansion totals beyond MAX_DELTA_EXPANSION are processed in
         // bounded segments, never rejected: in-model/out-of-model is a

@@ -33,10 +33,11 @@
 //!   ([`WorkloadSpec::stream`] → [`run_source_erased`]), so memory stays
 //!   O(chunk) however large `M` is;
 //! * `--chunk N` — override every game row's ingestion chunk size (checks
-//!   still happen at chunk boundaries).
+//!   still happen at chunk boundaries); `N` must be at least 1.
 //!
-//! Any other argument exits with status 2 and the known-flag list, as the
-//! `tournament` and `wbd` binaries do.
+//! Any other argument, and `--chunk 0`, exits with status 2 (an unknown
+//! flag also prints the known-flag list), as the `tournament` and `wbd`
+//! binaries do. A JSON report that cannot be written exits with status 1.
 
 use crate::erased::run_source_erased;
 use crate::pool::{self, Job};
@@ -314,7 +315,13 @@ impl RunnerConfig {
                 }
                 "--threads" => cfg.threads = numeric(args.next(), "--threads"),
                 "--prelude-m" => cfg.prelude_m = Some(numeric(args.next(), "--prelude-m")),
-                "--chunk" => cfg.chunk = Some(numeric::<usize>(args.next(), "--chunk").max(1)),
+                "--chunk" => match numeric(args.next(), "--chunk") {
+                    0 => {
+                        eprintln!("--chunk must be >= 1");
+                        std::process::exit(2);
+                    }
+                    chunk => cfg.chunk = Some(chunk),
+                },
                 other => {
                     // Refused, not skipped: a typo such as `--quikc` would
                     // otherwise run the full-scale workload.
@@ -331,7 +338,8 @@ impl RunnerConfig {
 }
 
 /// Parse the CLI, run the spec, print tables, and write the JSON report if
-/// requested. The entry point every experiment binary calls from `main`.
+/// requested, exiting with status 1 if it cannot be written. The entry
+/// point every experiment binary calls from `main`.
 pub fn run_cli(spec: ExperimentSpec) {
     let cfg = RunnerConfig::from_args();
     let lines = run(spec, &cfg);
@@ -343,6 +351,7 @@ pub fn run_cli(spec: ExperimentSpec) {
             }
         } else if let Err(e) = std::fs::write(path, lines.join("\n") + "\n") {
             eprintln!("could not write JSON report to {path}: {e}");
+            std::process::exit(1);
         }
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! * [`Game`] — the fluent, typed game driver:
 //!   `Game::new(alg).adversary(a).referee(r).max_rounds(m).seed(s).run()`.
-//!   [`Observer`] hooks and [`GameReport`]s capture per-round
-//!   space/verdict timelines; [`Game::script`] + [`Game::batch`] ingest
-//!   a materialized oblivious script through the algorithms' optimized
-//!   `process_batch` paths.
+//!   Every game ends in one [`GameReport`] (first violation, rounds, peak
+//!   space, space/verdict timelines). An adaptive adversary enters through
+//!   [`Game::adversary`]; a materialized oblivious script enters through
+//!   [`Game::script`] + [`Game::batch`] and is ingested through the
+//!   algorithms' optimized `process_batch` paths.
 //! * [`erased`] — the object-safe layer: an [`Update`] enum over the
 //!   paper's two stream models, an [`Answer`] enum over the query shapes,
 //!   and [`DynStreamAlg`], blanket-implemented for every
@@ -52,16 +53,14 @@
 //!
 //! ```
 //! use wb_engine::Game;
-//! use wb_core::game::ScriptAdversary;
 //! use wb_core::referee::HeavyHitterReferee;
 //! use wb_core::stream::InsertOnly;
 //! use wb_sketch::RobustL1HeavyHitters;
 //!
 //! let script: Vec<InsertOnly> = (0..2_000).map(|t| InsertOnly(t % 5)).collect();
 //! let report = Game::new(RobustL1HeavyHitters::new(1 << 12, 0.25))
-//!     .adversary(ScriptAdversary::new(script))
+//!     .script(script)
 //!     .referee(HeavyHitterReferee::new(0.25, 0.25).with_grace(64))
-//!     .max_rounds(2_000)
 //!     .seed(7)
 //!     .run();
 //! assert!(report.survived());
@@ -96,7 +95,7 @@ pub mod shard;
 pub mod tournament;
 pub mod workload;
 
-pub use builder::{AcceptAll, Game, NoAdversary, NullObserver, Observer, RecordingObserver};
+pub use builder::{AcceptAll, Game, NoAdversary};
 pub use erased::{Answer, DynAdversary, DynStreamAlg, StreamModel, Update};
 pub use experiment::{ExperimentSpec, GameRow, Metric, Row, RunCtx, RunnerConfig, Section};
 pub use pool::{PoolStats, WorkerPool};

@@ -9,7 +9,7 @@ pub const TIMELINE_POINTS: usize = 256;
 
 /// Structured outcome of one engine-driven game: the classic
 /// [`GameResult`] plus per-round space/verdict timelines and ingestion
-/// statistics captured by the engine's observer machinery.
+/// statistics.
 #[derive(Debug, Clone)]
 pub struct GameReport {
     /// Rounds, first failure, peak/final space — the classic result.

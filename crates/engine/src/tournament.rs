@@ -454,35 +454,9 @@ pub fn referee_for(alg: &str, p: &Params) -> RefereeSpec {
     }
 }
 
-/// Run the full cross-product on the pool and aggregate the report.
-pub fn run_tournament(cfg: &TournamentConfig) -> TournamentReport {
-    let start = Instant::now();
-    let mut coords: Vec<(String, String, String)> = Vec::with_capacity(cfg.cell_count());
-    for alg in &cfg.algs {
-        for adversary in &cfg.adversaries {
-            for workload in &cfg.workloads {
-                coords.push((alg.clone(), adversary.clone(), workload.clone()));
-            }
-        }
-    }
-    let jobs: Vec<Job<CellReport>> = coords
-        .into_iter()
-        .map(|(alg, adversary, workload)| -> Job<CellReport> {
-            Box::new(move || run_cell(cfg, &alg, &adversary, &workload))
-        })
-        .collect();
-    let threads = pool::effective_threads(cfg.threads);
-    let cells = pool::run_ordered(jobs, threads);
-    TournamentReport {
-        master_seed: cfg.master_seed,
-        threads,
-        cells,
-        wall_millis: start.elapsed().as_millis(),
-    }
-}
-
-/// Checkpointing policy for a tournament run (`--checkpoint-every` /
-/// `--resume` in the `tournament` binary).
+/// Checkpointing policy for a tournament run: the optional second argument
+/// of [`run_tournament`] (`--resume` / `--checkpoint-every` in the
+/// `tournament` binary).
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint file. Written atomically (tmp + rename) after every cell
@@ -578,6 +552,22 @@ fn take_cell_report(r: &mut SnapReader<'_>) -> Result<CellReport, SnapError> {
 }
 
 impl CkptStore {
+    /// The store at `ckpt.path`, or an empty one if the file does not exist.
+    fn open(cfg: &TournamentConfig, ckpt: &CheckpointConfig) -> Result<Self, WbError> {
+        let fingerprint = config_fingerprint(cfg);
+        if !ckpt.path.exists() {
+            return Ok(CkptStore {
+                fingerprint,
+                path: ckpt.path.clone(),
+                completed: BTreeMap::new(),
+                inflight: BTreeMap::new(),
+            });
+        }
+        let bytes = std::fs::read(&ckpt.path)
+            .map_err(|e| WbError::invalid(format!("read {}: {e}", ckpt.path.display())))?;
+        CkptStore::parse(&bytes, &fingerprint, &ckpt.path)
+    }
+
     fn serialize(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_str(&self.fingerprint);
@@ -644,33 +634,25 @@ impl CkptStore {
     }
 }
 
-/// [`run_tournament`] with kill-safe progress: completed cells and
+/// Run the full cross-product on the pool and aggregate the report.
+///
+/// With a checkpoint, progress is kill-safe: completed cells and
 /// mid-prelude frames of in-flight cells persist to `ckpt.path`, and a rerun
 /// pointed at the same file continues where the killed run stopped. The
 /// final report is **byte-identical** to an uninterrupted run of the same
 /// configuration (each cell is a pure function of its coordinates, and
 /// mid-prelude frames capture the full cell state at chunk-invariant
 /// offsets), so checkpointing never perturbs the artifact — only the
-/// wall-clock cost of getting there.
-pub fn run_tournament_checkpointed(
+/// wall-clock cost of getting there. Only reading the checkpoint can fail:
+/// without one the result is always `Ok`.
+pub fn run_tournament(
     cfg: &TournamentConfig,
-    ckpt: &CheckpointConfig,
+    ckpt: Option<&CheckpointConfig>,
 ) -> Result<TournamentReport, WbError> {
     let start = Instant::now();
-    let fingerprint = config_fingerprint(cfg);
-    let store = if ckpt.path.exists() {
-        let bytes = std::fs::read(&ckpt.path)
-            .map_err(|e| WbError::invalid(format!("read {}: {e}", ckpt.path.display())))?;
-        CkptStore::parse(&bytes, &fingerprint, &ckpt.path)?
-    } else {
-        CkptStore {
-            fingerprint,
-            path: ckpt.path.clone(),
-            completed: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-        }
-    };
-    let store = Mutex::new(store);
+    let store = ckpt
+        .map(|ckpt| CkptStore::open(cfg, ckpt).map(Mutex::new))
+        .transpose()?;
 
     let mut coords: Vec<CellKey> = Vec::with_capacity(cfg.cell_count());
     for alg in &cfg.algs {
@@ -680,14 +662,22 @@ pub fn run_tournament_checkpointed(
             }
         }
     }
+    let done = |key: &CellKey| {
+        store
+            .as_ref()
+            .is_some_and(|s| s.lock().unwrap().completed.contains_key(key))
+    };
     let jobs: Vec<Job<CellReport>> = coords
         .iter()
-        .filter(|key| !store.lock().unwrap().completed.contains_key(*key))
+        .filter(|key| !done(key))
         .cloned()
         .map(|key| -> Job<CellReport> {
-            let store = &store;
+            let store = store.as_ref();
             Box::new(move || {
                 let (alg, adversary, workload) = &key;
+                let (Some(ckpt), Some(store)) = (ckpt, store) else {
+                    return run_cell(cfg, alg, adversary, workload);
+                };
                 let resume_frame = store.lock().unwrap().inflight.get(&key).cloned();
                 let sink = |frame: Vec<u8>| {
                     let mut s = store.lock().unwrap();
@@ -709,20 +699,17 @@ pub fn run_tournament_checkpointed(
         })
         .collect();
     let threads = pool::effective_threads(cfg.threads);
-    pool::run_ordered(jobs, threads);
+    let fresh = pool::run_ordered(jobs, threads);
 
-    // Assemble in enumeration order from the (now complete) store.
-    let store = store.into_inner().unwrap();
-    let cells = coords
-        .iter()
-        .map(|key| {
-            store
-                .completed
-                .get(key)
-                .expect("every enumerated cell completed")
-                .clone()
-        })
-        .collect();
+    // With a store, assemble in enumeration order from the (now complete)
+    // store: it also holds the cells a previous run finished.
+    let cells = match store {
+        None => fresh,
+        Some(store) => {
+            let completed = store.into_inner().unwrap().completed;
+            coords.iter().map(|key| completed[key].clone()).collect()
+        }
+    };
     Ok(TournamentReport {
         master_seed: cfg.master_seed,
         threads,
@@ -1051,8 +1038,8 @@ mod tests {
 
     #[test]
     fn tiny_tournament_is_deterministic_across_thread_counts() {
-        let one = run_tournament(&tiny(1));
-        let three = run_tournament(&tiny(3));
+        let one = run_tournament(&tiny(1), None).unwrap();
+        let three = run_tournament(&tiny(3), None).unwrap();
         assert_eq!(one.cells.len(), 3 * 2 * 2);
         assert_eq!(one.json_lines(), three.json_lines());
         assert_eq!(three.threads, 3);
@@ -1089,7 +1076,7 @@ mod tests {
 
     #[test]
     fn json_lines_are_sorted_and_time_free() {
-        let report = run_tournament(&tiny(2));
+        let report = run_tournament(&tiny(2), None).unwrap();
         let lines = report.json_lines();
         let mut sorted = lines.clone();
         sorted.sort();
@@ -1107,8 +1094,8 @@ mod tests {
             cfg.shards = 4;
             cfg
         };
-        let one = run_tournament(&sharded(1));
-        let three = run_tournament(&sharded(3));
+        let one = run_tournament(&sharded(1), None).unwrap();
+        let three = run_tournament(&sharded(3), None).unwrap();
         assert_eq!(one.json_lines(), three.json_lines());
         for line in one.json_lines() {
             assert!(line.contains(r#""shards":4"#), "line: {line}");
@@ -1116,7 +1103,7 @@ mod tests {
         // Sharding must not manufacture failures: the mergeable
         // deterministic summary and the unmergeable fallback both survive
         // the compatible pairings they survive unsharded.
-        let flat = run_tournament(&tiny(1));
+        let flat = run_tournament(&tiny(1), None).unwrap();
         for (s, f) in one.cells.iter().zip(&flat.cells) {
             assert_eq!((s.alg.clone(), s.verdict), (f.alg.clone(), f.verdict));
         }
@@ -1133,9 +1120,15 @@ mod tests {
             cfg
         };
         for shards in [1usize, 4] {
-            let a = run_tournament(&with_batch(16, shards)).json_lines();
-            let b = run_tournament(&with_batch(64, shards)).json_lines();
-            let c = run_tournament(&with_batch(4096, shards)).json_lines();
+            let a = run_tournament(&with_batch(16, shards), None)
+                .unwrap()
+                .json_lines();
+            let b = run_tournament(&with_batch(64, shards), None)
+                .unwrap()
+                .json_lines();
+            let c = run_tournament(&with_batch(4096, shards), None)
+                .unwrap()
+                .json_lines();
             assert_eq!(a, b, "shards {shards}: chunk 16 vs 64 diverged");
             assert_eq!(a, c, "shards {shards}: chunk 16 vs 4096 diverged");
         }
@@ -1175,7 +1168,7 @@ mod tests {
 
     #[test]
     fn summaries_partition_the_cells() {
-        let report = run_tournament(&tiny(1));
+        let report = run_tournament(&tiny(1), None).unwrap();
         let summaries = report.summaries();
         assert_eq!(summaries.len(), 3);
         for s in &summaries {
@@ -1272,17 +1265,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let cfg = tiny(2);
-        let uninterrupted = run_tournament(&cfg).json_lines();
+        let uninterrupted = run_tournament(&cfg, None).unwrap().json_lines();
         let ck = CheckpointConfig {
             path: path.clone(),
             every: 50,
         };
-        let fresh = run_tournament_checkpointed(&cfg, &ck).unwrap();
+        let fresh = run_tournament(&cfg, Some(&ck)).unwrap();
         assert_eq!(fresh.json_lines(), uninterrupted);
         assert!(path.exists(), "checkpoint file written");
 
         // A rerun over the finished file serves everything from cache.
-        let cached = run_tournament_checkpointed(&cfg, &ck).unwrap();
+        let cached = run_tournament(&cfg, Some(&ck)).unwrap();
         assert_eq!(cached.json_lines(), uninterrupted);
 
         // Simulate a kill: drop half the completed cells from the file and
@@ -1295,13 +1288,13 @@ mod tests {
             store.completed.remove(key);
         }
         store.persist();
-        let resumed = run_tournament_checkpointed(&cfg, &ck).unwrap();
+        let resumed = run_tournament(&cfg, Some(&ck)).unwrap();
         assert_eq!(resumed.json_lines(), uninterrupted);
 
         // A different configuration refuses the file.
         let mut other = cfg.clone();
         other.master_seed += 1;
-        let err = run_tournament_checkpointed(&other, &ck);
+        let err = run_tournament(&other, Some(&ck));
         assert!(err.is_err(), "fingerprint mismatch must be rejected");
 
         let _ = std::fs::remove_file(&path);

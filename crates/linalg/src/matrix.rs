@@ -95,11 +95,6 @@ impl ZqMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Matrix product `self · rhs`.
     pub fn mul(&self, rhs: &ZqMatrix) -> ZqMatrix {
         assert_eq!(self.cols, rhs.rows, "dimension mismatch");

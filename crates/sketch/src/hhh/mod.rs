@@ -138,7 +138,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wb_core::game::ScriptAdversary;
     use wb_engine::Game;
 
     #[test]
@@ -158,7 +157,7 @@ mod tests {
             .with_grace(1024)
             .with_stride(997);
         let report = Game::new(RobustHHH::new(h, 0.05, 0.25))
-            .adversary(ScriptAdversary::new(script))
+            .script(script)
             .referee(referee)
             .max_rounds(m)
             .seed(64)

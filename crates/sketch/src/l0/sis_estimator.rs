@@ -384,7 +384,6 @@ impl StreamAlg for SisL0Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wb_core::game::ScriptAdversary;
     use wb_core::referee::L0SandwichReferee;
     use wb_engine::Game;
 
@@ -451,7 +450,7 @@ mod tests {
         }
         let len = script.len() as u64;
         let report = Game::new(est)
-            .adversary(ScriptAdversary::new(script))
+            .script(script)
             .referee(L0SandwichReferee::new(factor))
             .max_rounds(len)
             .seed(74)

@@ -313,7 +313,6 @@ impl StreamAlg for MisraGries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wb_core::game::ScriptAdversary;
     use wb_core::referee::HeavyHitterReferee;
     use wb_engine::Game;
 
@@ -436,7 +435,7 @@ mod tests {
             script.push(InsertOnly(item));
         }
         let report = Game::new(mg)
-            .adversary(ScriptAdversary::new(script))
+            .script(script)
             .referee(referee)
             .max_rounds(5000)
             .seed(13)

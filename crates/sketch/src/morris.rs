@@ -513,7 +513,7 @@ impl StreamAlg for MedianMorris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wb_core::game::{FnAdversary, ScriptAdversary};
+    use wb_core::game::FnAdversary;
     use wb_core::merge::MergeError;
     use wb_core::referee::ApproxCountReferee;
     use wb_core::rng::RandTranscript;
@@ -620,7 +620,7 @@ mod tests {
     #[test]
     fn survives_long_scripted_stream_and_reports_small_space() {
         let report = Game::new(MedianMorris::new(0.2, 9))
-            .adversary(ScriptAdversary::new(vec![InsertOnly(0); 100_000]))
+            .script(vec![InsertOnly(0); 100_000])
             .referee(ApproxCountReferee::new(0.5))
             .max_rounds(100_000)
             .seed(11)

@@ -447,7 +447,6 @@ impl StreamAlg for PhiEpsHeavyHitters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wb_core::game::ScriptAdversary;
     use wb_core::referee::HeavyHitterReferee;
     use wb_engine::Game;
 
@@ -506,7 +505,7 @@ mod tests {
             .with_phi(0.20)
             .with_grace(256);
         let report = Game::new(alg)
-            .adversary(ScriptAdversary::new(script(m, n)))
+            .script(script(m, n))
             .referee(referee)
             .max_rounds(m)
             .seed(52)

@@ -201,7 +201,7 @@ impl StreamAlg for RobustL1HeavyHitters {
 mod tests {
     use super::*;
     use crate::misra_gries::MisraGries;
-    use wb_core::game::{FnAdversary, ScriptAdversary};
+    use wb_core::game::FnAdversary;
     use wb_core::referee::HeavyHitterReferee;
     use wb_core::rng::RandTranscript;
     use wb_engine::Game;
@@ -227,7 +227,7 @@ mod tests {
         let n = 1 << 14;
         let m = 1 << 16;
         let report = Game::new(RobustL1HeavyHitters::new(n, 0.125))
-            .adversary(ScriptAdversary::new(zipf_script(m, n)))
+            .script(zipf_script(m, n))
             .referee(HeavyHitterReferee::new(0.125, 0.125).with_grace(64))
             .max_rounds(m)
             .seed(21)

@@ -13,7 +13,7 @@ use wbstream::core::space::SpaceUsage;
 use wbstream::core::stream::InsertOnly;
 use wbstream::engine::erased::run_source_erased;
 use wbstream::engine::registry::{self, Params};
-use wbstream::engine::{Game, RecordingObserver, RefereeSpec, SliceSource, Update};
+use wbstream::engine::{Game, RefereeSpec, SliceSource, Update};
 use wbstream::sketch::{MisraGries, RobustL1HeavyHitters};
 
 fn main() {
@@ -60,15 +60,13 @@ fn main() {
         },
     );
 
-    // The fluent builder: algorithm under test, adversary, a referee
-    // holding exact ground truth, and an observer recording the timeline.
-    let mut timeline = RecordingObserver::new();
+    // The fluent builder: algorithm under test, adversary, and a referee
+    // holding exact ground truth.
     let (report, alg) = Game::new(RobustL1HeavyHitters::new(n, eps))
         .adversary(adversary)
         .referee(HeavyHitterReferee::new(eps, eps).with_grace(64))
         .max_rounds(m)
         .seed(0xC0FFEE)
-        .observer(&mut timeline)
         .play();
 
     println!("rounds played:      {}", report.result.rounds);

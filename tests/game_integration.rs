@@ -2,11 +2,12 @@
 //! the white-box game against adaptive adversaries, driven through the
 //! engine's fluent builder (`wb_engine::Game`).
 
-use wbstream::core::game::{FnAdversary, ScriptAdversary};
+use wbstream::core::game::FnAdversary;
 use wbstream::core::referee::{ApproxCountReferee, HeavyHitterReferee, L0SandwichReferee};
 use wbstream::core::rng::{RandTranscript, TranscriptRng};
-use wbstream::core::stream::{InsertOnly, Turnstile};
-use wbstream::engine::{Game, RecordingObserver};
+use wbstream::core::space::SpaceUsage;
+use wbstream::core::stream::{InsertOnly, StreamAlg, Turnstile};
+use wbstream::engine::Game;
 use wbstream::sketch::hhh::{HhhReferee, RadixHierarchy, RobustHHH};
 use wbstream::sketch::l0::{MatrixMode, SisL0Estimator};
 use wbstream::sketch::{MedianMorris, RobustL1HeavyHitters};
@@ -137,7 +138,7 @@ fn robust_hhh_survives_scripted_ddos_in_game() {
         })
         .collect();
     let report = Game::new(RobustHHH::new(h, 0.05, 0.25))
-        .adversary(ScriptAdversary::new(script))
+        .script(script)
         .referee(
             HhhReferee::new(h, 0.25, 0.10)
                 .with_grace(1024)
@@ -151,22 +152,27 @@ fn robust_hhh_survives_scripted_ddos_in_game() {
 
 #[test]
 fn peak_space_tracks_the_heaviest_epoch() {
-    // The report's peak-space accounting must be ≥ final space, and the
-    // recorded space timeline must agree with the observer's full view.
+    // The report's peak-space accounting must be ≥ final space, and it must
+    // equal the maximum over every round of an independent replay: the same
+    // script, one update at a time, on a fresh instance with the same seed.
     let n = 1u64 << 10;
     let script: Vec<InsertOnly> = (0..4096u64).map(|t| InsertOnly(t % 8)).collect();
-    let mut obs = RecordingObserver::new();
     let report = Game::new(RobustL1HeavyHitters::new(n, 0.25))
-        .adversary(ScriptAdversary::new(script))
+        .script(script.clone())
         .referee(HeavyHitterReferee::new(0.25, 0.25).with_grace(32))
-        .max_rounds(4096)
         .seed(1006)
-        .observer(&mut obs)
         .run();
     assert!(report.survived());
+    assert_eq!(report.checks, 4096);
     assert!(report.result.peak_space_bits >= report.result.final_space_bits);
-    assert_eq!(obs.rounds.len(), 4096);
-    let observed_peak = obs.rounds.iter().map(|r| r.space_bits).max().unwrap();
-    assert_eq!(observed_peak, report.result.peak_space_bits);
-    assert!(obs.rounds.iter().all(|r| r.correct));
+
+    let mut oracle = RobustL1HeavyHitters::new(n, 0.25);
+    let mut rng = TranscriptRng::from_seed(1006);
+    let mut peak = oracle.space_bits();
+    for u in &script {
+        oracle.process(u, &mut rng);
+        peak = peak.max(oracle.space_bits());
+    }
+    assert_eq!(peak, report.result.peak_space_bits);
+    assert_eq!(oracle.space_bits(), report.result.final_space_bits);
 }

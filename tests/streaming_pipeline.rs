@@ -229,8 +229,12 @@ fn tournament_report_is_invariant_under_chunk_size() {
         cfg
     };
     for shards in [1usize, 4] {
-        let small = run_tournament(&with_chunk(32, shards)).json_lines();
-        let large = run_tournament(&with_chunk(1024, shards)).json_lines();
+        let small = run_tournament(&with_chunk(32, shards), None)
+            .unwrap()
+            .json_lines();
+        let large = run_tournament(&with_chunk(1024, shards), None)
+            .unwrap()
+            .json_lines();
         assert!(!small.is_empty());
         assert_eq!(
             small, large,

@@ -20,9 +20,9 @@ fn config(threads: usize) -> TournamentConfig {
 
 #[test]
 fn tournament_reports_are_byte_identical_across_thread_counts() {
-    let report_1 = run_tournament(&config(1));
-    let report_4 = run_tournament(&config(4));
-    let report_8 = run_tournament(&config(8));
+    let report_1 = run_tournament(&config(1), None).unwrap();
+    let report_4 = run_tournament(&config(4), None).unwrap();
+    let report_8 = run_tournament(&config(8), None).unwrap();
 
     // The full cross-product ran each time.
     let expected_cells = config(1).cell_count();
@@ -52,16 +52,25 @@ fn sharded_tournament_reports_are_byte_identical_across_thread_counts() {
         cfg.shards = 4;
         cfg
     };
-    let json_1 = run_tournament(&sharded(1)).json_lines().join("\n");
-    let json_4 = run_tournament(&sharded(4)).json_lines().join("\n");
-    let json_8 = run_tournament(&sharded(8)).json_lines().join("\n");
+    let json_1 = run_tournament(&sharded(1), None)
+        .unwrap()
+        .json_lines()
+        .join("\n");
+    let json_4 = run_tournament(&sharded(4), None)
+        .unwrap()
+        .json_lines()
+        .join("\n");
+    let json_8 = run_tournament(&sharded(8), None)
+        .unwrap()
+        .json_lines()
+        .join("\n");
     assert!(!json_1.is_empty());
     assert_eq!(json_1, json_4, "sharded: 1 vs 4 threads diverged");
     assert_eq!(json_1, json_8, "sharded: 1 vs 8 threads diverged");
     assert!(json_1.contains(r#""shards":4"#));
     // No cell may error out under sharding: unmergeable algorithms fall
     // back to flat single-stream ingestion instead of failing.
-    for report in [run_tournament(&sharded(2))] {
+    for report in [run_tournament(&sharded(2), None).unwrap()] {
         for cell in &report.cells {
             assert_ne!(
                 cell.verdict,
@@ -80,15 +89,21 @@ fn sharded_tournament_reports_are_byte_identical_across_thread_counts() {
 fn tournament_is_reproducible_for_the_same_master_seed_only() {
     let mut other_seed = config(2);
     other_seed.master_seed = 0xBEEF;
-    let a = run_tournament(&config(2)).json_lines().join("\n");
-    let b = run_tournament(&other_seed).json_lines().join("\n");
+    let a = run_tournament(&config(2), None)
+        .unwrap()
+        .json_lines()
+        .join("\n");
+    let b = run_tournament(&other_seed, None)
+        .unwrap()
+        .json_lines()
+        .join("\n");
     // Seeds differ in every line (they embed the derived per-cell seed).
     assert_ne!(a, b, "master seed must perturb the report");
 }
 
 #[test]
 fn tournament_cells_carry_real_outcomes() {
-    let report = run_tournament(&config(3));
+    let report = run_tournament(&config(3), None).unwrap();
     // Every cell either played rounds or explains why it could not.
     for cell in &report.cells {
         match cell.verdict {

@@ -5,7 +5,7 @@
 //! game driving a `sketch` Morris counter, and a `crypto` SIS sketch applied
 //! end-to-end.
 
-use wbstream::core::game::{FnReferee, ScriptAdversary, Verdict};
+use wbstream::core::game::{FnReferee, Verdict};
 use wbstream::core::rng::TranscriptRng;
 use wbstream::core::space::SpaceUsage;
 use wbstream::core::stream::InsertOnly;
@@ -17,7 +17,7 @@ use wbstream::sketch::MorrisCounter;
 fn core_game_drives_a_sketch_morris_counter() {
     let m: u64 = 4096;
     let alg = MorrisCounter::new(0.5, 0.01);
-    let adv = ScriptAdversary::new((0..m).map(InsertOnly).collect::<Vec<_>>());
+    let script: Vec<InsertOnly> = (0..m).map(InsertOnly).collect();
     // Generous referee: the game plumbing is under test, not Lemma 2.1's
     // constants — only rule out wildly wrong estimates.
     let referee = FnReferee::new(|t: u64, est: &f64| {
@@ -28,7 +28,7 @@ fn core_game_drives_a_sketch_morris_counter() {
         }
     });
     let (report, alg) = Game::new(alg)
-        .adversary(adv)
+        .script(script)
         .referee(referee)
         .max_rounds(m)
         .seed(42)
