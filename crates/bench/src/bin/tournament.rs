@@ -39,7 +39,7 @@
 //!   `--resume`. Frames are chunk-invariant: `--chunk` never changes them.
 //! * `--alg/--adversary/--workload` — restrict a dimension (repeatable).
 
-use std::io::Write as _;
+use wb_engine::experiment::write_json_report;
 use wb_engine::registry;
 use wb_engine::tournament::{run_tournament, CheckpointConfig, TournamentConfig, WORKLOADS};
 
@@ -208,16 +208,7 @@ fn main() {
     );
 
     if let Some(path) = json {
-        let lines = report.json_lines();
-        if path == "-" {
-            let mut out = std::io::stdout();
-            for line in &lines {
-                let _ = writeln!(out, "{line}");
-            }
-        } else if let Err(e) = std::fs::write(&path, lines.join("\n") + "\n") {
-            eprintln!("could not write JSON report to {path}: {e}");
-            std::process::exit(1);
-        }
+        write_json_report(&path, &report.json_lines());
     }
 }
 

@@ -31,9 +31,9 @@
 //!   workspace reports an information-theoretically honest encoding size;
 //! * [`stream`] — update and stream types (insertion-only, turnstile) and
 //!   the exact [`stream::FrequencyVector`] used as ground truth by referees;
-//! * [`merge`] — the [`merge::Mergeable`] trait and typed [`MergeError`]s
-//!   behind sharded ingestion (`wb_engine::shard`): which summaries can
-//!   absorb a sibling instance, and why the rest refuse;
+//! * [`merge`] — the typed [`MergeError`]s behind sharded ingestion
+//!   (`wb_engine::shard`, through [`stream::StreamAlg::merge_from`]): which
+//!   summaries can absorb a sibling instance, and why the rest refuse;
 //! * [`snap`] — the versioned, length-prefixed snapshot codec
 //!   ([`snap::Snapshot`]) behind checkpoint/resume: white-box state is
 //!   public by definition, so persisting it verbatim is model-faithful;
@@ -94,7 +94,7 @@ pub mod stream;
 
 pub use error::WbError;
 pub use game::{GameResult, Referee, Verdict, WhiteBoxAdversary};
-pub use merge::{MergeError, Mergeable};
+pub use merge::MergeError;
 pub use rng::{RandTranscript, TranscriptRng};
 pub use snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use space::SpaceUsage;

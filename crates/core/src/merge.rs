@@ -17,10 +17,12 @@
 //! deliberately [`MergeError::Unmergeable`], because no deterministic
 //! combination of two exponents preserves the estimator's distribution.
 //!
-//! The typed entry point is [`Mergeable`]; the erased mirror is
-//! `DynStreamAlg::merge_dyn` in `wb_engine`, which downcast-checks that both
-//! operands are the same concrete type before delegating to
-//! `StreamAlg::merge_from`.
+//! The typed entry point is [`StreamAlg::merge_from`], which states the
+//! merge contract; the erased mirror is `DynStreamAlg::merge_dyn` in
+//! `wb_engine`, which downcast-checks that both operands are the same
+//! concrete type before delegating to it.
+//!
+//! [`StreamAlg::merge_from`]: crate::stream::StreamAlg::merge_from
 
 use std::fmt;
 
@@ -75,26 +77,6 @@ impl fmt::Display for MergeError {
 }
 
 impl std::error::Error for MergeError {}
-
-/// A summary whose state can absorb another instance of the same type.
-///
-/// Contract: if `a` ingested stream `A` and `b` ingested stream `B` (both
-/// starting from identically-constructed empty instances), then after
-/// `a.merge(&b)` the instance `a` must answer its query for the
-/// concatenated stream `A ∘ B` within the **same guarantee** the algorithm
-/// claims for single-stream ingestion of `A ∘ B`. Linear sketches
-/// (`CountMin`, `AmsF2`, exact frequency state) merge exactly; counter
-/// summaries (`MisraGries`, `SpaceSaving`) merge with the classic mergeable-
-/// summaries error bounds, which stay inside the referee tolerance used
-/// throughout this workspace.
-///
-/// Implementations must be deterministic — the sharded reduction tree in
-/// `wb_engine::shard` relies on merges being pure functions of the two
-/// operand states so that reports stay byte-identical across thread counts.
-pub trait Mergeable {
-    /// Fold `other`'s state into `self`, or explain why that is unsound.
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError>;
-}
 
 #[cfg(test)]
 mod tests {

@@ -82,7 +82,8 @@ pub fn derive_seed(master: u64, labels: &[&str]) -> u64 {
 
 /// The exact word→`[0, 1)` mapping of [`TranscriptRng::next_f64`] (top 53
 /// bits, scaled), exposed so bulk kernels can convert words prefetched via
-/// [`TranscriptRng::next_u64_many`] precisely as the scalar draw would.
+/// [`TranscriptRng::for_each_with_words`], or drawn from any
+/// [`WordSource`], precisely as the scalar draw would.
 #[inline]
 pub fn f64_from_word(w: u64) -> f64 {
     (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -394,6 +395,112 @@ impl Snapshot for RandTranscript {
     }
 }
 
+/// A source of raw tape words: what the shared draw rules [`below`] and
+/// [`fill_below`] consume.
+///
+/// Every word is public in the white-box model, so the order in which
+/// words are drawn and converted is part of the output contract. Writing
+/// the rules once over this trait keeps that order identical for every
+/// tape: [`TranscriptRng`] (recorded in the public transcript) and the
+/// buffered environment tape under the engine's workload generators.
+pub trait WordSource {
+    /// The next word of the tape.
+    fn next_u64(&mut self) -> u64;
+
+    /// The next `out.len()` words of the tape, in tape order.
+    fn next_u64_many(&mut self, out: &mut [u64]);
+
+    /// The source's one-entry [`Reciprocal`] cache for [`below`]: callers
+    /// overwhelmingly sample one modulus repeatedly (a workload's universe,
+    /// a sketch's width), so the 128-bit division behind the magic is paid
+    /// once per modulus change, not once per draw. A pure cache: it never
+    /// changes a drawn value and is not part of any snapshot.
+    fn recip_cache(&mut self) -> &mut Option<Reciprocal>;
+}
+
+/// The cached reciprocal for modulus `n` (recomputed only when `n`
+/// changes between calls).
+#[inline]
+fn cached_recip<S: WordSource + ?Sized>(src: &mut S, n: u64) -> Reciprocal {
+    let cache = src.recip_cache();
+    match *cache {
+        Some(r) if r.n() == n => r,
+        _ => {
+            let r = Reciprocal::new(n);
+            *cache = Some(r);
+            r
+        }
+    }
+}
+
+/// The uniform-draw rule: a uniform integer in `[0, n)` from `src`'s tape.
+/// Panics if `n == 0`.
+///
+/// A power-of-two `n` masks one word. Any other `n` rejection-samples for
+/// exact uniformity: words at or above the [`Reciprocal::zone`] are
+/// skipped, and the first accepted word is reduced by the cached
+/// [`Reciprocal`], bit-identical to the hardware `v % n`.
+#[inline]
+pub fn below<S: WordSource + ?Sized>(src: &mut S, n: u64) -> u64 {
+    assert!(n > 0, "below(0) is undefined");
+    if n.is_power_of_two() {
+        return src.next_u64() & (n - 1);
+    }
+    let r = cached_recip(src, n);
+    loop {
+        let v = src.next_u64();
+        if v < r.zone() {
+            return r.rem(v);
+        }
+    }
+}
+
+/// The bulk form of [`below`]: fills `out` with the values of `out.len()`
+/// calls to it, consuming exactly the same words (rejections included),
+/// with the words drawn through [`WordSource::next_u64_many`]. Panics if
+/// `n == 0`.
+pub fn fill_below<S: WordSource + ?Sized>(src: &mut S, n: u64, out: &mut [u64]) {
+    assert!(n > 0, "below(0) is undefined");
+    if n.is_power_of_two() {
+        let mask = n - 1;
+        src.next_u64_many(out);
+        for v in out.iter_mut() {
+            *v &= mask;
+        }
+        return;
+    }
+    let r = cached_recip(src, n);
+    // Optimistic pass: one word per output. Rejected words are skipped
+    // (in tape order, exactly like the scalar rejection loop) and the
+    // shortfall redrawn in small rounds — each round draws exactly the
+    // number of outputs still missing, so the total word count matches
+    // the scalar loop draw for draw.
+    src.next_u64_many(out);
+    let mut filled = 0;
+    for i in 0..out.len() {
+        let v = out[i];
+        if v < r.zone() {
+            out[filled] = r.rem(v);
+            filled += 1;
+        }
+    }
+    let mut spare = [0u64; 32];
+    while filled < out.len() {
+        let need = (out.len() - filled).min(spare.len());
+        src.next_u64_many(&mut spare[..need]);
+        for &v in &spare[..need] {
+            if v < r.zone() {
+                out[filled] = r.rem(v);
+                filled += 1;
+            }
+        }
+    }
+}
+
+/// Tape words per block of [`TranscriptRng::for_each_with_words`] — sized
+/// so a block stays L1-resident.
+const WORD_BLOCK: usize = 512;
+
 /// The only randomness source handed to streaming algorithms.
 ///
 /// Every draw is recorded in the public [`RandTranscript`]. All helpers are
@@ -403,10 +510,7 @@ impl Snapshot for RandTranscript {
 pub struct TranscriptRng {
     rng: Xoshiro256StarStar,
     transcript: RandTranscript,
-    /// One-entry [`Reciprocal`] cache for [`TranscriptRng::below`]: callers
-    /// overwhelmingly sample one modulus repeatedly (a workload's universe,
-    /// a sketch's width), so the 128-bit division behind the magic is paid
-    /// once per modulus change, not once per draw.
+    /// See [`WordSource::recip_cache`].
     recip: Option<Reciprocal>,
 }
 
@@ -437,16 +541,36 @@ impl TranscriptRng {
         self.transcript.record_many(out);
     }
 
-    /// The cached reciprocal for modulus `n` (recomputed only when `n`
-    /// changes between calls).
+    /// Hands each item of `items` its `per` fresh tape words, in item
+    /// order: `f(item, words)` sees exactly the words `per` calls to
+    /// [`TranscriptRng::next_u64`] per item would draw, and the transcript
+    /// ends in the same state. The words are drawn through
+    /// [`TranscriptRng::next_u64_many`] in blocks of whole items of up to
+    /// 512 words, from a stack buffer (a heap buffer of one item when
+    /// `per > 512`). This is the prefetch loop of every batch kernel that
+    /// spends a fixed number of coin words per update. Panics if
+    /// `per == 0`.
     #[inline]
-    fn recip_for(&mut self, n: u64) -> Reciprocal {
-        match self.recip {
-            Some(r) if r.n() == n => r,
-            _ => {
-                let r = Reciprocal::new(n);
-                self.recip = Some(r);
-                r
+    pub fn for_each_with_words<T>(
+        &mut self,
+        items: &[T],
+        per: usize,
+        mut f: impl FnMut(&T, &[u64]),
+    ) {
+        assert!(per > 0, "for_each_with_words needs per >= 1");
+        let mut stack = [0u64; WORD_BLOCK];
+        let mut heap = Vec::new();
+        let buf: &mut [u64] = if per <= WORD_BLOCK {
+            &mut stack
+        } else {
+            heap.resize(per, 0);
+            &mut heap
+        };
+        for block in items.chunks((WORD_BLOCK / per).max(1)) {
+            let words = &mut buf[..block.len() * per];
+            self.next_u64_many(words);
+            for (item, w) in block.iter().zip(words.chunks_exact(per)) {
+                f(item, w);
             }
         }
     }
@@ -461,70 +585,10 @@ impl TranscriptRng {
         self.next_f64() < p
     }
 
-    /// Uniform integer in `[0, n)`. Panics if `n == 0`.
-    ///
-    /// Uses rejection sampling on the top bits for exact uniformity; the
-    /// `v % n` of the historical implementation is strength-reduced to a
-    /// cached [`Reciprocal`] multiply, bit-identical to the hardware
-    /// division, so existing tapes are unchanged.
+    /// Uniform integer in `[0, n)` by the shared uniform-draw rule
+    /// [`below`]. Panics if `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below(0) is undefined");
-        if n.is_power_of_two() {
-            return self.next_u64() & (n - 1);
-        }
-        let r = self.recip_for(n);
-        loop {
-            let v = self.next_u64();
-            if v < r.zone() {
-                return r.rem(v);
-            }
-        }
-    }
-
-    /// Fills `out` with `out.len()` uniform integers in `[0, n)` — the
-    /// exact values (and the exact raw-word tape, rejections included) that
-    /// `out.len()` calls to [`TranscriptRng::below`] would produce, with
-    /// the words drawn by bulk fill and the transcript updated per batch
-    /// instead of per draw. Panics if `n == 0`.
-    pub fn below_many(&mut self, n: u64, out: &mut [u64]) {
-        assert!(n > 0, "below(0) is undefined");
-        if out.is_empty() {
-            return;
-        }
-        if n.is_power_of_two() {
-            let mask = n - 1;
-            self.next_u64_many(out);
-            for v in out.iter_mut() {
-                *v &= mask;
-            }
-            return;
-        }
-        let r = self.recip_for(n);
-        // Optimistic pass: one word per output. Rejected words are skipped
-        // (in tape order, exactly like the scalar rejection loop) and the
-        // shortfall redrawn in small rounds — each round draws exactly the
-        // number of outputs still missing, so the total word count matches
-        // the scalar loop draw for draw.
-        self.next_u64_many(out);
-        let mut filled = 0;
-        for i in 0..out.len() {
-            let v = out[i];
-            if v < r.zone() {
-                out[filled] = r.rem(v);
-                filled += 1;
-            }
-        }
-        let mut spare = [0u64; 32];
-        while filled < out.len() {
-            let need = (out.len() - filled).min(spare.len());
-            self.next_u64_many(&mut spare[..need]);
-            for &v in &spare[..need] {
-                if v < r.zone() {
-                    out[filled] = r.rem(v);
-                    filled += 1;
-                }
-            }
-        }
+        below(self, n)
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if the range is empty.
@@ -536,6 +600,23 @@ impl TranscriptRng {
     /// The public transcript (seed, draw count, recent draws).
     pub fn transcript(&self) -> &RandTranscript {
         &self.transcript
+    }
+}
+
+impl WordSource for TranscriptRng {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        TranscriptRng::next_u64(self)
+    }
+
+    #[inline]
+    fn next_u64_many(&mut self, out: &mut [u64]) {
+        TranscriptRng::next_u64_many(self, out)
+    }
+
+    #[inline]
+    fn recip_cache(&mut self) -> &mut Option<Reciprocal> {
+        &mut self.recip
     }
 }
 
@@ -842,13 +923,13 @@ mod tests {
     }
 
     #[test]
-    fn below_many_matches_scalar_draw_for_draw() {
+    fn fill_below_matches_scalar_draw_for_draw() {
         for n in [3u64, 7, 8, 100, (1 << 32) - 5, P_TEST] {
             let mut scalar = TranscriptRng::from_seed(31);
             let mut bulk = TranscriptRng::from_seed(31);
             let want: Vec<u64> = (0..2000).map(|_| scalar.below(n)).collect();
             let mut got = vec![0u64; 2000];
-            bulk.below_many(n, &mut got);
+            fill_below(&mut bulk, n, &mut got);
             assert_eq!(got, want, "n {n}");
             assert_eq!(
                 bulk.transcript().draws(),
@@ -858,6 +939,44 @@ mod tests {
             assert_eq!(bulk.transcript().recent(), scalar.transcript().recent());
             // Both continue on the same tape afterwards.
             assert_eq!(bulk.below(n), scalar.below(n));
+        }
+    }
+
+    #[test]
+    fn for_each_with_words_matches_scalar_draw_for_draw() {
+        // 512 words per block: per = 1 and 9 pack 512 and 56 items a
+        // block, 512 exactly one, and 513 takes the heap buffer. The item
+        // counts land one short of, on, and one past a block boundary.
+        for per in [1usize, 9, 512, 513] {
+            let per_block = (WORD_BLOCK / per).max(1);
+            for items in [
+                0usize,
+                1,
+                per_block - 1,
+                per_block,
+                per_block + 1,
+                3 * per_block + 1,
+            ] {
+                let mut scalar = TranscriptRng::from_seed(41);
+                let mut bulk = TranscriptRng::from_seed(41);
+                let want: Vec<Vec<u64>> = (0..items)
+                    .map(|_| (0..per).map(|_| scalar.next_u64()).collect())
+                    .collect();
+                let ids: Vec<usize> = (0..items).collect();
+                let mut got = Vec::new();
+                bulk.for_each_with_words(&ids, per, |&i, w| {
+                    assert_eq!(i, got.len(), "items arrive in order");
+                    got.push(w.to_vec());
+                });
+                assert_eq!(got, want, "per {per}, {items} items");
+                assert_eq!(bulk.transcript().draws(), scalar.transcript().draws());
+                assert_eq!(bulk.transcript().recent(), scalar.transcript().recent());
+                assert_eq!(
+                    bulk.next_u64(),
+                    scalar.next_u64(),
+                    "per {per}, {items} items"
+                );
+            }
         }
     }
 }

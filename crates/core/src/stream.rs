@@ -1,7 +1,7 @@
 //! Stream and update types, the streaming-algorithm trait, and the exact
 //! frequency vector used as referee ground truth.
 
-use crate::merge::{MergeError, Mergeable};
+use crate::merge::MergeError;
 use crate::rng::TranscriptRng;
 use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use std::collections::HashMap;
@@ -225,18 +225,29 @@ pub trait StreamAlg {
     }
 
     /// Fold the state of `other` — a sibling instance that ingested a
-    /// different slice of the same logical stream — into `self`.
+    /// different slice of the same logical stream — into `self`, or explain
+    /// why that is unsound.
     ///
-    /// This is the bridge the erased layer (`DynStreamAlg::merge_dyn` in
+    /// Contract: if `a` ingested stream `A` and `b` ingested stream `B`
+    /// (both starting from identically-constructed empty instances), then
+    /// after `a.merge_from(&b)` the instance `a` must answer its query for
+    /// the concatenated stream `A ∘ B` within the **same guarantee** the
+    /// algorithm claims for single-stream ingestion of `A ∘ B`. Linear
+    /// sketches (`CountMin`, `AmsF2`, exact frequency state) merge exactly;
+    /// counter summaries (`MisraGries`, `SpaceSaving`) merge with the
+    /// classic mergeable-summaries error bounds, which stay inside the
+    /// referee tolerance used throughout this workspace.
+    ///
+    /// Implementations must be deterministic — the sharded reduction tree
+    /// in `wb_engine::shard` relies on merges being pure functions of the
+    /// two operand states so that reports stay byte-identical across
+    /// thread counts.
+    ///
+    /// This is the method the erased layer (`DynStreamAlg::merge_dyn` in
     /// `wb-engine`) calls after downcast-checking type equality. The
-    /// default declares the algorithm unmergeable; algorithms with a sound
-    /// merge implement [`Mergeable`] and override this to delegate:
-    ///
-    /// ```ignore
-    /// fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-    ///     Mergeable::merge(self, other)
-    /// }
-    /// ```
+    /// default declares the algorithm unmergeable
+    /// ([`MergeError::Unmergeable`]); algorithms with a sound merge
+    /// override it.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError>
     where
         Self: Sized,
@@ -389,6 +400,15 @@ impl FrequencyVector {
     pub fn iter(&self) -> impl Iterator<Item = (u64, i64)> + '_ {
         self.freqs.iter().map(|(&k, &v)| (k, v))
     }
+
+    /// Exact merge: coordinates add, so the merged vector equals the one
+    /// obtained by ingesting the concatenation of both update streams.
+    pub fn merge(&mut self, other: &Self) {
+        for (item, f) in other.iter() {
+            self.apply(item, f);
+        }
+        self.updates += other.updates;
+    }
 }
 
 impl Snapshot for FrequencyVector {
@@ -416,18 +436,6 @@ impl Snapshot for FrequencyVector {
         self.freqs = freqs;
         self.l1 = l1;
         self.updates = updates;
-        Ok(())
-    }
-}
-
-impl Mergeable for FrequencyVector {
-    /// Exact merge: coordinates add, so the merged vector equals the one
-    /// obtained by ingesting the concatenation of both update streams.
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        for (item, f) in other.iter() {
-            self.apply(item, f);
-        }
-        self.updates += other.updates;
         Ok(())
     }
 }
@@ -551,7 +559,7 @@ mod tests {
         for &(i, d) in &right {
             other.update(i, d);
         }
-        merged.merge(&other).unwrap();
+        merged.merge(&other);
         let mut single = FrequencyVector::new();
         for &(i, d) in left.iter().chain(&right) {
             single.update(i, d);

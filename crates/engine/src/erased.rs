@@ -376,7 +376,7 @@ pub trait DynStreamAlg: Send {
     }
 
     /// Fold a sibling instance's state into this one — the erased mirror of
-    /// [`wb_core::merge::Mergeable`]. Type equality is downcast-checked:
+    /// [`StreamAlg::merge_from`]. Type equality is downcast-checked:
     /// offering a different concrete type is [`MergeError::TypeMismatch`],
     /// an algorithm without a sound merge is [`MergeError::Unmergeable`],
     /// and same-type instances built with different parameters are

@@ -344,15 +344,22 @@ pub fn run_cli(spec: ExperimentSpec) {
     let cfg = RunnerConfig::from_args();
     let lines = run(spec, &cfg);
     if let Some(path) = &cfg.json {
-        if path == "-" {
-            let mut out = std::io::stdout();
-            for l in &lines {
-                let _ = writeln!(out, "{l}");
-            }
-        } else if let Err(e) = std::fs::write(path, lines.join("\n") + "\n") {
-            eprintln!("could not write JSON report to {path}: {e}");
-            std::process::exit(1);
+        write_json_report(path, &lines);
+    }
+}
+
+/// Write a JSON-lines report for a `--json <path|->` flag: one line per
+/// entry, to stdout for `-`, else to the file at `path`. A file that
+/// cannot be written is reported on stderr and exits with status 1.
+pub fn write_json_report(path: &str, lines: &[String]) {
+    if path == "-" {
+        let mut out = std::io::stdout();
+        for l in lines {
+            let _ = writeln!(out, "{l}");
         }
+    } else if let Err(e) = std::fs::write(path, lines.join("\n") + "\n") {
+        eprintln!("could not write JSON report to {path}: {e}");
+        std::process::exit(1);
     }
 }
 

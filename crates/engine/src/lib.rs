@@ -37,8 +37,8 @@
 //!   core serves both modes: a per-shard ingest step and one
 //!   route-and-stage step, run inline by [`ShardPipeline`] or with one
 //!   consumer thread per shard behind a bounded chunk queue. Only
-//!   [`wb_core::merge::Mergeable`] algorithms participate; the rest refuse
-//!   with a typed `MergeError`.
+//!   algorithms that override `StreamAlg::merge_from` participate; the rest
+//!   refuse with a typed `MergeError`.
 //! * [`workload`] — one generator per named workload (the declarative
 //!   [`WorkloadSpec`]) and the **pull-based streaming layer**
 //!   ([`workload::UpdateSource`] / [`WorkloadSpec::stream`]) every

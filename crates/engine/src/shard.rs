@@ -37,7 +37,7 @@
 //! and every shard's randomness tape (each tape's seed is public and
 //! derived from public inputs). Only algorithms whose robustness argument
 //! tolerates full state exposure merge soundly; see
-//! [`wb_core::merge::Mergeable`] for the contract and
+//! [`wb_core::stream::StreamAlg::merge_from`] for the contract and
 //! [`MergeError::Unmergeable`] for the refusals.
 
 use crate::erased::{DynStreamAlg, Update};
@@ -506,7 +506,7 @@ impl ShardPipeline {
     /// Flush and merge the shard states **without consuming them**: each
     /// reduction-tree node is a fresh `ctor` instance the children are
     /// folded into (merging into an empty sibling reproduces the child's
-    /// state by the [`wb_core::merge::Mergeable`] contract — an empty
+    /// state by the [`wb_core::stream::StreamAlg::merge_from`] contract — an empty
     /// instance summarizes the empty stream). The shard states stay live,
     /// so a long-running tenant can answer queries mid-stream and keep
     /// ingesting; [`ShardPipeline::finish`] remains the end-of-stream

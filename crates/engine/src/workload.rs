@@ -27,7 +27,7 @@
 //! [`SliceSource`], the one slice-shaped [`UpdateSource`].
 
 use crate::erased::Update;
-use wb_core::rng::{Reciprocal, Xoshiro256StarStar};
+use wb_core::rng::{below, f64_from_word, fill_below, Reciprocal, WordSource, Xoshiro256StarStar};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::stream::Turnstile;
 
@@ -206,14 +206,13 @@ const WORD_TAPE_BUF: usize = 1024;
 /// generator whose raw 64-bit words are produced in bulk (the unrolled
 /// [`Xoshiro256StarStar::fill_u64`]) and consumed one at a time — or a
 /// chunk at a time by the vectorized kernels — in **exactly the order** the
-/// historical per-draw `TranscriptRng` consumed them. Every conversion
-/// helper mirrors the `TranscriptRng` method of the same name bit for bit
-/// (same seed expansion, same rejection zones, reciprocal remainder equal
-/// to the hardware remainder), so each workload variant emits a
-/// draw-for-draw identical stream by construction. Workload generators are
-/// *environment* randomness — the white-box transcript of the algorithm
-/// under test is a separate `TranscriptRng` and is untouched — so the tape
-/// keeps no transcript and pays no per-draw accounting.
+/// historical per-draw `TranscriptRng` consumed them. It is a
+/// [`WordSource`] seeded like `TranscriptRng`, so the shared draw rules
+/// ([`below`], [`fill_below`], [`f64_from_word`]) give each workload
+/// variant a draw-for-draw identical stream by construction. Workload
+/// generators are *environment* randomness — the white-box transcript of
+/// the algorithm under test is a separate `TranscriptRng` and is untouched
+/// — so the tape keeps no transcript and pays no per-draw accounting.
 #[derive(Debug, Clone)]
 struct WordTape {
     rng: Xoshiro256StarStar,
@@ -236,6 +235,18 @@ impl WordTape {
         }
     }
 
+    /// The reused scratch slice, `k` long, filled by `fill` — raw words
+    /// for the ddos address mixer, uniform draws for the uniform kernel.
+    fn scratch_chunk(&mut self, k: usize, fill: impl FnOnce(&mut Self, &mut [u64])) -> &[u64] {
+        let mut s = std::mem::take(&mut self.scratch);
+        s.resize(k, 0);
+        fill(self, &mut s);
+        self.scratch = s;
+        &self.scratch
+    }
+}
+
+impl WordSource for WordTape {
     /// Next raw tape word (buffered; refilled in bulk).
     #[inline]
     fn next_u64(&mut self) -> u64 {
@@ -249,9 +260,9 @@ impl WordTape {
         w
     }
 
-    /// Fills `out` with the next raw tape words: buffered words first
-    /// (they are earlier tape positions), then one direct bulk fill.
-    fn fill_words(&mut self, out: &mut [u64]) {
+    /// Buffered words first (they are earlier tape positions), then one
+    /// direct bulk fill.
+    fn next_u64_many(&mut self, out: &mut [u64]) {
         let buffered = self.buf.len() - self.pos;
         let take = buffered.min(out.len());
         out[..take].copy_from_slice(&self.buf[self.pos..self.pos + take]);
@@ -261,98 +272,9 @@ impl WordTape {
         }
     }
 
-    /// Mirrors `TranscriptRng::next_f64` bit for bit.
     #[inline]
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Mirrors `TranscriptRng::bernoulli` bit for bit.
-    #[inline]
-    fn bernoulli(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
-    /// Cached reciprocal for modulus `n` (recomputed only on change).
-    #[inline]
-    fn recip_for(&mut self, n: u64) -> Reciprocal {
-        match self.recip {
-            Some(r) if r.n() == n => r,
-            _ => {
-                let r = Reciprocal::new(n);
-                self.recip = Some(r);
-                r
-            }
-        }
-    }
-
-    /// Mirrors `TranscriptRng::below` bit for bit: same power-of-two mask,
-    /// same rejection zone, same word consumption.
-    #[inline]
-    fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below(0) is undefined");
-        if n.is_power_of_two() {
-            return self.next_u64() & (n - 1);
-        }
-        let r = self.recip_for(n);
-        loop {
-            let v = self.next_u64();
-            if v < r.zone() {
-                return r.rem(v);
-            }
-        }
-    }
-
-    /// The vectorized uniform kernel: `k` draws below `n` as a reused
-    /// scratch slice. Word consumption (rejections included) is identical
-    /// to `k` scalar `below(n)` calls — raw words are taken in tape order,
-    /// rejected words skipped, and the shortfall redrawn round by round
-    /// exactly as the scalar rejection loop would.
-    fn below_chunk(&mut self, n: u64, k: usize) -> &[u64] {
-        assert!(n > 0, "below(0) is undefined");
-        let mut s = std::mem::take(&mut self.scratch);
-        s.resize(k, 0);
-        if n.is_power_of_two() {
-            let mask = n - 1;
-            self.fill_words(&mut s);
-            for v in s.iter_mut() {
-                *v &= mask;
-            }
-        } else {
-            let r = self.recip_for(n);
-            self.fill_words(&mut s);
-            let mut filled = 0;
-            for i in 0..k {
-                let v = s[i];
-                if v < r.zone() {
-                    s[filled] = r.rem(v);
-                    filled += 1;
-                }
-            }
-            let mut spare = [0u64; 32];
-            while filled < k {
-                let need = (k - filled).min(spare.len());
-                self.fill_words(&mut spare[..need]);
-                for &v in &spare[..need] {
-                    if v < r.zone() {
-                        s[filled] = r.rem(v);
-                        filled += 1;
-                    }
-                }
-            }
-        }
-        self.scratch = s;
-        &self.scratch
-    }
-
-    /// `k` raw tape words as a reused scratch slice — for kernels doing
-    /// their own conversion (the ddos address mixer).
-    fn word_chunk(&mut self, k: usize) -> &[u64] {
-        let mut s = std::mem::take(&mut self.scratch);
-        s.resize(k, 0);
-        self.fill_words(&mut s);
-        self.scratch = s;
-        &self.scratch
+    fn recip_cache(&mut self) -> &mut Option<Reciprocal> {
+        &mut self.recip
     }
 }
 
@@ -387,10 +309,10 @@ impl Snapshot for WordTape {
 /// too large to tabulate, and the reference the precomputed
 /// [`ZipfSampler`] table is pinned against.
 fn zipf_next(tape: &mut WordTape, n: u64, heavy_items: u64, weights: &[f64], total: f64) -> u64 {
-    if tape.bernoulli(0.7) {
-        zipf_head_walk(tape.next_f64() * total, heavy_items, weights)
+    if f64_from_word(tape.next_u64()) < 0.7 {
+        zipf_head_walk(f64_from_word(tape.next_u64()) * total, heavy_items, weights)
     } else {
-        heavy_items + tape.below(n - heavy_items)
+        heavy_items + below(tape, n - heavy_items)
     }
 }
 
@@ -417,11 +339,11 @@ const ZIPF_TABLE_MAX_HEAVY: u64 = 2048;
 const ZIPF_BUCKETS: usize = 1024;
 /// Bits to shift a 53-bit draw right to get its bucket index.
 const ZIPF_BUCKET_SHIFT: u32 = 53 - ZIPF_BUCKETS.trailing_zeros();
-/// The draw grid: `next_f64` yields `k / 2^53` for a 53-bit integer `k`.
+/// The draw grid: `f64_from_word` yields `k / 2^53` for a 53-bit integer `k`.
 const ZIPF_GRID: f64 = (1u64 << 53) as f64;
 /// The Bernoulli(0.7) coin cutoff on the draw grid: `fl(0.7)·2^53` is
 /// exact (same binade, power-of-two scale), so `(word >> 11) < CUT` is
-/// bit-identical to `next_f64() < 0.7`.
+/// bit-identical to `f64_from_word(word) < 0.7`.
 const ZIPF_COIN_CUT: u64 = (0.7 * ZIPF_GRID) as u64;
 
 /// Precomputed inverse CDF of the Zipf head walk, mapping each
@@ -454,6 +376,10 @@ struct ZipfSampler {
     /// Per-bucket `[start, end)` index range into `thresholds` that can
     /// still straddle the bucket; empty when the table is not built.
     buckets: Vec<(u32, u32)>,
+    /// The tail width's reciprocal for the table kernel's tail draws — the
+    /// value the uniform rule's cache would hold — hoisted out of the
+    /// per-chunk path. A power-of-two (or empty) tail never reads it.
+    tail_recip: Reciprocal,
 }
 
 /// Next representable `f64` above positive finite `x`.
@@ -496,6 +422,7 @@ impl ZipfSampler {
             total,
             thresholds: Vec::new(),
             buckets: Vec::new(),
+            tail_recip: Reciprocal::new(n.wrapping_sub(heavy).max(1)),
         };
         if (1..=ZIPF_TABLE_MAX_HEAVY).contains(&heavy) {
             sampler.build_table();
@@ -596,7 +523,7 @@ impl ZipfSampler {
         }
         let mut words = std::mem::take(&mut tape.scratch);
         words.resize(2 * k, 0);
-        tape.fill_words(&mut words);
+        tape.next_u64_many(&mut words);
         let tail = self.n - self.heavy;
         if tail == 0 {
             // Degenerate head-only universe: preserve the scalar panic on
@@ -616,11 +543,7 @@ impl ZipfSampler {
         }
         let pow2 = tail.is_power_of_two();
         let mask = tail.wrapping_sub(1);
-        // Hoisted reciprocal: the scalar path computes it lazily per tail
-        // draw, but `tape.recip` is a pure cache (excluded from snapshots),
-        // so warming it eagerly is unobservable. `Reciprocal::new(1)` is
-        // well-defined, so a pow2 tail just never reads it.
-        let recip = tape.recip_for(if pow2 { 1 } else { tail });
+        let recip = self.tail_recip;
         let mut wi = 0usize;
         for _ in 0..k {
             // Head and tail consume the same value word, so a draw is a
@@ -1181,7 +1104,7 @@ impl UpdateSource for WorkloadStream {
                         ph = 0;
                     }
                 }
-                let words = tape.word_chunk(draws);
+                let words = tape.scratch_chunk(draws, |t, s| t.next_u64_many(s));
                 let mut wi = 0;
                 for _ in 0..k {
                     let item = match phase {
@@ -1223,7 +1146,7 @@ impl UpdateSource for WorkloadStream {
                             break;
                         }
                         *waves_left -= 1;
-                        *base = tape.below(*n);
+                        *base = below(tape, *n);
                         *phase = ChurnPhase::Insert(0, *base);
                     }
                     ChurnPhase::Insert(i, cur) => {
@@ -1253,8 +1176,9 @@ impl UpdateSource for WorkloadStream {
                 }
             },
             StreamState::Uniform { tape, n, remaining } => {
-                let k = take_of(cap, 0, *remaining);
-                buf.extend(tape.below_chunk(*n, k).iter().map(|&v| Update::Insert(v)));
+                let (k, n) = (take_of(cap, 0, *remaining), *n);
+                let items = tape.scratch_chunk(k, |t, s| fill_below(t, n, s));
+                buf.extend(items.iter().map(|&v| Update::Insert(v)));
                 *remaining -= k as u64;
             }
             StreamState::Cycle { items, t, m, cur } => {

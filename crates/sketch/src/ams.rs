@@ -13,7 +13,7 @@
 //! [`find_aligned_items`] is the attack; experiment E8 charts the forced
 //! error against the number of median copies.
 
-use wb_core::merge::{MergeError, Mergeable};
+use wb_core::merge::MergeError;
 use wb_core::rng::TranscriptRng;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_signed, SpaceUsage};
@@ -205,38 +205,6 @@ impl AmsF2 {
     }
 }
 
-impl Mergeable for AmsF2 {
-    /// Linear-sketch merge: each copy maintains `⟨Z, f⟩`, which is linear
-    /// in `f`, so counters add — **provided both instances use the same
-    /// sign functions** (same public coefficients, i.e. constructed from
-    /// the same seed). The merged sketch is bit-identical to single-stream
-    /// ingestion of the concatenated stream.
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.copies.len() != other.copies.len() {
-            return Err(MergeError::incompatible(format!(
-                "AmsF2 {} vs {} copies",
-                self.copies.len(),
-                other.copies.len()
-            )));
-        }
-        if self
-            .copies
-            .iter()
-            .zip(&other.copies)
-            .any(|(a, b)| a.coeffs != b.coeffs)
-        {
-            return Err(MergeError::incompatible(
-                "AmsF2 sign coefficients differ — shard instances must be \
-                 constructed from the same public seed",
-            ));
-        }
-        for (a, b) in self.copies.iter_mut().zip(&other.copies) {
-            a.counter += b.counter;
-        }
-        Ok(())
-    }
-}
-
 impl Snapshot for AmsF2 {
     /// Layout: `len | copies…`. The copy count is a construction parameter;
     /// the batch aggregator and sign cache are scratch — skipped.
@@ -346,8 +314,34 @@ impl StreamAlg for AmsF2 {
         }
     }
 
+    /// Linear-sketch merge: each copy maintains `⟨Z, f⟩`, which is linear
+    /// in `f`, so counters add — **provided both instances use the same
+    /// sign functions** (same public coefficients, i.e. constructed from
+    /// the same seed). The merged sketch is bit-identical to single-stream
+    /// ingestion of the concatenated stream.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        Mergeable::merge(self, other)
+        if self.copies.len() != other.copies.len() {
+            return Err(MergeError::incompatible(format!(
+                "AmsF2 {} vs {} copies",
+                self.copies.len(),
+                other.copies.len()
+            )));
+        }
+        if self
+            .copies
+            .iter()
+            .zip(&other.copies)
+            .any(|(a, b)| a.coeffs != b.coeffs)
+        {
+            return Err(MergeError::incompatible(
+                "AmsF2 sign coefficients differ — shard instances must be \
+                 constructed from the same public seed",
+            ));
+        }
+        for (a, b) in self.copies.iter_mut().zip(&other.copies) {
+            a.counter += b.counter;
+        }
+        Ok(())
     }
 
     fn query(&self) -> f64 {
@@ -517,7 +511,7 @@ mod tests {
                 b.update(item, delta);
             }
         }
-        a.merge(&b).unwrap();
+        a.merge_from(&b).unwrap();
         assert_eq!(a.estimate(), single.estimate());
         for (m, s) in a.copies().iter().zip(single.copies()) {
             assert_eq!(m.counter(), s.counter());
@@ -529,9 +523,9 @@ mod tests {
         let mut rng = TranscriptRng::from_seed(48);
         let mut a = AmsF2::new(3, &mut rng);
         let b = AmsF2::new(3, &mut rng);
-        assert!(matches!(a.merge(&b), Err(MergeError::Incompatible(_))));
+        assert!(matches!(a.merge_from(&b), Err(MergeError::Incompatible(_))));
         let c = AmsF2::new(5, &mut rng);
-        assert!(matches!(a.merge(&c), Err(MergeError::Incompatible(_))));
+        assert!(matches!(a.merge_from(&c), Err(MergeError::Incompatible(_))));
     }
 
     #[test]

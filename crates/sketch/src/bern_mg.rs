@@ -58,7 +58,7 @@ impl BernMG {
     }
 
     /// Process one update whose sampling coin word was already drawn (by a
-    /// bulk `next_u64_many` prefetch).
+    /// bulk prefetch).
     #[inline]
     pub(crate) fn insert_with_word(&mut self, item: u64, word: u64) {
         if f64_from_word(word) < self.p {
@@ -151,29 +151,21 @@ impl StreamAlg for BernMG {
     /// `MisraGries::insert_run` is defined as exactly that many repeated
     /// inserts, so the summary state is bit-identical to the scalar loop.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
-        const BLOCK: usize = 512;
-        let mut words = [0u64; BLOCK];
         let mut run: Option<(u64, u64)> = None;
-        let mut offset = 0;
-        while offset < updates.len() {
-            let take = (updates.len() - offset).min(BLOCK);
-            rng.next_u64_many(&mut words[..take]);
-            for (u, &w) in updates[offset..offset + take].iter().zip(&words[..take]) {
-                if f64_from_word(w) < self.p {
-                    self.sampled += 1;
-                    match &mut run {
-                        Some((item, weight)) if *item == u.0 => *weight += 1,
-                        _ => {
-                            if let Some((item, weight)) = run.take() {
-                                self.mg.insert_run(item, weight);
-                            }
-                            run = Some((u.0, 1));
+        rng.for_each_with_words(updates, 1, |u, w| {
+            if f64_from_word(w[0]) < self.p {
+                self.sampled += 1;
+                match &mut run {
+                    Some((item, weight)) if *item == u.0 => *weight += 1,
+                    _ => {
+                        if let Some((item, weight)) = run.take() {
+                            self.mg.insert_run(item, weight);
                         }
+                        run = Some((u.0, 1));
                     }
                 }
             }
-            offset += take;
-        }
+        });
         if let Some((item, weight)) = run {
             self.mg.insert_run(item, weight);
         }

@@ -8,7 +8,7 @@
 //! ever inserting it. [`forge_all_row_collisions`] implements that search;
 //! the experiments (E8) chart its success against the sketch dimensions.
 
-use wb_core::merge::{MergeError, Mergeable};
+use wb_core::merge::MergeError;
 use wb_core::rng::{Reciprocal, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, SpaceUsage};
@@ -109,33 +109,6 @@ impl CountMin {
     /// item (expected collision mass per row is `m/width`).
     pub fn error_bound(&self) -> f64 {
         2.0 * self.processed as f64 / self.width as f64
-    }
-}
-
-impl Mergeable for CountMin {
-    /// Linear-sketch merge: with identical dimensions **and identical row
-    /// hash coefficients** the tables add cell-wise, and the merged table
-    /// is bit-identical to single-stream ingestion of the concatenated
-    /// stream. Instances constructed from the same public seed share
-    /// coefficients; anything else is [`MergeError::Incompatible`].
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.depth != other.depth || self.width != other.width {
-            return Err(MergeError::incompatible(format!(
-                "CountMin {}x{} vs {}x{}",
-                self.depth, self.width, other.depth, other.width
-            )));
-        }
-        if self.seeds != other.seeds {
-            return Err(MergeError::incompatible(
-                "CountMin row hash coefficients differ — shard instances \
-                 must be constructed from the same public seed",
-            ));
-        }
-        for (cell, &o) in self.table.iter_mut().zip(&other.table) {
-            *cell += o;
-        }
-        self.processed += other.processed;
-        Ok(())
     }
 }
 
@@ -287,8 +260,29 @@ impl StreamAlg for CountMin {
         apply_weighted(seeds, table, width, recip, agg.runs().iter().copied());
     }
 
+    /// Linear-sketch merge: with identical dimensions **and identical row
+    /// hash coefficients** the tables add cell-wise, and the merged table
+    /// is bit-identical to single-stream ingestion of the concatenated
+    /// stream. Instances constructed from the same public seed share
+    /// coefficients; anything else is [`MergeError::Incompatible`].
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        Mergeable::merge(self, other)
+        if self.depth != other.depth || self.width != other.width {
+            return Err(MergeError::incompatible(format!(
+                "CountMin {}x{} vs {}x{}",
+                self.depth, self.width, other.depth, other.width
+            )));
+        }
+        if self.seeds != other.seeds {
+            return Err(MergeError::incompatible(
+                "CountMin row hash coefficients differ — shard instances \
+                 must be constructed from the same public seed",
+            ));
+        }
+        for (cell, &o) in self.table.iter_mut().zip(&other.table) {
+            *cell += o;
+        }
+        self.processed += other.processed;
+        Ok(())
     }
 
     /// The fixed query in attack experiments: the victim item `0`'s
@@ -435,7 +429,7 @@ mod tests {
                 b.insert(item);
             }
         }
-        a.merge(&b).unwrap();
+        a.merge_from(&b).unwrap();
         assert_eq!(a.table, single.table, "linear merge must be bit-exact");
         assert_eq!(a.processed(), single.processed());
     }
@@ -445,9 +439,9 @@ mod tests {
         let mut rng = TranscriptRng::from_seed(38);
         let mut a = CountMin::new(2, 32, &mut rng);
         let b = CountMin::new(2, 32, &mut rng); // fresh coefficients
-        assert!(matches!(a.merge(&b), Err(MergeError::Incompatible(_))));
+        assert!(matches!(a.merge_from(&b), Err(MergeError::Incompatible(_))));
         let c = CountMin::new(3, 32, &mut rng);
-        assert!(matches!(a.merge(&c), Err(MergeError::Incompatible(_))));
+        assert!(matches!(a.merge_from(&c), Err(MergeError::Incompatible(_))));
     }
 
     #[test]

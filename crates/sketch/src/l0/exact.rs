@@ -5,7 +5,7 @@
 //! unavoidable for white-box adversaries with unbounded computation; the
 //! SIS estimator (Algorithm 5) beats it only under Assumption 2.17.
 
-use wb_core::merge::{MergeError, Mergeable};
+use wb_core::merge::MergeError;
 use wb_core::rng::TranscriptRng;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_signed, bits_for_universe, SpaceUsage};
@@ -40,20 +40,6 @@ impl ExactL0 {
     /// The underlying frequency vector.
     pub fn freqs(&self) -> &FrequencyVector {
         &self.freqs
-    }
-}
-
-impl Mergeable for ExactL0 {
-    /// Exact merge: the underlying frequency vectors add coordinate-wise,
-    /// so the merged L0 equals single-stream ingestion of both streams.
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.n != other.n {
-            return Err(MergeError::incompatible(format!(
-                "ExactL0 universe {} vs {}",
-                self.n, other.n
-            )));
-        }
-        self.freqs.merge(&other.freqs)
     }
 }
 
@@ -104,8 +90,17 @@ impl StreamAlg for ExactL0 {
         self.freqs.update_batch(&pairs);
     }
 
+    /// Exact merge: the underlying frequency vectors add coordinate-wise,
+    /// so the merged L0 equals single-stream ingestion of both streams.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        Mergeable::merge(self, other)
+        if self.n != other.n {
+            return Err(MergeError::incompatible(format!(
+                "ExactL0 universe {} vs {}",
+                self.n, other.n
+            )));
+        }
+        self.freqs.merge(&other.freqs);
+        Ok(())
     }
 
     fn query(&self) -> u64 {
@@ -146,12 +141,12 @@ mod tests {
         }
         b.update(777, 1);
         assert_eq!(a.l0(), 32);
-        a.merge(&b).unwrap();
+        a.merge_from(&b).unwrap();
         assert_eq!(a.l0(), 1, "cancelled items must leave the merged support");
         assert_eq!(a.freqs().get(777), 1);
         let wrong_universe = ExactL0::new(10);
         assert!(matches!(
-            a.merge(&wrong_universe),
+            a.merge_from(&wrong_universe),
             Err(MergeError::Incompatible(_))
         ));
     }

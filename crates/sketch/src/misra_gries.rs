@@ -9,7 +9,7 @@
 //! `O(ε⁻¹ (log m + log n))` bits (counters grow with `m`), versus the
 //! robust randomized algorithm's `O(ε⁻¹ (log n + log ε⁻¹) + log log m)`.
 
-use wb_core::merge::{MergeError, Mergeable};
+use wb_core::merge::MergeError;
 use wb_core::rng::TranscriptRng;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, bits_for_universe, SpaceUsage};
@@ -174,51 +174,6 @@ impl MisraGries {
     }
 }
 
-impl Mergeable for MisraGries {
-    /// Classic `k`-counter merge (Agarwal–Cormode–Huang–Phillips–Wei–Yi):
-    /// counters add pointwise; if more than `k` survive, the `(k+1)`-th
-    /// largest count is subtracted from every counter and non-positive
-    /// counters are dropped — the merged equivalent of the decrement-all
-    /// step. The merged summary's additive error is at most
-    /// `(m₁ + m₂)/(k+1)`, i.e. the same `ε`-heavy-hitters guarantee as
-    /// single-stream ingestion of the concatenated stream.
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.k != other.k || self.n != other.n {
-            return Err(MergeError::incompatible(format!(
-                "MisraGries (k={}, n={}) vs (k={}, n={})",
-                self.k, self.n, other.k, other.n
-            )));
-        }
-        for (&item, &count) in other.keys.iter().zip(&other.counts) {
-            match self.keys.iter().position(|&i| i == item) {
-                Some(pos) => self.counts[pos] += count,
-                None => {
-                    self.keys.push(item);
-                    self.counts.push(count);
-                }
-            }
-        }
-        if self.keys.len() > self.k {
-            let mut order: Vec<u64> = self.counts.clone();
-            order.sort_unstable_by(|a, b| b.cmp(a));
-            let cut = order[self.k];
-            let mut live = 0;
-            for r in 0..self.keys.len() {
-                let c = self.counts[r].saturating_sub(cut);
-                if c > 0 {
-                    self.keys[live] = self.keys[r];
-                    self.counts[live] = c;
-                    live += 1;
-                }
-            }
-            self.keys.truncate(live);
-            self.counts.truncate(live);
-        }
-        self.processed += other.processed;
-        Ok(())
-    }
-}
-
 impl Snapshot for MisraGries {
     /// Layout: `k | n | processed | keys | counts`. `k` and `n` are
     /// construction parameters — validated against the restoring twin, not
@@ -298,8 +253,47 @@ impl StreamAlg for MisraGries {
         });
     }
 
+    /// Classic `k`-counter merge (Agarwal–Cormode–Huang–Phillips–Wei–Yi):
+    /// counters add pointwise; if more than `k` survive, the `(k+1)`-th
+    /// largest count is subtracted from every counter and non-positive
+    /// counters are dropped — the merged equivalent of the decrement-all
+    /// step. The merged summary's additive error is at most
+    /// `(m₁ + m₂)/(k+1)`, i.e. the same `ε`-heavy-hitters guarantee as
+    /// single-stream ingestion of the concatenated stream.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        Mergeable::merge(self, other)
+        if self.k != other.k || self.n != other.n {
+            return Err(MergeError::incompatible(format!(
+                "MisraGries (k={}, n={}) vs (k={}, n={})",
+                self.k, self.n, other.k, other.n
+            )));
+        }
+        for (&item, &count) in other.keys.iter().zip(&other.counts) {
+            match self.keys.iter().position(|&i| i == item) {
+                Some(pos) => self.counts[pos] += count,
+                None => {
+                    self.keys.push(item);
+                    self.counts.push(count);
+                }
+            }
+        }
+        if self.keys.len() > self.k {
+            let mut order: Vec<u64> = self.counts.clone();
+            order.sort_unstable_by(|a, b| b.cmp(a));
+            let cut = order[self.k];
+            let mut live = 0;
+            for r in 0..self.keys.len() {
+                let c = self.counts[r].saturating_sub(cut);
+                if c > 0 {
+                    self.keys[live] = self.keys[r];
+                    self.counts[live] = c;
+                    live += 1;
+                }
+            }
+            self.keys.truncate(live);
+            self.counts.truncate(live);
+        }
+        self.processed += other.processed;
+        Ok(())
     }
 
     fn query(&self) -> Vec<(u64, f64)> {
@@ -462,7 +456,7 @@ mod tests {
         }
         let mut merged = shards.remove(0);
         for s in &shards {
-            merged.merge(s).unwrap();
+            merged.merge_from(s).unwrap();
         }
         assert_eq!(merged.processed(), single.processed());
         assert!(merged.entries().len() <= k, "capacity exceeded by merge");
@@ -481,7 +475,7 @@ mod tests {
     fn merge_rejects_mismatched_budgets() {
         let mut a = MisraGries::with_counters(4, 100);
         let b = MisraGries::with_counters(8, 100);
-        assert!(matches!(a.merge(&b), Err(MergeError::Incompatible(_))));
+        assert!(matches!(a.merge_from(&b), Err(MergeError::Incompatible(_))));
     }
 
     #[test]

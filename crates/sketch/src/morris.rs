@@ -19,10 +19,6 @@ use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, SpaceUsage};
 use wb_core::stream::{InsertOnly, StreamAlg};
 
-/// Words prefetched per block by the batched coin-flip kernels — sized so
-/// a block stays L1-resident.
-const MORRIS_BLOCK: usize = 512;
-
 /// A single Morris counter with base `1 + a`.
 ///
 /// **Deliberately unmergeable** (`StreamAlg::merge_from` returns
@@ -31,7 +27,7 @@ const MORRIS_BLOCK: usize = 512;
 /// deterministic function of two exponents `(X₁, X₂)` is distributed like
 /// the exponent of a counter that saw both streams — a sound merge needs
 /// fresh randomness (subsampling one counter's increments), which the
-/// deterministic [`wb_core::merge::Mergeable`] contract rules out. Sharded
+/// deterministic [`StreamAlg::merge_from`] contract rules out. Sharded
 /// pipelines must route counting through one shard or use exact counters.
 #[derive(Debug, Clone)]
 pub struct MorrisCounter {
@@ -92,7 +88,7 @@ impl MorrisCounter {
     }
 
     /// Register one event whose coin word was already drawn (by a bulk
-    /// `next_u64_many` prefetch); returns whether the exponent moved.
+    /// prefetch); returns whether the exponent moved.
     #[inline]
     pub(crate) fn increment_with_word(&mut self, word: u64) -> bool {
         if word >> 11 < self.threshold {
@@ -159,21 +155,15 @@ impl StreamAlg for MorrisCounter {
         self.increment(rng);
     }
 
-    /// Batched coin flips: one word per update, prefetched block-wise via
-    /// `next_u64_many` (proven word- and transcript-identical to repeated
-    /// `next_u64`) and compared against the cached coin threshold — the
-    /// same coins, the same exponent trajectory, no per-update `powi`.
+    /// Batched coin flips: one word per update, prefetched block-wise by
+    /// [`TranscriptRng::for_each_with_words`] (word- and
+    /// transcript-identical to repeated `next_u64`) and compared against
+    /// the cached coin threshold — the same coins, the same exponent
+    /// trajectory, no per-update `powi`.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
-        let mut words = [0u64; MORRIS_BLOCK];
-        let mut rest = updates.len();
-        while rest > 0 {
-            let take = rest.min(MORRIS_BLOCK);
-            rng.next_u64_many(&mut words[..take]);
-            for &w in &words[..take] {
-                self.increment_with_word(w);
-            }
-            rest -= take;
-        }
+        rng.for_each_with_words(updates, 1, |_, w| {
+            self.increment_with_word(w[0]);
+        });
     }
 
     fn query(&self) -> f64 {
@@ -487,18 +477,9 @@ impl StreamAlg for MedianMorris {
     /// does; words are prefetched a block of whole updates at a time.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
         let k = self.counters.len();
-        let per_block = (MORRIS_BLOCK / k).max(1);
-        let mut words = vec![0u64; per_block * k];
-        let mut rest = updates.len();
-        while rest > 0 {
-            let take = rest.min(per_block);
-            let slice = &mut words[..take * k];
-            rng.next_u64_many(slice);
-            for u in 0..take {
-                self.increment_with_words(&slice[u * k..(u + 1) * k]);
-            }
-            rest -= take;
-        }
+        rng.for_each_with_words(updates, k, |_, w| {
+            self.increment_with_words(w);
+        });
     }
 
     fn query(&self) -> f64 {

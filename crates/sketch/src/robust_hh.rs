@@ -161,35 +161,23 @@ impl StreamAlg for RobustL1HeavyHitters {
 
     /// Batched insert. Each update consumes exactly `k + 2` words (`k`
     /// Morris coins in copy order, then the answering and warming sampling
-    /// coins), so whole blocks are prefetched with `next_u64_many` and fed
-    /// to the per-word paths in scalar order. The ladder is consulted only
-    /// when a Morris exponent moved, exactly as in [`Self::insert`]; the
-    /// copies take their new coin thresholds and estimates from the
-    /// [`MedianMorris`] memo instead of recomputing `powi`.
+    /// coins), so whole blocks are prefetched by
+    /// [`TranscriptRng::for_each_with_words`] and fed to the per-word paths
+    /// in scalar order. The ladder is consulted only when a Morris exponent
+    /// moved, exactly as in [`Self::insert`]; the copies take their new
+    /// coin thresholds and estimates from the [`MedianMorris`] memo instead
+    /// of recomputing `powi`.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
-        const BLOCK: usize = 512;
         let k = self.morris.counters().len();
-        let per = k + 2;
-        let per_block = (BLOCK / per).max(1);
-        let mut words = vec![0u64; per_block * per];
-        let mut offset = 0;
-        while offset < updates.len() {
-            let take = (updates.len() - offset).min(per_block);
-            rng.next_u64_many(&mut words[..take * per]);
-            for (u, chunk) in updates[offset..offset + take]
-                .iter()
-                .zip(words.chunks_exact(per))
-            {
-                let changed = self.morris.increment_with_words(&chunk[..k]);
-                for (inst, &w) in self.ladder.live_mut().into_iter().zip(&chunk[k..]) {
-                    inst.insert_with_word(u.0, w);
-                }
-                if changed {
-                    self.advance_ladder();
-                }
+        rng.for_each_with_words(updates, k + 2, |u, words| {
+            let changed = self.morris.increment_with_words(&words[..k]);
+            for (inst, &w) in self.ladder.live_mut().into_iter().zip(&words[k..]) {
+                inst.insert_with_word(u.0, w);
             }
-            offset += take;
-        }
+            if changed {
+                self.advance_ladder();
+            }
+        });
     }
 
     fn query(&self) -> Vec<(u64, f64)> {

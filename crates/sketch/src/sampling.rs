@@ -161,24 +161,16 @@ impl StreamAlg for BernoulliHeavyHitters {
     /// item before touching the count map. Counts are plain additions, so
     /// per-item totals leave the map bit-identical to the scalar loop.
     fn process_batch(&mut self, updates: &[InsertOnly], rng: &mut TranscriptRng) {
-        const BLOCK: usize = 512;
-        let mut words = [0u64; BLOCK];
         let mut agg = std::mem::take(&mut self.agg);
         // Segmented to respect the aggregator's 2^24-pair batch cap.
         for seg in updates.chunks(1 << 20) {
             agg.begin(seg.len());
-            let mut offset = 0;
-            while offset < seg.len() {
-                let take = (seg.len() - offset).min(BLOCK);
-                rng.next_u64_many(&mut words[..take]);
-                for (u, &w) in seg[offset..offset + take].iter().zip(&words[..take]) {
-                    if f64_from_word(w) < self.p {
-                        self.sampled += 1;
-                        agg.add(u.0, 1u64);
-                    }
+            rng.for_each_with_words(seg, 1, |u, w| {
+                if f64_from_word(w[0]) < self.p {
+                    self.sampled += 1;
+                    agg.add(u.0, 1u64);
                 }
-                offset += take;
-            }
+            });
             for &(item, count) in agg.runs() {
                 *self.counts.entry(item).or_insert(0) += count;
             }

@@ -8,7 +8,7 @@
 //! HHH accuracy condition of Definition 2.10 needs. Deterministic, hence
 //! white-box robust.
 
-use wb_core::merge::{MergeError, Mergeable};
+use wb_core::merge::MergeError;
 use wb_core::rng::TranscriptRng;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, bits_for_universe, SpaceUsage};
@@ -242,57 +242,6 @@ impl SpaceSaving {
     }
 }
 
-impl Mergeable for SpaceSaving {
-    /// Mergeable-summaries combine (Agarwal et al.): for every item in
-    /// either summary, counts and errors add; an item absent from a *full*
-    /// sibling contributes that sibling's minimum count to both fields (its
-    /// unseen frequency there is at most that minimum — the over-estimate
-    /// invariant survives). The `k` largest merged counts are kept, ties
-    /// broken toward the smaller item id like the eviction rule. Kept items
-    /// keep `f ≤ count ≤ f + err` with `err ≤ (m₁+m₂)·2/k`, inside the
-    /// `ε`-heavy-hitters tolerance for `k = ⌈2/ε⌉`.
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.k != other.k || self.n != other.n {
-            return Err(MergeError::incompatible(format!(
-                "SpaceSaving (k={}, n={}) vs (k={}, n={})",
-                self.k, self.n, other.k, other.n
-            )));
-        }
-        let floor_self = self.floor();
-        let floor_other = other.floor();
-        let mut merged: Vec<(u64, SsEntry)> =
-            Vec::with_capacity(self.keys.len() + other.keys.len());
-        for (item, e) in self.entries() {
-            let (count, err) = other
-                .get(item)
-                .map_or((floor_other, floor_other), |o| (o.count, o.err));
-            merged.push((
-                item,
-                SsEntry {
-                    count: e.count + count,
-                    err: e.err + err,
-                },
-            ));
-        }
-        for (item, e) in other.entries() {
-            if self.get(item).is_none() {
-                merged.push((
-                    item,
-                    SsEntry {
-                        count: e.count + floor_self,
-                        err: e.err + floor_self,
-                    },
-                ));
-            }
-        }
-        merged.sort_unstable_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
-        merged.truncate(self.k);
-        self.set_entries(merged);
-        self.processed += other.processed;
-        Ok(())
-    }
-}
-
 impl Snapshot for SpaceSaving {
     /// Layout: `k | n | processed | len | (item, count, err)…` with entries
     /// item-ascending for deterministic bytes.
@@ -380,8 +329,53 @@ impl StreamAlg for SpaceSaving {
         });
     }
 
+    /// Mergeable-summaries combine (Agarwal et al.): for every item in
+    /// either summary, counts and errors add; an item absent from a *full*
+    /// sibling contributes that sibling's minimum count to both fields (its
+    /// unseen frequency there is at most that minimum — the over-estimate
+    /// invariant survives). The `k` largest merged counts are kept, ties
+    /// broken toward the smaller item id like the eviction rule. Kept items
+    /// keep `f ≤ count ≤ f + err` with `err ≤ (m₁+m₂)·2/k`, inside the
+    /// `ε`-heavy-hitters tolerance for `k = ⌈2/ε⌉`.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        Mergeable::merge(self, other)
+        if self.k != other.k || self.n != other.n {
+            return Err(MergeError::incompatible(format!(
+                "SpaceSaving (k={}, n={}) vs (k={}, n={})",
+                self.k, self.n, other.k, other.n
+            )));
+        }
+        let floor_self = self.floor();
+        let floor_other = other.floor();
+        let mut merged: Vec<(u64, SsEntry)> =
+            Vec::with_capacity(self.keys.len() + other.keys.len());
+        for (item, e) in self.entries() {
+            let (count, err) = other
+                .get(item)
+                .map_or((floor_other, floor_other), |o| (o.count, o.err));
+            merged.push((
+                item,
+                SsEntry {
+                    count: e.count + count,
+                    err: e.err + err,
+                },
+            ));
+        }
+        for (item, e) in other.entries() {
+            if self.get(item).is_none() {
+                merged.push((
+                    item,
+                    SsEntry {
+                        count: e.count + floor_self,
+                        err: e.err + floor_self,
+                    },
+                ));
+            }
+        }
+        merged.sort_unstable_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
+        merged.truncate(self.k);
+        self.set_entries(merged);
+        self.processed += other.processed;
+        Ok(())
     }
 
     fn query(&self) -> Vec<(u64, f64)> {
@@ -497,7 +491,7 @@ mod tests {
         }
         let mut merged = shards.remove(0);
         for s in &shards {
-            merged.merge(s).unwrap();
+            merged.merge_from(s).unwrap();
         }
         let m = stream.len() as u64;
         assert_eq!(merged.processed(), m);
@@ -520,7 +514,7 @@ mod tests {
     fn merge_rejects_mismatched_budgets() {
         let mut a = SpaceSaving::with_counters(4, 100);
         let b = SpaceSaving::with_counters(5, 100);
-        assert!(matches!(a.merge(&b), Err(MergeError::Incompatible(_))));
+        assert!(matches!(a.merge_from(&b), Err(MergeError::Incompatible(_))));
     }
 
     #[test]
@@ -705,7 +699,7 @@ mod tests {
                 let item = x * x / 96;
                 match op {
                     0 => {
-                        ss.merge(&side.0).unwrap();
+                        ss.merge_from(&side.0).unwrap();
                         oracle.merge(&side.1);
                         assert_agree(&side.0, &side.1);
                         side = (SpaceSaving::with_counters(k, n), ScanOracle::new(k, n));

@@ -30,8 +30,19 @@ fn turnstile_updates(raw: &[(u64, i64)]) -> Vec<Update> {
 /// assert identical answers, space, and transcripts.
 fn assert_equivalent(name: &str, updates: &[Update], chunk: usize, seed: u64) {
     let params = Params::default().with_n(64).with_m_guess(1 << 10);
-    let mut seq = registry::get(name, &params).unwrap();
-    let mut bat = registry::get(name, &params).unwrap();
+    assert_equivalent_with(&params, name, updates, chunk, seed);
+}
+
+/// [`assert_equivalent`] for an instance built from explicit `params`.
+fn assert_equivalent_with(
+    params: &Params,
+    name: &str,
+    updates: &[Update],
+    chunk: usize,
+    seed: u64,
+) {
+    let mut seq = registry::get(name, params).unwrap();
+    let mut bat = registry::get(name, params).unwrap();
     let mut rng_seq = TranscriptRng::from_seed(seed);
     let mut rng_bat = TranscriptRng::from_seed(seed);
     for u in updates {
@@ -231,6 +242,19 @@ fn large_batch_turnstile_matches_sequential() {
     let updates = turnstile_updates(&raw);
     for name in TURNSTILE {
         assert_equivalent(name, &updates, usize::MAX, 5);
+    }
+}
+
+#[test]
+fn median_morris_wider_than_one_word_block_matches_sequential() {
+    // 600 copies (601 once made odd) draw more words per update than one
+    // 512-word prefetch block holds, so every batch takes the one-update
+    // heap-buffer path.
+    let mut params = Params::default().with_n(64).with_m_guess(1 << 10);
+    params.copies = 600;
+    let updates = insert_updates(&[0; 40]);
+    for chunk in [1, 3, usize::MAX] {
+        assert_equivalent_with(&params, "median_morris", &updates, chunk, 9);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Merge equivalence: for every `Mergeable` registry algorithm, sharded
+//! Merge equivalence: for every mergeable registry algorithm, sharded
 //! ingestion (partition across S instances, batched per-shard ingest,
 //! deterministic reduction-tree merge) must answer within the **same
 //! referee guarantee** as single-stream ingestion of the identical update

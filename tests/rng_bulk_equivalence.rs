@@ -1,7 +1,7 @@
-//! Bulk RNG / scalar equivalence: the amortized batch APIs added for the
+//! Bulk RNG / scalar equivalence: the amortized batch APIs of the
 //! vectorized pipeline (`Xoshiro256StarStar::fill_u64`,
-//! `TranscriptRng::next_u64_many`, `TranscriptRng::below_many`, and the
-//! libdivide-style [`Reciprocal`] behind `below`) must be **draw-for-draw
+//! `TranscriptRng::next_u64_many`, the bulk uniform rule `fill_below` fed
+//! by it, and the libdivide-style [`Reciprocal`] behind `below`) must be **draw-for-draw
 //! identical** to the historical scalar loops: same raw words, same items,
 //! and the same public transcript (`draws`, `recent`, `last`). This is the
 //! white-box model's non-negotiable: every optimization must leave the
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use wbstream::core::rng::{
-    coin_threshold, f64_from_word, Reciprocal, TranscriptRng, Xoshiro256StarStar,
+    coin_threshold, f64_from_word, fill_below, Reciprocal, TranscriptRng, Xoshiro256StarStar,
 };
 
 /// Batch sizes the ISSUE pins: a singleton, a non-round prime, and a batch
@@ -20,7 +20,7 @@ const BATCH_SIZES: &[usize] = &[1, 7, 4096];
 /// Moduli worth pinning: non-powers-of-two (the reciprocal path), a power
 /// of two (the mask path), `1` (degenerate), and a value above `2^63`
 /// where rejection sampling actually rejects ~half the raw words, forcing
-/// `below_many` through its redraw rounds.
+/// `fill_below` through its redraw rounds.
 const MODULI: &[u64] = &[1, 3, 5, 100, 1_000_003, 1 << 16, (1 << 63) + 3];
 
 /// Asserts the two generators have identical public transcripts.
@@ -68,13 +68,13 @@ fn next_u64_many_matches_scalar_loop() {
 }
 
 #[test]
-fn below_many_matches_scalar_loop() {
+fn fill_below_matches_scalar_loop() {
     for &n in MODULI {
         for &len in BATCH_SIZES {
             let mut bulk = TranscriptRng::from_seed(7);
             let mut scalar = TranscriptRng::from_seed(7);
             let mut items = vec![0u64; len];
-            bulk.below_many(n, &mut items);
+            fill_below(&mut bulk, n, &mut items);
             for (i, &it) in items.iter().enumerate() {
                 assert_eq!(it, scalar.below(n), "item {i} of batch {len}, n={n}");
             }
@@ -160,11 +160,11 @@ proptest! {
         }
     }
 
-    /// `below_many` equals the scalar rejection loop for arbitrary
+    /// `fill_below` equals the scalar rejection loop for arbitrary
     /// (non-power-of-two included) moduli: same items, same number of raw
     /// words burned, same transcript.
     #[test]
-    fn below_many_matches_scalar_for_arbitrary_n(
+    fn fill_below_matches_scalar_for_arbitrary_n(
         seed in any::<u64>(),
         n in 1u64..=u64::MAX,
         len in 0usize..300,
@@ -172,7 +172,7 @@ proptest! {
         let mut bulk = TranscriptRng::from_seed(seed);
         let mut scalar = TranscriptRng::from_seed(seed);
         let mut items = vec![0u64; len];
-        bulk.below_many(n, &mut items);
+        fill_below(&mut bulk, n, &mut items);
         for &it in &items {
             prop_assert_eq!(it, scalar.below(n));
         }
