@@ -173,7 +173,7 @@ fn main() {
     for &(workload, alg, m_shift) in MATRIX {
         let s = spec(workload, params.n, 1u64 << m_shift);
         // Actual emitted length (churn rounds m down to whole waves).
-        let len = s.stream().len_hint().expect("generators know their length");
+        let len = s.len();
         let mat = measure(trials, || ingest_materialized(alg, &params, &s));
         let str_ = measure(trials, || ingest_streamed(alg, &params, &s));
         let mups = |secs: f64| len as f64 / secs / 1e6;

@@ -16,9 +16,9 @@
 use crate::json::{obj, Json};
 use crate::metrics;
 use crate::proto::{self, ErrorKind, ProtoError, Request};
-use crate::server::{hex_id, write_atomic, Shared};
+use crate::server::{hex_id, write_atomic, Refusal, Shared};
 use crate::tenant::{Tenant, TenantSlot, TenantState, Waiter, WakeSink, INBOX_CHUNKS};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wb_engine::Update;
@@ -224,36 +224,18 @@ fn handle_hello(
     seed: Option<u64>,
     params: &proto::HelloParams,
 ) -> Result<Json, ProtoError> {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Err(ProtoError::new(
-            ErrorKind::Draining,
-            "daemon is draining; no new tenants",
-        ));
-    }
     let seed_base = seed.unwrap_or(shared.cfg.seed);
-    let check_existing =
-        |tenants: &BTreeMap<String, Arc<TenantSlot>>| -> Option<Result<Json, ProtoError>> {
-            tenants.get(tenant).map(|slot| {
-                let st = slot.state.lock().unwrap();
-                st.tenant.check_hello_matches(alg, seed_base)?;
-                Ok(hello_reply(&st.tenant))
-            })
-        };
-    let over_cap = |tenants: &BTreeMap<String, Arc<TenantSlot>>| -> Result<(), ProtoError> {
-        if tenants.len() >= shared.cfg.max_tenants {
-            return Err(ProtoError::new(
-                ErrorKind::MaxTenants,
-                format!("tenant cap {} reached", shared.cfg.max_tenants),
-            ));
-        }
-        Ok(())
+    // A `hello` for a registered tenant adopts it if the algorithm and
+    // seed match.
+    let adopt = |slot: &TenantSlot| -> Result<Json, ProtoError> {
+        let st = slot.state.lock().unwrap();
+        st.tenant.check_hello_matches(alg, seed_base)?;
+        Ok(hello_reply(&st.tenant))
     };
-    {
-        let tenants = shared.tenants.lock().unwrap();
-        if let Some(existing) = check_existing(&tenants) {
-            return existing;
-        }
-        over_cap(&tenants)?;
+    match shared.check_admission(tenant) {
+        Ok(()) => {}
+        Err(Refusal::Exists(slot)) => return adopt(&slot),
+        Err(Refusal::Closed(e)) => return Err(e),
     }
     // Construct outside the tenants lock: building an algorithm (ctor +
     // probe_mergeable + shard instances) can be slow, and holding the map
@@ -270,26 +252,14 @@ fn handle_hello(
         shared.cfg.shards,
         shared.cfg.chunk,
     )?;
-    let mut tenants = shared.tenants.lock().unwrap();
-    if let Some(existing) = check_existing(&tenants) {
+    let reply = hello_reply(&created);
+    match shared.register(created) {
+        Ok(()) => Ok(reply),
         // Lost a create race with another session. Both constructions are
         // byte-identical (the same derived seeds), so adopt the winner.
-        return existing;
+        Err(Refusal::Exists(slot)) => adopt(&slot),
+        Err(Refusal::Closed(e)) => Err(e),
     }
-    over_cap(&tenants)?;
-    // Re-check the drain flag under the same lock as the insert: a drain
-    // that began while we were constructing (after the entry check above)
-    // must not gain a tenant it will never flush — the drain path snapshots
-    // and reports over the registry as it stood when the flag flipped.
-    if shared.draining.load(Ordering::SeqCst) {
-        return Err(ProtoError::new(
-            ErrorKind::Draining,
-            "daemon is draining; no new tenants",
-        ));
-    }
-    let reply = hello_reply(&created);
-    tenants.insert(tenant.to_string(), Arc::new(TenantSlot::new(created)));
-    Ok(reply)
 }
 
 fn handle_ingest(
@@ -485,12 +455,6 @@ fn snapshot_path(shared: &Shared, tenant: &str, path: Option<&str>) -> Result<St
 }
 
 fn handle_restore(shared: &Arc<Shared>, path: &str) -> Result<Json, ProtoError> {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Err(ProtoError::new(
-            ErrorKind::Draining,
-            "daemon is draining; no new tenants",
-        ));
-    }
     let bytes = std::fs::read(path).map_err(|e| {
         ProtoError::new(
             ErrorKind::SnapshotFailed,
@@ -503,35 +467,19 @@ fn handle_restore(shared: &Arc<Shared>, path: &str) -> Result<Json, ProtoError> 
             format!("could not restore {path}: {e}"),
         )
     })?;
-    let mut tenants = shared.tenants.lock().unwrap();
-    if tenants.contains_key(&restored.id) {
-        return Err(ProtoError::new(
-            ErrorKind::TenantMismatch,
-            format!(
-                "tenant '{}' already exists; restore refuses to replace live state",
-                restored.id
-            ),
-        ));
-    }
-    if tenants.len() >= shared.cfg.max_tenants {
-        return Err(ProtoError::new(
-            ErrorKind::MaxTenants,
-            format!("tenant cap {} reached", shared.cfg.max_tenants),
-        ));
-    }
-    if shared.draining.load(Ordering::SeqCst) {
-        return Err(ProtoError::new(
-            ErrorKind::Draining,
-            "daemon is draining; no new tenants",
-        ));
-    }
     let mut reply = hello_reply(&restored);
     if let Json::Obj(members) = &mut reply {
         members.push(("applied".to_string(), Json::from(restored.applied)));
     }
     let id = restored.id.clone();
-    tenants.insert(id, Arc::new(TenantSlot::new(restored)));
-    Ok(reply)
+    match shared.register(restored) {
+        Ok(()) => Ok(reply),
+        Err(Refusal::Exists(_)) => Err(ProtoError::new(
+            ErrorKind::TenantMismatch,
+            format!("tenant '{id}' already exists; restore refuses to replace live state"),
+        )),
+        Err(Refusal::Closed(e)) => Err(e),
+    }
 }
 
 /// Look up `tenant`, typed-erroring when it has not said `hello`.

@@ -101,7 +101,15 @@ fn main() -> ExitCode {
                     .next()
                     .unwrap_or_else(|| die("--listen requires an address"))
             }
-            "--threads" => cfg.threads = parse_num("--threads", args.next()),
+            "--threads" => {
+                cfg.threads = parse_num("--threads", args.next());
+                if cfg.threads > wb_daemon::server::MAX_THREADS {
+                    die(&format!(
+                        "--threads must be in [0, {}]",
+                        wb_daemon::server::MAX_THREADS
+                    ));
+                }
+            }
             "--shards" => {
                 cfg.shards = parse_num("--shards", args.next());
                 if !(1..=wb_daemon::tenant::MAX_SHARDS).contains(&cfg.shards) {

@@ -21,6 +21,7 @@
 
 use crate::json::Json;
 use crate::metrics;
+use crate::proto::{ErrorKind, ProtoError};
 use crate::tenant::{Tenant, TenantSlot, WakeSink, WAKE_ONLY};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -30,13 +31,19 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use wb_engine::pool::WorkerPool;
 
+/// Upper bound on `--threads`: the ingest pool spawns one OS thread per
+/// worker, so the flag is refused above this instead of spawning as many
+/// threads as it names.
+pub const MAX_THREADS: usize = 256;
+
 /// Server configuration — the `wbd` flags.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Listen address (`--listen`), e.g. `127.0.0.1:7070`; port `0` binds
     /// an ephemeral port (the loopback tests use this).
     pub listen: String,
-    /// Ingest pool workers (`--threads`; `0` = one per core).
+    /// Ingest pool workers (`--threads`, at most [`MAX_THREADS`]; `0` =
+    /// one per core).
     pub threads: usize,
     /// Default per-tenant shard count (`--shards`); unmergeable algorithms
     /// fall back to one flat instance regardless.
@@ -131,6 +138,56 @@ pub struct Shared {
     pub start: Instant,
 }
 
+/// Why [`Shared::register`] turned a tenant away.
+pub enum Refusal {
+    /// A tenant with this id is already registered: its live slot.
+    Exists(Arc<TenantSlot>),
+    /// The daemon is draining, or the `--max-tenants` cap is reached.
+    Closed(ProtoError),
+}
+
+impl Shared {
+    /// The admission rule for a new tenant `id` over the registry
+    /// `tenants`: refused while draining, reported if the id is taken, and
+    /// refused at the `--max-tenants` cap.
+    fn admit(&self, tenants: &BTreeMap<String, Arc<TenantSlot>>, id: &str) -> Result<(), Refusal> {
+        if self.draining.load(Ordering::SeqCst) {
+            return Err(Refusal::Closed(ProtoError::new(
+                ErrorKind::Draining,
+                "daemon is draining; no new tenants",
+            )));
+        }
+        if let Some(slot) = tenants.get(id) {
+            return Err(Refusal::Exists(Arc::clone(slot)));
+        }
+        if tenants.len() >= self.cfg.max_tenants {
+            return Err(Refusal::Closed(ProtoError::new(
+                ErrorKind::MaxTenants,
+                format!("tenant cap {} reached", self.cfg.max_tenants),
+            )));
+        }
+        Ok(())
+    }
+
+    /// Whether a tenant `id` would be admitted right now — a pre-check,
+    /// so `hello` builds no algorithm it would have to throw away.
+    pub fn check_admission(&self, id: &str) -> Result<(), Refusal> {
+        self.admit(&self.tenants.lock().unwrap(), id)
+    }
+
+    /// The one way a tenant enters the registry (`hello`, `restore` and
+    /// the `--state-dir` load at start-up). The admission rule and the
+    /// insert run under one registry lock, so a drain that begins while a
+    /// tenant is being built cannot gain a tenant it will never flush, and
+    /// a registered tenant is never replaced.
+    pub fn register(&self, tenant: Tenant) -> Result<(), Refusal> {
+        let mut tenants = self.tenants.lock().unwrap();
+        self.admit(&tenants, &tenant.id)?;
+        tenants.insert(tenant.id.clone(), Arc::new(TenantSlot::new(tenant)));
+        Ok(())
+    }
+}
+
 /// A running server over a [`Shared`].
 pub struct Server {
     shared: Arc<Shared>,
@@ -147,9 +204,16 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Binding or reactor set-up failures; off Linux, always
-    /// [`std::io::ErrorKind::Unsupported`].
+    /// [`std::io::ErrorKind::InvalidInput`] if `cfg.threads` exceeds
+    /// [`MAX_THREADS`]; binding or reactor set-up failures; off Linux,
+    /// always [`std::io::ErrorKind::Unsupported`].
     pub fn start(cfg: DaemonConfig) -> std::io::Result<Server> {
+        if cfg.threads > MAX_THREADS {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("threads must be at most {MAX_THREADS}, got {}", cfg.threads),
+            ));
+        }
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -267,8 +331,10 @@ pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Res
     std::fs::rename(&tmp, path)
 }
 
-/// Startup half of `--state-dir`: restore every `*.wbsnap` file present.
-/// Individual corrupt files are reported and skipped — one bad snapshot
+/// Startup half of `--state-dir`: restore every `*.wbsnap` file present,
+/// in sorted file-name order. A corrupt file, or one the registry refuses
+/// (the `--max-tenants` cap is reached, or an earlier file already
+/// registered its tenant id), is reported and skipped — one bad snapshot
 /// must not keep the daemon from serving the rest.
 fn load_state_dir(shared: &Arc<Shared>) -> std::io::Result<()> {
     let Some(dir) = shared.cfg.state_dir.clone() else {
@@ -281,18 +347,18 @@ fn load_state_dir(shared: &Arc<Shared>) -> std::io::Result<()> {
         .collect();
     paths.sort();
     for p in paths {
-        match std::fs::read(&p)
+        let loaded = std::fs::read(&p)
             .map_err(|e| e.to_string())
             .and_then(|b| Tenant::restore_bytes(&b).map_err(|e| e.to_string()))
-        {
-            Ok(t) => {
-                shared
-                    .tenants
-                    .lock()
-                    .unwrap()
-                    .insert(t.id.clone(), Arc::new(TenantSlot::new(t)));
-            }
-            Err(e) => eprintln!("wbd: skipping {}: {e}", p.display()),
+            .and_then(|t| {
+                let id = t.id.clone();
+                shared.register(t).map_err(|refusal| match refusal {
+                    Refusal::Exists(_) => format!("tenant '{id}' is already registered"),
+                    Refusal::Closed(e) => e.message,
+                })
+            });
+        if let Err(e) = loaded {
+            eprintln!("wbd: skipping {}: {e}", p.display());
         }
     }
     Ok(())

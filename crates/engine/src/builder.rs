@@ -19,9 +19,10 @@
 //! ```
 //!
 //! Every game reports through one [`GameReport`] (first violation, rounds,
-//! peak space, and space/verdict timelines). A fixed oblivious script
-//! enters through [`Game::script`] and is ingested in [`Game::batch`]-sized
-//! chunks; adaptive adversaries enter through [`Game::adversary`].
+//! peak and final space, and the number of referee checks). A fixed
+//! oblivious script enters through [`Game::script`] and is ingested in
+//! [`Game::batch`]-sized chunks; adaptive adversaries enter through
+//! [`Game::adversary`].
 
 use crate::report::GameReport;
 use wb_core::game::{Referee, Verdict, WhiteBoxAdversary};
@@ -189,13 +190,7 @@ where
         let mut rng = TranscriptRng::from_seed(self.seed);
         // Take the driver out so `check` can borrow the whole builder.
         let driver = std::mem::replace(&mut self.driver, Driver::Script(Vec::new()));
-        let expected_checks = match &driver {
-            Driver::Adversary(_) => self.max_rounds,
-            Driver::Script(updates) => {
-                (updates.len().min(self.max_rounds as usize) as u64).div_ceil(self.batch as u64)
-            }
-        };
-        let mut report = GameReport::new(self.alg.space_bits(), expected_checks);
+        let mut report = GameReport::new(self.alg.space_bits(), 0);
         let mut t = 0u64;
         match driver {
             Driver::Adversary(mut adversary) => {

@@ -6,7 +6,7 @@
 //! * [`Game`] — the fluent, typed game driver:
 //!   `Game::new(alg).adversary(a).referee(r).max_rounds(m).seed(s).run()`.
 //!   Every game ends in one [`GameReport`] (first violation, rounds, peak
-//!   space, space/verdict timelines). An adaptive adversary enters through
+//!   and final space, referee checks). An adaptive adversary enters through
 //!   [`Game::adversary`]; a materialized oblivious script enters through
 //!   [`Game::script`] + [`Game::batch`] and is ingested through the
 //!   algorithms' optimized `process_batch` paths.

@@ -15,6 +15,7 @@
 //! out-of-domain parameters return [`WbError::InvalidParameter`].
 
 use crate::erased::{DynAdversary, DynStreamAlg, FnDynAdversary, StreamDynAdversary, Update};
+use crate::tournament::workload_spec;
 use crate::workload::{FoldSource, WorkloadSpec};
 use wb_core::rng::TranscriptRng;
 use wb_core::WbError;
@@ -44,8 +45,6 @@ pub struct Params {
     pub m_guess: u64,
     /// Stream length for scripted adversaries.
     pub m: u64,
-    /// Zipf head size for scripted adversaries.
-    pub heavy: u64,
     /// Copies for median amplification (`median_morris`, `ams_f2`).
     pub copies: usize,
     /// CountMin rows.
@@ -74,7 +73,6 @@ impl Default for Params {
             phi: 0.2,
             m_guess: 1 << 15,
             m: 1 << 14,
-            heavy: 8,
             copies: 7,
             depth: 4,
             width: 256,
@@ -357,7 +355,8 @@ pub fn adversary_names() -> Vec<&'static str> {
 /// Construct the adversary registered under `name`.
 ///
 /// The scripted adversaries (`zipf`, `ddos`, `uniform`, `cycle`) replay
-/// the matching [`WorkloadSpec`] stream for `params.m` rounds — pulled
+/// the stream the tournament's name→workload table
+/// ([`workload_spec`]) builds for that name, for `params.m` rounds — pulled
 /// lazily from [`WorkloadSpec::stream`], so even a huge scripted phase is
 /// O(chunk) memory, never a materialized script; `hh_evader` is adaptive —
 /// it interleaves one heavy item with items currently absent from the last
@@ -374,37 +373,8 @@ pub fn adversary(name: &str, params: &Params) -> Result<Box<dyn DynAdversary>, W
     check_universe(params.n)?;
     let p = params.clone();
     match name {
-        "zipf" => Ok(scripted(
-            WorkloadSpec::Zipf {
-                n: p.n,
-                m: p.m,
-                heavy: p.heavy,
-                seed: p.seed,
-            },
-            None,
-        )),
-        "ddos" => Ok(scripted(
-            WorkloadSpec::Ddos {
-                m: p.m,
-                seed: p.seed,
-            },
-            Some(p.n),
-        )),
-        "uniform" => Ok(scripted(
-            WorkloadSpec::Uniform {
-                n: p.n,
-                m: p.m,
-                seed: p.seed,
-            },
-            None,
-        )),
-        "cycle" => Ok(scripted(
-            WorkloadSpec::Cycle {
-                items: p.heavy.max(1),
-                m: p.m,
-            },
-            None,
-        )),
+        "zipf" | "uniform" | "cycle" => Ok(scripted(workload_spec(name, p.n, p.m, p.seed)?, None)),
+        "ddos" => Ok(scripted(workload_spec(name, p.n, p.m, p.seed)?, Some(p.n))),
         "hh_evader" => {
             // The evader cycles over the upper half of the universe; a tiny
             // universe would leave it nothing to evade into (or divide by

@@ -473,9 +473,12 @@ pub struct CheckpointConfig {
 /// report. `batch` and `threads` are deliberately excluded — they are pure
 /// transport, and a checkpoint taken at `--chunk 1024 --threads 4` must
 /// resume under `--chunk 4096 --threads 1` with a byte-identical report.
+/// The leading tag names the layout of the cell frames a checkpoint
+/// embeds and is bumped whenever that layout changes, so an older
+/// checkpoint is refused up front instead of failing cell by cell.
 fn config_fingerprint(cfg: &TournamentConfig) -> String {
     format!(
-        "v1;seed={};n={};prelude_m={};rounds={};shards={};algs={};adversaries={};workloads={}",
+        "v2;seed={};n={};prelude_m={};rounds={};shards={};algs={};adversaries={};workloads={}",
         cfg.master_seed,
         cfg.n,
         cfg.prelude_m,
@@ -878,7 +881,7 @@ fn play_cell(
     // One game tape spans both phases: the adversary sees the prelude's
     // transcript. The prelude is checked once, at its end, in both modes —
     // the chunk size is pure transport and must not leak into the report.
-    let mut game = ErasedGame::new(alg.as_ref(), game_seed, 1 + cfg.rounds);
+    let mut game = ErasedGame::new(alg.as_ref(), game_seed);
 
     let prelude = if use_sharded {
         // Phase 1, sharded: the referee observes the stream in original
@@ -1297,6 +1300,47 @@ mod tests {
         let err = run_tournament(&other, Some(&ck));
         assert!(err.is_err(), "fingerprint mismatch must be rejected");
 
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn checkpoint_with_older_frame_tag_is_refused() {
+        // A checkpoint written before the cell-frame layout changed carries
+        // the `v1;` tag. Resuming from it must fail up front with the
+        // typed error, not replay its in-flight frames cell by cell.
+        let dir = std::env::temp_dir().join(format!("wb_ckpt_v1_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tournament.ckpt");
+        let cfg = tiny(1);
+        let current = config_fingerprint(&cfg);
+        assert!(current.starts_with("v2;"), "{current}");
+        let mut inflight = BTreeMap::new();
+        inflight.insert(
+            ("misra_gries".into(), "cycle".into(), "uniform".into()),
+            b"pre-change cell frame".to_vec(),
+        );
+        CkptStore {
+            fingerprint: current.replacen("v2;", "v1;", 1),
+            path: path.clone(),
+            completed: BTreeMap::new(),
+            inflight,
+        }
+        .persist();
+        let ck = CheckpointConfig {
+            path: path.clone(),
+            every: 50,
+        };
+        match run_tournament(&cfg, Some(&ck)) {
+            Err(WbError::InvalidParameter(msg)) => {
+                assert!(msg.contains("different configuration"), "{msg}");
+                assert!(msg.contains("checkpoint: v1;"), "{msg}");
+            }
+            other => panic!(
+                "old checkpoint not refused: {:?}",
+                other.map(|r| r.cells.len())
+            ),
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

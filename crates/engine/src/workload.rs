@@ -60,15 +60,6 @@ pub trait UpdateSource {
     /// capacity yet). Returns the number of updates written; `0` means the
     /// source is exhausted (and stays exhausted).
     fn next_chunk(&mut self, buf: &mut Vec<Update>) -> usize;
-
-    /// Exact number of updates remaining, when cheaply known. Used only to
-    /// size report timeline strides — `None` never changes verdicts,
-    /// rounds, or check counts, and timelines stay bounded either way (a
-    /// report decimates itself when a prediction turns out wrong); only
-    /// the sampling granularity can differ.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Chunk budget for one [`UpdateSource::next_chunk`] call.
@@ -106,10 +97,6 @@ impl UpdateSource for SliceSource<'_> {
         buf.extend_from_slice(&self.rest[..take]);
         self.rest = &self.rest[take..];
         take
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.rest.len() as u64)
     }
 }
 
@@ -161,10 +148,6 @@ impl<S: UpdateSource> UpdateSource for FoldSource<S> {
         }
         wrote
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.inner.len_hint()
-    }
 }
 
 /// An [`UpdateSource`] adapter invoking a callback on every chunk before
@@ -190,10 +173,6 @@ impl<S: UpdateSource, F: FnMut(&[Update])> UpdateSource for InspectSource<S, F> 
             (self.inspect)(buf);
         }
         wrote
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.inner.len_hint()
     }
 }
 
@@ -830,34 +809,6 @@ pub struct WorkloadStream {
     state: StreamState,
 }
 
-impl WorkloadStream {
-    /// Updates not yet emitted.
-    fn remaining(&self) -> u64 {
-        match &self.state {
-            StreamState::Zipf { remaining, .. } | StreamState::Uniform { remaining, .. } => {
-                *remaining
-            }
-            StreamState::Ddos { t, m, .. } | StreamState::Cycle { t, m, .. } => {
-                m.saturating_sub(*t)
-            }
-            StreamState::Churn {
-                wave,
-                waves_left,
-                phase,
-                ..
-            } => {
-                let per_wave = wave + wave / 2;
-                let in_wave = match phase {
-                    ChurnPhase::NextWave => 0,
-                    ChurnPhase::Insert(i, _) => per_wave.saturating_sub(*i),
-                    ChurnPhase::Delete(i, _) => (wave / 2).saturating_sub(*i),
-                };
-                waves_left * per_wave + in_wave
-            }
-        }
-    }
-}
-
 /// Variant tag used in [`WorkloadStream`] snapshot frames.
 fn stream_tag(state: &StreamState) -> u8 {
     match state {
@@ -1197,10 +1148,6 @@ impl UpdateSource for WorkloadStream {
         }
         buf.len()
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining())
-    }
 }
 
 #[cfg(test)]
@@ -1453,15 +1400,20 @@ mod tests {
         for (spec, reference) in cases {
             assert_eq!(spec.generate(), reference, "{}", spec.label());
             // Chunked pulls concatenate to the same stream.
+            assert_eq!(spec.len(), reference.len() as u64, "{} len", spec.label());
             let mut source = spec.stream();
-            assert_eq!(source.len_hint(), Some(reference.len() as u64));
             let mut got = Vec::new();
             let mut buf = Vec::with_capacity(7);
             while source.next_chunk(&mut buf) > 0 {
                 got.extend_from_slice(&buf);
             }
             assert_eq!(got, reference, "{} chunked", spec.label());
-            assert_eq!(source.len_hint(), Some(0));
+            assert_eq!(
+                source.next_chunk(&mut buf),
+                0,
+                "{} stays exhausted",
+                spec.label()
+            );
         }
     }
 
@@ -1470,10 +1422,12 @@ mod tests {
         let updates: Vec<Update> = (0..10).map(Update::Insert).collect();
         let mut buf = Vec::with_capacity(4);
         let mut source = SliceSource::new(&updates);
-        assert_eq!(source.len_hint(), Some(10));
         assert_eq!(source.next_chunk(&mut buf), 4);
         assert_eq!(buf, updates[..4]);
-        assert_eq!(source.len_hint(), Some(6));
+        assert_eq!(source.next_chunk(&mut buf), 4);
+        assert_eq!(source.next_chunk(&mut buf), 2);
+        assert_eq!(buf, updates[8..]);
+        assert_eq!(source.next_chunk(&mut buf), 0);
 
         let mut folded = FoldSource::new(SliceSource::new(&updates), 3);
         folded.next_chunk(&mut buf);
@@ -1501,7 +1455,7 @@ mod tests {
     }
 
     /// All workload variants at a small, draw-heavy size, for cross-variant
-    /// snapshot and len_hint sweeps.
+    /// snapshot and length sweeps.
     fn all_specs() -> Vec<WorkloadSpec> {
         vec![
             WorkloadSpec::Zipf {
@@ -1526,47 +1480,35 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn len_hint_tracks_remaining_after_partial_consumption() {
-        // The satellite-3 audit contract: len_hint is the count REMAINING,
-        // not the original total, at every point of a partially consumed
-        // stream — including streams produced by resized().
-        for spec in all_specs() {
-            let total = spec.len();
-            let mut source = spec.stream();
-            assert_eq!(source.len_hint(), Some(total), "{} fresh", spec.label());
-            let mut buf = Vec::with_capacity(64);
-            let mut consumed = 0u64;
-            while source.next_chunk(&mut buf) > 0 {
-                consumed += buf.len() as u64;
-                assert_eq!(
-                    source.len_hint(),
-                    Some(total - consumed),
-                    "{} after {consumed} updates",
-                    spec.label()
-                );
-            }
-            assert_eq!(source.len_hint(), Some(0), "{} drained", spec.label());
+    /// Updates `spec`'s stream emits, pulled in chunks of `chunk`.
+    fn emitted(spec: &WorkloadSpec, chunk: usize) -> u64 {
+        let mut source = spec.stream();
+        let mut buf = Vec::with_capacity(chunk);
+        let mut count = 0u64;
+        while source.next_chunk(&mut buf) > 0 {
+            count += buf.len() as u64;
         }
+        count
     }
 
     #[test]
-    fn len_hint_on_resized_streams_reports_new_total_minus_consumed() {
-        let spec = WorkloadSpec::Uniform {
-            n: 1 << 10,
-            m: 100,
-            seed: 5,
-        };
-        let resized = spec.resized(1000);
-        let mut source = resized.stream();
-        assert_eq!(source.len_hint(), Some(1000), "resized total, not original");
-        let mut buf = Vec::with_capacity(64);
-        source.next_chunk(&mut buf);
-        assert_eq!(
-            source.len_hint(),
-            Some(1000 - buf.len() as u64),
-            "resized remaining after a pull"
-        );
+    fn streams_emit_exactly_spec_len() {
+        // `WorkloadSpec::len` is what each stream emits, churn included,
+        // for the spec as built and after `resized` — the count callers
+        // (the pipeline bench's Mups) take a stream's length from.
+        for spec in all_specs() {
+            for sized in [spec.clone(), spec.resized(1000), spec.resized(37)] {
+                for chunk in [1, 64, 4096] {
+                    assert_eq!(
+                        emitted(&sized, chunk),
+                        sized.len(),
+                        "{} (len {}) in chunks of {chunk}",
+                        sized.label(),
+                        sized.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1574,7 +1516,7 @@ mod tests {
         // Snapshot mid-stream at an offset that is NOT chunk-aligned (so
         // the word tape holds buffered words), restore into a twin built
         // from the same spec, and check the twin emits exactly the updates
-        // the original had left — including a correct len_hint.
+        // the original had left, and only those.
         for spec in all_specs() {
             let reference = spec.generate();
             let mut source = spec.stream();
@@ -1588,18 +1530,18 @@ mod tests {
             let frame = wb_core::snap::to_bytes(&source);
             let mut twin = spec.stream();
             wb_core::snap::from_bytes(&mut twin, &frame).unwrap();
-            assert_eq!(
-                twin.len_hint(),
-                Some(reference.len() as u64 - consumed as u64),
-                "{} resumed len_hint",
-                spec.label()
-            );
             let mut got = Vec::new();
             let mut buf2 = Vec::with_capacity(31);
             while twin.next_chunk(&mut buf2) > 0 {
                 got.extend_from_slice(&buf2);
             }
             assert_eq!(got, reference[consumed..], "{} resumed tail", spec.label());
+            assert_eq!(
+                (consumed + got.len()) as u64,
+                spec.len(),
+                "{} emitted before + after the snapshot",
+                spec.label()
+            );
         }
     }
 

@@ -15,6 +15,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use wb_daemon::json::Json;
+use wb_daemon::server::MAX_THREADS;
 use wb_daemon::{DaemonConfig, Server};
 use wbstream::core::rng::derive_seed;
 use wbstream::core::snap::SnapWriter;
@@ -886,6 +887,132 @@ fn state_dir_round_trips_tenants_across_restarts() {
         server.wait();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `applied` count of `tenant`, via `snapshot-stats`.
+fn applied(sess: &mut Session, tenant: &str) -> Option<u64> {
+    let stats = sess.expect_ok(&format!(
+        "{{\"cmd\":\"snapshot-stats\",\"tenant\":\"{tenant}\"}}"
+    ));
+    stats
+        .get("stats")
+        .and_then(|s| s.get("applied"))
+        .and_then(Json::as_u64)
+}
+
+/// The `--state-dir` load at start-up goes through the same registration
+/// as `hello`: a restart under a lower `--max-tenants` restores only that
+/// many tenants (the first files in sorted order) and refuses the rest.
+#[test]
+fn state_dir_restart_under_a_lower_cap_restores_only_that_many() {
+    let dir = std::env::temp_dir().join(format!("wbd-state-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = |max_tenants| DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        max_tenants,
+        state_dir: Some(dir.display().to_string()),
+        ..DaemonConfig::default()
+    };
+    {
+        let server = Server::start(cfg(8)).expect("start first daemon");
+        let mut sess = Session::connect(server.addr());
+        for tenant in ["t0", "t1", "t2"] {
+            sess.expect_ok(&format!(
+                "{{\"cmd\":\"hello\",\"tenant\":\"{tenant}\",\"alg\":\"morris\",\"seed\":1}}"
+            ));
+            sess.expect_ok(&insert_line(tenant, 0, 50));
+        }
+        sess.expect_ok("{\"cmd\":\"bye\"}");
+        server.begin_drain();
+        server.wait();
+    }
+    {
+        let server = Server::start(cfg(2)).expect("restart under a lower cap");
+        let loaded: Vec<String> = server
+            .shared()
+            .tenants
+            .lock()
+            .unwrap()
+            .keys()
+            .cloned()
+            .collect();
+        assert_eq!(loaded, ["t0", "t1"], "the cap holds at start-up");
+        let mut sess = Session::connect(server.addr());
+        assert_eq!(applied(&mut sess, "t1"), Some(50));
+        let reply =
+            sess.roundtrip("{\"cmd\":\"hello\",\"tenant\":\"t2\",\"alg\":\"morris\",\"seed\":1}");
+        assert_eq!(
+            reply
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("max_tenants")
+        );
+        sess.expect_ok("{\"cmd\":\"bye\"}");
+        server.begin_drain();
+        server.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A second `*.wbsnap` carrying a tenant id already loaded is refused at
+/// start-up: an older snapshot that a client wrote into the state
+/// directory under a name sorting after the tenant's own file must not
+/// replace the newer state the drain persisted.
+#[test]
+fn older_duplicate_snapshot_in_state_dir_does_not_replace_newer_state() {
+    let dir = std::env::temp_dir().join(format!("wbd-state-dup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        state_dir: Some(dir.display().to_string()),
+        ..DaemonConfig::default()
+    };
+    {
+        let server = Server::start(cfg()).expect("start first daemon");
+        let mut sess = Session::connect(server.addr());
+        sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"dup\",\"alg\":\"misra_gries\",\"seed\":3}");
+        sess.expect_ok(&insert_line("dup", 0, 100));
+        let reply = sess.expect_ok(&format!(
+            "{{\"cmd\":\"snapshot\",\"tenant\":\"dup\",\"path\":\"{}/zz.wbsnap\"}}",
+            dir.display()
+        ));
+        assert_eq!(reply.get("applied").and_then(Json::as_u64), Some(100));
+        sess.expect_ok(&insert_line("dup", 100, 200));
+        sess.expect_ok("{\"cmd\":\"bye\"}");
+        server.begin_drain();
+        server.wait(); // persists `dup` at 300 applied next to zz.wbsnap
+    }
+    {
+        let server = Server::start(cfg()).expect("restart");
+        let mut sess = Session::connect(server.addr());
+        assert_eq!(
+            applied(&mut sess, "dup"),
+            Some(300),
+            "the older zz.wbsnap replaced the persisted state"
+        );
+        sess.expect_ok("{\"cmd\":\"bye\"}");
+        server.begin_drain();
+        server.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Server::start` refuses a pool larger than `MAX_THREADS` before it
+/// binds or spawns anything.
+#[test]
+fn threads_above_the_bound_are_refused_by_start() {
+    let refused = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: MAX_THREADS + 1,
+        ..DaemonConfig::default()
+    });
+    match refused {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(_) => panic!("Server::start accepted threads = MAX_THREADS + 1"),
+    }
 }
 
 /// Requests that trail a `shutdown` must still be served during the
