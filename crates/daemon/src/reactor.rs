@@ -811,3 +811,85 @@ impl Reactor {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! One test per `unsafe` block family, on the process's own fds only:
+    //! an epoll instance and the wakeup self-pipe.
+
+    use super::*;
+
+    /// The `(token, events)` pairs of the last `wait` (the fields are
+    /// copied out: the event struct is packed on x86-64).
+    fn ready(events: &[sys::EpollEvent]) -> Vec<(u64, u32)> {
+        events.iter().map(|e| (e.data, e.events)).collect()
+    }
+
+    #[test]
+    fn poller_adds_modifies_deletes_and_waits_on_the_wake_pipe() {
+        let poller = Poller::new().unwrap();
+        let hub = WakeHub::new().unwrap();
+        let mut events = Vec::with_capacity(4);
+        poller.add(hub.pipe_r, 7, sys::EPOLLIN).unwrap();
+        assert_eq!(poller.wait(&mut events, 0), 0, "an empty pipe is not ready");
+
+        hub.wake(1);
+        assert_eq!(poller.wait(&mut events, 1000), 1);
+        assert_eq!(ready(&events), vec![(7, sys::EPOLLIN)]);
+
+        // A new token, then an interest the read end never satisfies.
+        poller.modify(hub.pipe_r, 9, sys::EPOLLIN).unwrap();
+        assert_eq!(poller.wait(&mut events, 1000), 1);
+        assert_eq!(ready(&events), vec![(9, sys::EPOLLIN)]);
+        poller.modify(hub.pipe_r, 9, sys::EPOLLOUT).unwrap();
+        assert_eq!(poller.wait(&mut events, 0), 0);
+
+        // Deleted, the still-readable pipe reports nothing; a second
+        // delete and a bad fd are errors, not undefined behaviour.
+        poller.delete(hub.pipe_r).unwrap();
+        assert_eq!(poller.wait(&mut events, 0), 0);
+        assert!(events.is_empty());
+        assert!(poller.delete(hub.pipe_r).is_err());
+        assert!(poller.add(-1, 3, sys::EPOLLIN).is_err());
+    }
+
+    #[test]
+    fn wait_returns_at_most_capacity_events() {
+        // Six ready pipes, room for fewer: `wait` must hand the kernel the
+        // buffer's capacity and set the length to what it wrote.
+        let poller = Poller::new().unwrap();
+        let hubs: Vec<Arc<WakeHub>> = (0..6).map(|_| WakeHub::new().unwrap()).collect();
+        for (i, hub) in hubs.iter().enumerate() {
+            hub.wake(0);
+            poller
+                .add(hub.pipe_r, 100 + i as u64, sys::EPOLLIN)
+                .unwrap();
+        }
+        for mut events in [Vec::with_capacity(2), Vec::new()] {
+            let n = poller.wait(&mut events, 1000);
+            assert_eq!(n, events.len());
+            assert!(n >= 1 && n <= events.capacity(), "{n} events");
+            assert_eq!(n, events.capacity().min(hubs.len()));
+            for (token, _) in ready(&events) {
+                assert!((100..106).contains(&token), "token {token}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_thousand_wakes_drain_fully_and_keep_their_order() {
+        let poller = Poller::new().unwrap();
+        let hub = WakeHub::new().unwrap();
+        poller.add(hub.pipe_r, 1, sys::EPOLLIN).unwrap();
+        for token in 0..1000 {
+            hub.wake(token);
+        }
+        let mut events = Vec::with_capacity(1);
+        assert_eq!(poller.wait(&mut events, 1000), 1);
+        // 1000 bytes span several 256-byte reads; none may be left behind.
+        hub.drain_pipe();
+        assert_eq!(poller.wait(&mut events, 0), 0, "bytes left in the pipe");
+        assert_eq!(hub.take_tokens(), (0..1000).collect::<Vec<u64>>());
+        assert!(hub.take_tokens().is_empty());
+    }
+}

@@ -25,8 +25,9 @@
 //! [`Game::adversary`].
 
 use crate::report::GameReport;
+use crate::round::Round;
 use wb_core::game::{Referee, Verdict, WhiteBoxAdversary};
-use wb_core::rng::{RandTranscript, TranscriptRng};
+use wb_core::rng::RandTranscript;
 use wb_core::space::SpaceUsage;
 use wb_core::stream::StreamAlg;
 
@@ -74,9 +75,10 @@ enum Driver<U, Adv> {
 /// The stream comes from one of two drivers: an adaptive white-box
 /// adversary ([`Game::adversary`], one update and one check per round) or
 /// a materialized oblivious script ([`Game::script`], ingested in
-/// [`Game::batch`]-sized chunks with one check per chunk). Both share one
-/// check-and-record step. Long oblivious streams that should not be
-/// materialized go through the erased layer's pull-based
+/// [`Game::batch`]-sized chunks with one check per chunk). Both are played
+/// by the engine's one round protocol, which the erased drivers play too.
+/// Long oblivious streams that should not be materialized go through the
+/// erased layer's pull-based
 /// [`run_source_erased`](crate::erased::run_source_erased) instead.
 ///
 /// `Game::new(alg)` starts with no adversary (empty stream), an accept-all
@@ -186,57 +188,34 @@ where
 
     /// Play the game, returning the report and the final algorithm state
     /// (for post-game inspection of answers or internals).
-    pub fn play(mut self) -> (GameReport, A) {
-        let mut rng = TranscriptRng::from_seed(self.seed);
-        // Take the driver out so `check` can borrow the whole builder.
-        let driver = std::mem::replace(&mut self.driver, Driver::Script(Vec::new()));
-        let mut report = GameReport::new(self.alg.space_bits(), 0);
-        let mut t = 0u64;
+    pub fn play(self) -> (GameReport, A) {
+        let Game {
+            mut alg,
+            driver,
+            mut referee,
+            max_rounds,
+            seed,
+            batch,
+        } = self;
+        let mut round = Round::new(alg.space_bits(), seed);
         match driver {
             Driver::Adversary(mut adversary) => {
-                let mut last: Option<A::Output> = None;
-                for round in 1..=self.max_rounds {
-                    let Some(update) =
-                        adversary.next_update(round, &self.alg, rng.transcript(), last.as_ref())
-                    else {
-                        break;
-                    };
-                    self.referee.observe(&update);
-                    self.alg.process(&update, &mut rng);
-                    t = round;
-                    match self.check(t, &mut report) {
-                        Some(output) => last = Some(output),
-                        None => break,
-                    }
-                }
+                let Ok(()) =
+                    round.play_rounds(&mut alg, &mut referee, max_rounds, |t, alg, tr, last| {
+                        adversary.next_update(t, alg, tr, last)
+                    });
             }
             Driver::Script(updates) => {
-                let total = updates.len().min(self.max_rounds as usize);
-                for chunk in updates[..total].chunks(self.batch) {
-                    for update in chunk {
-                        self.referee.observe(update);
-                    }
-                    self.alg.process_batch(chunk, &mut rng);
-                    t += chunk.len() as u64;
-                    if self.check(t, &mut report).is_none() {
+                let total = updates.len().min(max_rounds as usize);
+                for chunk in updates[..total].chunks(batch) {
+                    let Ok(()) = round.ingest(&mut alg, &mut referee, chunk);
+                    if round.check(&alg, &mut referee).is_none() {
                         break;
                     }
                 }
             }
         }
-        report.finish(t, self.alg.space_bits());
-        (report, self.alg)
-    }
-
-    /// Query the algorithm, check the answer at `t`, and record the check in
-    /// the report: the answer if the referee accepted it, `None` at a
-    /// violation.
-    fn check(&mut self, t: u64, report: &mut GameReport) -> Option<A::Output> {
-        let space = self.alg.space_bits();
-        let output = self.alg.query();
-        let verdict = self.referee.check(t, &output);
-        report.record_check(t, space, &verdict);
-        verdict.is_correct().then_some(output)
+        (round.finish(alg.space_bits()), alg)
     }
 }
 
@@ -245,6 +224,7 @@ mod tests {
     use super::*;
     use wb_core::game::{FnAdversary, FnReferee};
     use wb_core::referee::HeavyHitterReferee;
+    use wb_core::rng::TranscriptRng;
     use wb_core::space::bits_for_count;
     use wb_core::stream::InsertOnly;
     use wb_sketch::{MisraGries, RobustL1HeavyHitters};

@@ -21,16 +21,18 @@
 //!   [`run_erased`]) so registries and experiment runners can play the
 //!   white-box game without knowing concrete types. The round protocol
 //!   itself — observe, ingest on the game tape, check, record, stop at the
-//!   first violation — is written once, in the crate-internal
-//!   `ErasedGame`; these loops and the [tournament](crate::tournament)'s
-//!   cells are compositions of its steps. The source-driven loop is the
-//!   one ingestion path for oblivious streams: it pulls chunks from an
-//!   [`UpdateSource`] into one reused buffer, so memory stays O(chunk) no
-//!   matter how long the stream is. A materialized script enters it
-//!   through [`SliceSource`](crate::workload::SliceSource).
+//!   first violation — is written once, in a crate-internal round core
+//!   the typed [`Game`](crate::Game) shares; these loops and the
+//!   [tournament](crate::tournament)'s cells are compositions of its
+//!   steps. The source-driven loop is the one erased ingestion path for
+//!   oblivious streams: it pulls chunks from an [`UpdateSource`] into one
+//!   reused buffer, so memory stays O(chunk) no matter how long the
+//!   stream is. A materialized script enters it through
+//!   [`SliceSource`](crate::workload::SliceSource).
 
 use crate::referee::DynReferee;
 use crate::report::GameReport;
+use crate::round::Round;
 use crate::workload::UpdateSource;
 use std::any::Any;
 use wb_core::merge::MergeError;
@@ -611,97 +613,6 @@ where
     }
 }
 
-/// One erased game in flight: the algorithm's public random tape, the
-/// report accumulator and the update count `t`. It writes out the paper's
-/// round protocol once — the referee observes, the algorithm ingests on
-/// the game tape, `t` advances, and the answer is checked and recorded —
-/// as three steps every erased driver composes: [`ErasedGame::ingest`] a
-/// chunk, [`ErasedGame::check`] once, [`ErasedGame::play_rounds`] of an
-/// adaptive adversary. The algorithm and referee stay with the caller, so
-/// a driver can swap the state between steps (the tournament's sharded
-/// prelude hands back a merged instance).
-pub(crate) struct ErasedGame {
-    pub(crate) rng: TranscriptRng,
-    pub(crate) report: GameReport,
-    pub(crate) t: u64,
-}
-
-impl ErasedGame {
-    /// A game on the tape seeded by `seed`.
-    pub(crate) fn new(alg: &dyn DynStreamAlg, seed: u64) -> Self {
-        ErasedGame {
-            rng: TranscriptRng::from_seed(seed),
-            report: GameReport::new(alg.space_bits_dyn(), 0),
-            t: 0,
-        }
-    }
-
-    /// The referee observes `chunk` and the algorithm ingests it through
-    /// its batched kernel; `t` advances only if the algorithm accepted it.
-    pub(crate) fn ingest(
-        &mut self,
-        alg: &mut dyn DynStreamAlg,
-        referee: &mut dyn DynReferee,
-        chunk: &[Update],
-    ) -> Result<(), WbError> {
-        referee.observe_batch(chunk);
-        alg.process_batch_dyn(chunk, &mut self.rng)?;
-        self.t += chunk.len() as u64;
-        Ok(())
-    }
-
-    /// Query the algorithm, check the answer at `t` and record the check:
-    /// the answer if the referee accepted it, `None` at a violation.
-    pub(crate) fn check(
-        &mut self,
-        alg: &dyn DynStreamAlg,
-        referee: &mut dyn DynReferee,
-    ) -> Option<Answer> {
-        let space = alg.space_bits_dyn();
-        let answer = alg.query_dyn();
-        let verdict = referee.check(self.t, &answer);
-        self.report.record_check(self.t, space, &verdict);
-        verdict.is_correct().then_some(answer)
-    }
-
-    /// Up to `rounds` adaptive rounds (numbered from 1 for the adversary),
-    /// one update and one check each, stopping when the adversary does or
-    /// at the first violation. With `fold = Some(n)` every update is
-    /// folded into `[0, n)` before the referee or the algorithm sees it.
-    pub(crate) fn play_rounds(
-        &mut self,
-        alg: &mut dyn DynStreamAlg,
-        adversary: &mut dyn DynAdversary,
-        referee: &mut dyn DynReferee,
-        rounds: u64,
-        fold: Option<u64>,
-    ) -> Result<(), WbError> {
-        let mut last: Option<Answer> = None;
-        for round in 1..=rounds {
-            let Some(update) =
-                adversary.next_update(round, alg, self.rng.transcript(), last.as_ref())
-            else {
-                break;
-            };
-            let update = fold.map_or(update, |n| update.fold_into(n));
-            referee.observe(&update);
-            alg.process_dyn(&update, &mut self.rng)?;
-            self.t += 1;
-            match self.check(alg, referee) {
-                Some(answer) => last = Some(answer),
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    /// Seal the report at `t` with the algorithm's final space.
-    pub(crate) fn finish(mut self, alg: &dyn DynStreamAlg) -> GameReport {
-        self.report.finish(self.t, alg.space_bits_dyn());
-        self.report
-    }
-}
-
 /// Drives an oblivious [`UpdateSource`] through an erased algorithm with
 /// batched ingestion: chunks of up to `chunk` updates are pulled into one
 /// reused buffer (memory stays O(chunk) for any stream length), the
@@ -717,19 +628,20 @@ pub fn run_source_erased(
     seed: u64,
 ) -> Result<GameReport, WbError> {
     let chunk = chunk.max(1);
-    let mut game = ErasedGame::new(alg, seed);
+    let mut round = Round::new(alg.space_bits_dyn(), seed);
     let mut buf: Vec<Update> = Vec::with_capacity(chunk);
     while source.next_chunk(&mut buf) > 0 {
-        game.ingest(alg, referee, &buf)?;
-        if game.check(alg, referee).is_none() {
+        round.ingest(alg, referee, &buf)?;
+        if round.check(alg, referee).is_none() {
             break;
         }
     }
-    Ok(game.finish(alg))
+    Ok(round.finish(alg.space_bits_dyn()))
 }
 
-/// Drives an adaptive erased adversary through the per-round white-box game
-/// (the erased mirror of the typed game loop).
+/// Drives an adaptive erased adversary through the per-round white-box game:
+/// one update and one check per round, for up to `max_rounds` rounds or
+/// until the adversary stops or the referee finds a violation.
 pub fn run_erased(
     alg: &mut dyn DynStreamAlg,
     adversary: &mut dyn DynAdversary,
@@ -737,9 +649,11 @@ pub fn run_erased(
     max_rounds: u64,
     seed: u64,
 ) -> Result<GameReport, WbError> {
-    let mut game = ErasedGame::new(alg, seed);
-    game.play_rounds(alg, adversary, referee, max_rounds, None)?;
-    Ok(game.finish(alg))
+    let mut round = Round::new(alg.space_bits_dyn(), seed);
+    round.play_rounds(alg, referee, max_rounds, |t, alg, tr, last| {
+        adversary.next_update(t, alg, tr, last)
+    })?;
+    Ok(round.finish(alg.space_bits_dyn()))
 }
 
 #[cfg(test)]

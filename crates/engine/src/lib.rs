@@ -15,11 +15,11 @@
 //!   and [`DynStreamAlg`], blanket-implemented for every
 //!   `StreamAlg + SpaceUsage + Snapshot` whose types convert — so
 //!   `Box<dyn DynStreamAlg>` is free for all `u64`-universe sketches, and
-//!   every erased algorithm can write out its public state. Its one
-//!   erased round step drives every erased game: the pull-based
-//!   `run_source_erased` (a materialized script enters through
-//!   [`SliceSource`]), the adaptive `run_erased`, and both phases of each
-//!   tournament cell.
+//!   every erased algorithm can write out its public state. Its drivers —
+//!   the pull-based `run_source_erased` (a materialized script enters
+//!   through [`SliceSource`]) and the adaptive `run_erased` — and both
+//!   phases of each tournament cell play the one round protocol that
+//!   [`Game`] plays too.
 //! * [`registry`] — string-keyed construction
 //!   (`registry::get("robust_hh", &params)`) of algorithms and
 //!   adversaries, for binaries, tests, and servers that select at runtime.
@@ -91,6 +91,7 @@ pub mod pool;
 pub mod referee;
 pub mod registry;
 pub mod report;
+mod round;
 pub mod shard;
 pub mod tournament;
 pub mod workload;

@@ -16,7 +16,7 @@
 
 use crate::erased::{DynAdversary, DynStreamAlg, FnDynAdversary, StreamDynAdversary, Update};
 use crate::tournament::workload_spec;
-use crate::workload::{FoldSource, WorkloadSpec};
+use crate::workload::FoldSource;
 use wb_core::rng::TranscriptRng;
 use wb_core::WbError;
 use wb_sketch::ams::AmsF2;
@@ -355,26 +355,32 @@ pub fn adversary_names() -> Vec<&'static str> {
 /// Construct the adversary registered under `name`.
 ///
 /// The scripted adversaries (`zipf`, `ddos`, `uniform`, `cycle`) replay
-/// the stream the tournament's name→workload table
-/// ([`workload_spec`]) builds for that name, for `params.m` rounds — pulled
-/// lazily from [`WorkloadSpec::stream`], so even a huge scripted phase is
-/// O(chunk) memory, never a materialized script; `hh_evader` is adaptive —
-/// it interleaves one heavy item with items currently absent from the last
-/// reported heavy-hitter list (the classic summary-evasion strategy,
-/// expressed over the erased interface).
+/// the stream the tournament's name→workload table ([`workload_spec`])
+/// builds for that name, for `params.m` rounds — pulled lazily from
+/// [`WorkloadSpec::stream`](crate::workload::WorkloadSpec::stream), so even
+/// a huge scripted phase is O(chunk) memory, never a materialized script;
+/// `hh_evader` is adaptive — it interleaves one heavy item with items
+/// currently absent from the last reported heavy-hitter list (the classic
+/// summary-evasion strategy, expressed over the erased interface).
 ///
-/// `ddos` traffic (raw 32-bit addresses) is folded into the universe by
-/// `item % params.n` (the shared [`FoldSource`] rule — the generator logic
-/// itself lives only in [`crate::workload`]), so universe-bounded
-/// algorithms (`sis_l0` asserts `item < n`) stay playable against every
-/// registered adversary; the hot prefix and hot host fold onto fixed
-/// residues, preserving the skew.
+/// Every scripted stream is folded into the universe by `item % params.n`
+/// (the shared [`FoldSource`] rule — the generator logic itself lives only
+/// in [`crate::workload`]), so universe-bounded algorithms (`sis_l0`
+/// refuses `item >= n`) stay playable against every registered adversary
+/// at every `n`: `ddos` emits raw 32-bit addresses, and the other
+/// generators' items can exceed a small universe. Folding leaves in-universe
+/// items alone; the `ddos` hot prefix and hot host fold onto fixed residues,
+/// preserving the skew.
 pub fn adversary(name: &str, params: &Params) -> Result<Box<dyn DynAdversary>, WbError> {
     check_universe(params.n)?;
     let p = params.clone();
     match name {
-        "zipf" | "uniform" | "cycle" => Ok(scripted(workload_spec(name, p.n, p.m, p.seed)?, None)),
-        "ddos" => Ok(scripted(workload_spec(name, p.n, p.m, p.seed)?, Some(p.n))),
+        "zipf" | "ddos" | "uniform" | "cycle" => {
+            let stream = workload_spec(name, p.n, p.m, p.seed)?.stream();
+            Ok(Box::new(StreamDynAdversary::new(FoldSource::new(
+                stream, p.n,
+            ))))
+        }
         "hh_evader" => {
             // The evader cycles over the upper half of the universe; a tiny
             // universe would leave it nothing to evade into (or divide by
@@ -417,20 +423,12 @@ pub fn adversary(name: &str, params: &Params) -> Result<Box<dyn DynAdversary>, W
     }
 }
 
-/// One streaming replay path for every scripted adversary: pull chunks
-/// from the spec's lazy stream, optionally folding items into `[0, n)`.
-fn scripted(spec: WorkloadSpec, fold_into: Option<u64>) -> Box<dyn DynAdversary> {
-    match fold_into {
-        Some(n) => Box::new(StreamDynAdversary::new(FoldSource::new(spec.stream(), n))),
-        None => Box::new(StreamDynAdversary::new(spec.stream())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::erased::run_erased;
     use crate::referee::RefereeSpec;
+    use crate::workload::WorkloadSpec;
 
     #[test]
     fn at_least_eight_algorithms_constructible() {

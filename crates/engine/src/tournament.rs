@@ -12,9 +12,10 @@
 //! with realistic traffic — and then the named adversary plays the
 //! adaptive per-round white-box game against that warm state. One game
 //! tape spans both phases, so the adversary sees the full randomness
-//! transcript, prelude included. Both phases are steps of the erased
-//! layer's one round protocol (see [`crate::erased`]); the cell adds only
-//! its own policies — one check at the end of the prelude, mid-prelude
+//! transcript, prelude included. Both phases are steps of the engine's one
+//! round protocol, the same one the typed [`Game`](crate::Game) and the
+//! erased drivers ([`crate::erased`]) play; the cell adds only its own
+//! policies — one check at the end of the prelude, mid-prelude
 //! checkpoint frames, the first offending offset of an incompatible
 //! stream, and the sharded prelude.
 //!
@@ -45,19 +46,21 @@
 //! cell. [`TournamentReport::json_lines`] is byte-identical across thread
 //! counts, and any single cell can be replayed in isolation for a citation.
 //!
-//! **Universe folding.** All cell traffic is folded into `[0, n)` by
-//! `item % n` before it reaches the referee or the algorithm, because
+//! **Universe folding.** All cell traffic lies in `[0, n)`, because
 //! universe-bounded algorithms (e.g. `sis_l0`) reject out-of-universe items
-//! while the `ddos` generator emits raw 32-bit addresses. Folding is
-//! deterministic and applied identically to referee and algorithm, so
-//! ground truth stays exact.
+//! while the `ddos` generator emits raw 32-bit addresses: the prelude is
+//! folded by `item % n` ([`FoldSource`]), and so is every registry
+//! adversary's scripted stream (the adaptive `hh_evader` stays inside
+//! `[0, n)` by construction). Folding happens before the referee or the
+//! algorithm sees an update, so ground truth stays exact.
 
-use crate::erased::{DynStreamAlg, ErasedGame, Update};
+use crate::erased::{DynStreamAlg, Update};
 use crate::experiment::json_escape;
 use crate::pool::{self, Job};
 use crate::referee::{DynReferee, RefereeSpec};
 use crate::registry::{self, Params};
 use crate::report::{header, row};
+use crate::round::Round;
 use crate::shard::{self, Partition, ShardConfig};
 use crate::workload::{FoldSource, InspectSource, UpdateSource, WorkloadSpec, WorkloadStream};
 use std::collections::BTreeMap;
@@ -394,12 +397,21 @@ impl TournamentReport {
 }
 
 /// The prelude workload for a named dimension, sized for one cell.
+///
+/// The Zipf head has 8 items, shrunk to `n / 2` in a smaller universe so
+/// the uniform noise tail `[heavy, n)` is never empty; `zipf` needs
+/// `n >= 2`.
 pub fn workload_spec(name: &str, n: u64, m: u64, seed: u64) -> Result<WorkloadSpec, WbError> {
     Ok(match name {
+        "zipf" if n < 2 => {
+            return Err(WbError::invalid(
+                "the zipf workload needs n >= 2 (one head and one tail item)",
+            ))
+        }
         "zipf" => WorkloadSpec::Zipf {
             n,
             m,
-            heavy: 8,
+            heavy: 8.min(n / 2),
             seed,
         },
         "ddos" => WorkloadSpec::Ddos { m, seed },
@@ -786,7 +798,7 @@ fn blank_cell(cfg: &TournamentConfig, alg: &str, adversary: &str, workload: &str
 /// referee ground truth, prelude generator, and the report accumulator.
 /// Everything a resumed cell needs to continue draw-for-draw.
 fn capture_cell_frame(
-    game: &ErasedGame,
+    game: &Round,
     alg: &dyn DynStreamAlg,
     referee: &dyn DynReferee,
     source: &FoldSource<WorkloadStream>,
@@ -805,7 +817,7 @@ fn capture_cell_frame(
 /// (same config, same coordinates), stream position included.
 fn restore_cell_frame(
     frame: &[u8],
-    game: &mut ErasedGame,
+    game: &mut Round,
     alg: &mut dyn DynStreamAlg,
     referee: &mut dyn DynReferee,
     source: &mut FoldSource<WorkloadStream>,
@@ -881,7 +893,7 @@ fn play_cell(
     // One game tape spans both phases: the adversary sees the prelude's
     // transcript. The prelude is checked once, at its end, in both modes —
     // the chunk size is pure transport and must not leak into the report.
-    let mut game = ErasedGame::new(alg.as_ref(), game_seed);
+    let mut game = Round::new(alg.space_bits_dyn(), game_seed);
 
     let prelude = if use_sharded {
         // Phase 1, sharded: the referee observes the stream in original
@@ -945,17 +957,16 @@ fn play_cell(
         if game.check(alg.as_ref(), referee.as_mut()).is_some() {
             game.play_rounds(
                 alg.as_mut(),
-                adv.as_mut(),
                 referee.as_mut(),
                 cfg.rounds,
-                Some(n),
+                |t, alg, tr, last| adv.next_update(t, alg, tr, last),
             )
             .map_err(|e| e.to_string())?;
         }
         Ok(())
     });
 
-    let report = game.finish(alg.as_ref());
+    let report = game.finish(alg.space_bits_dyn());
     (cell.verdict, cell.detail) = match (outcome, &report.result.failure) {
         (Err(msg), _) => (CellVerdict::Incompatible, msg),
         (Ok(()), Some(f)) => (
@@ -971,13 +982,13 @@ fn play_cell(
     cell
 }
 
-/// The flat prelude: every chunk of `source` through [`ErasedGame::ingest`],
+/// The flat prelude: every chunk of `source` through [`Round::ingest`],
 /// cutting a checkpoint frame at every multiple of the context's `every`.
 /// An incompatible update ends it with the stream offset of the first
 /// offending update, and `t` counts the updates before it — the per-update
 /// semantics, independent of the chunk size.
 fn flat_prelude(
-    game: &mut ErasedGame,
+    game: &mut Round,
     alg: &mut dyn DynStreamAlg,
     referee: &mut dyn DynReferee,
     source: &mut FoldSource<WorkloadStream>,
@@ -1354,6 +1365,13 @@ mod tests {
             // The dimension name round-trips through the spec's label, so
             // WORKLOADS, workload_spec, and WorkloadSpec::label agree.
             assert_eq!(spec.label(), *name);
+        }
+        // A fixed 8-item Zipf head would leave no noise tail below n = 9;
+        // the head shrinks instead, and every item stays in the universe.
+        assert!(workload_spec("zipf", 1, 96, 1).is_err());
+        for n in 2..=9 {
+            let items = workload_spec("zipf", n, 500, 3).unwrap().generate();
+            assert!(items.iter().all(|u| u.item() < n), "n = {n}");
         }
     }
 }

@@ -7,10 +7,15 @@ use wbstream::core::referee::{ApproxCountReferee, HeavyHitterReferee, L0Sandwich
 use wbstream::core::rng::{RandTranscript, TranscriptRng};
 use wbstream::core::space::SpaceUsage;
 use wbstream::core::stream::{InsertOnly, StreamAlg, Turnstile};
+use wbstream::engine::erased::{
+    run_erased, run_source_erased, DynStreamAlg, FnDynAdversary, Update,
+};
+use wbstream::engine::referee::RefereeSpec;
+use wbstream::engine::workload::SliceSource;
 use wbstream::engine::Game;
 use wbstream::sketch::hhh::{HhhReferee, RadixHierarchy, RobustHHH};
 use wbstream::sketch::l0::{MatrixMode, SisL0Estimator};
-use wbstream::sketch::{MedianMorris, RobustL1HeavyHitters};
+use wbstream::sketch::{MedianMorris, MisraGries, RobustL1HeavyHitters};
 
 #[test]
 fn morris_survives_transcript_aware_adversary() {
@@ -175,4 +180,119 @@ fn peak_space_tracks_the_heaviest_epoch() {
     }
     assert_eq!(peak, report.result.peak_space_bits);
     assert_eq!(oracle.space_bits(), report.result.final_space_bits);
+}
+
+/// Everything a game's outcome is made of: rounds, checks, first failure
+/// round, peak and final space, and the final Misra–Gries table.
+type Outcome = (u64, u64, Option<u64>, u64, u64, Vec<(u64, u64)>);
+
+fn outcome(report: &wbstream::engine::GameReport, alg: &MisraGries) -> Outcome {
+    let r = &report.result;
+    (
+        r.rounds,
+        report.checks,
+        r.failure.as_ref().map(|f| f.round),
+        r.peak_space_bits,
+        r.final_space_bits,
+        alg.entries(),
+    )
+}
+
+fn erased_outcome(report: &wbstream::engine::GameReport, alg: &dyn DynStreamAlg) -> Outcome {
+    let mg = alg
+        .as_any()
+        .downcast_ref::<MisraGries>()
+        .expect("MisraGries");
+    outcome(report, mg)
+}
+
+#[test]
+fn typed_and_erased_games_agree_on_scripts_and_adversaries() {
+    // The typed builder and the erased drivers play one round protocol:
+    // the same algorithm, stream, referee and seed must give the same
+    // report and final state through either door, in a configuration the
+    // algorithm survives (enough counters) and one it fails (too few).
+    let n = 1u64 << 10;
+    let (eps, seed) = (0.125, 9);
+    let script: Vec<u64> = (0..600u64)
+        .map(|t| [1, 2, t % 97 + 3][t as usize % 3])
+        .collect();
+    let spec = RefereeSpec::HeavyHitters {
+        eps,
+        tol: eps,
+        phi: None,
+        grace: 0,
+    };
+    let mut survived = [false, false];
+    for counters in [16, 1] {
+        for chunk in [1, 7, 64] {
+            let (typed, alg) = Game::new(MisraGries::with_counters(counters, n))
+                .script(script.iter().map(|&i| InsertOnly(i)).collect())
+                .referee(HeavyHitterReferee::new(eps, eps))
+                .batch(chunk)
+                .seed(seed)
+                .play();
+            let updates: Vec<Update> = script.iter().map(|&i| Update::Insert(i)).collect();
+            let mut erased: Box<dyn DynStreamAlg> =
+                Box::new(MisraGries::with_counters(counters, n));
+            let report = run_source_erased(
+                erased.as_mut(),
+                &mut SliceSource::new(&updates),
+                spec.build().as_mut(),
+                chunk,
+                seed,
+            )
+            .unwrap();
+            assert_eq!(
+                outcome(&typed, &alg),
+                erased_outcome(&report, erased.as_ref()),
+                "{counters} counters, chunk {chunk}"
+            );
+            survived[usize::from(typed.survived())] = true;
+        }
+
+        // A state-reading adversary: a heavy item every other round, else
+        // the smallest item the table does not track.
+        let pick = |t: u64, mg: &MisraGries| {
+            let tracked: Vec<u64> = mg.entries().iter().map(|&(i, _)| i).collect();
+            if t.is_multiple_of(2) {
+                1
+            } else {
+                (2..).find(|i| !tracked.contains(i)).unwrap()
+            }
+        };
+        let (typed, alg) = Game::new(MisraGries::with_counters(counters, n))
+            .adversary(FnAdversary::new(
+                |t, mg: &MisraGries, _tr: &RandTranscript, _last: Option<&Vec<(u64, f64)>>| {
+                    Some(InsertOnly(pick(t, mg)))
+                },
+            ))
+            .referee(HeavyHitterReferee::new(eps, eps))
+            .max_rounds(500)
+            .seed(seed)
+            .play();
+        let mut adversary = FnDynAdversary::new(|t, alg: &dyn DynStreamAlg, _tr, _last| {
+            let mg = alg
+                .as_any()
+                .downcast_ref::<MisraGries>()
+                .expect("MisraGries");
+            Some(Update::Insert(pick(t, mg)))
+        });
+        let mut erased: Box<dyn DynStreamAlg> = Box::new(MisraGries::with_counters(counters, n));
+        let report = run_erased(
+            erased.as_mut(),
+            &mut adversary,
+            spec.build().as_mut(),
+            500,
+            seed,
+        )
+        .unwrap();
+        assert_eq!(
+            outcome(&typed, &alg),
+            erased_outcome(&report, erased.as_ref()),
+            "{counters} counters, adversary"
+        );
+        survived[usize::from(typed.survived())] = true;
+    }
+    assert_eq!(survived, [true, true], "both verdicts must be exercised");
 }
