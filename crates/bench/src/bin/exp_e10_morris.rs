@@ -4,7 +4,7 @@
 //! and stops at the "worst" moment cannot push the failure rate above the
 //! oblivious one; space grows ~log log m. The adaptive games run through
 //! the engine's builder with the real
-//! [`ApproxCountReferee`](wb_core::referee::ApproxCountReferee).
+//! [`wb_core::referee::ApproxCountReferee`].
 
 use wb_core::game::FnAdversary;
 use wb_core::referee::ApproxCountReferee;

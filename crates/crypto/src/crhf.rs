@@ -461,6 +461,47 @@ mod tests {
     }
 
     #[test]
+    fn pedersen_md_parameters_are_pinned() {
+        // `(p, q, g, h)` and the next tape word for `PedersenMd::generate(40)`
+        // — the `phi_eps_hh` constructor's draw — on three seeds.
+        for (seed, p, q, g, h, next) in [
+            (
+                1,
+                1095634497263,
+                547817248631,
+                510082127419,
+                1091540804757,
+                7460617819096774474,
+            ),
+            (
+                2,
+                747747847667,
+                373873923833,
+                526485024718,
+                698830140220,
+                3809910621771195247,
+            ),
+            (
+                3,
+                821721399839,
+                410860699919,
+                92475041126,
+                222917595931,
+                12446914564496916846,
+            ),
+        ] {
+            let mut rng = TranscriptRng::from_seed(seed);
+            let md = PedersenMd::generate(40, &mut rng);
+            assert_eq!(
+                *md.inner().params(),
+                PedersenParams { p, q, g, h },
+                "seed {seed}"
+            );
+            assert_eq!(rng.next_u64(), next, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn pedersen_compress_is_homomorphic() {
         // compress(a+b, c+d) = compress(a,c)·compress(b,d): the Pedersen
         // structure the SIS/DL arguments rely on.

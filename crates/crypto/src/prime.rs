@@ -50,19 +50,62 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
+/// The odd primes below 256 with their multiply-by-inverse divisibility
+/// constants `(r, r⁻¹ mod 2⁶⁴, ⌊(2⁶⁴ − 1)/r⌋)`: for odd `r`, `r | n` iff
+/// `n · r⁻¹ mod 2⁶⁴ ≤ ⌊(2⁶⁴ − 1)/r⌋` (Granlund–Montgomery), one multiply
+/// and one compare per prime instead of a division.
+const SIEVE: [(u64, u64, u64); 53] = {
+    let primes: [u64; 53] = [
+        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+        191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
+    ];
+    let mut table = [(0, 0, 0); 53];
+    let mut i = 0;
+    while i < primes.len() {
+        let r = primes[i];
+        // Newton's iteration doubles the correct low bits of the inverse
+        // each step; `r` itself is correct to 3 bits for odd `r`.
+        let mut inv = r;
+        let mut step = 0;
+        while step < 5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(r.wrapping_mul(inv)));
+            step += 1;
+        }
+        table[i] = (r, inv, u64::MAX / r);
+        i += 1;
+    }
+    table
+};
+
+/// Whether odd `n` has a prime factor below 256 other than itself — a
+/// proof that `n` is composite, so [`is_prime`] would reject it.
+fn has_small_factor(n: u64) -> bool {
+    SIEVE
+        .iter()
+        .any(|&(r, inv, max)| n.wrapping_mul(inv) <= max && n != r)
+}
+
+/// One rejection-sampling candidate: a word's top `bits` bits, with the
+/// top bit and the low bit set (exact bit length, odd).
+fn odd_candidate(bits: u32, rng: &mut TranscriptRng) -> u64 {
+    (rng.next_u64() >> (64 - bits)) | 1 << (bits - 1) | 1
+}
+
 /// Uniform random prime with exactly `bits` bits (`2 ≤ bits ≤ 62`).
 ///
-/// Rejection-samples odd candidates with the top bit set.
+/// Rejection-samples odd candidates with the top bit set, one word each.
+/// A candidate with a small prime factor is rejected before Miller–Rabin;
+/// `is_prime` rejects it too, so the result and the words drawn are those
+/// of testing every candidate with `is_prime` alone.
 pub fn random_prime(bits: u32, rng: &mut TranscriptRng) -> u64 {
     assert!((2..=62).contains(&bits), "bits must be in [2, 62]");
     if bits == 2 {
         return if rng.bernoulli(0.5) { 2 } else { 3 };
     }
     loop {
-        let mut cand = rng.next_u64() >> (64 - bits);
-        cand |= 1 << (bits - 1); // exact bit length
-        cand |= 1; // odd
-        if is_prime(cand) {
+        let cand = odd_candidate(bits, rng);
+        if !has_small_factor(cand) && is_prime(cand) {
             return cand;
         }
     }
@@ -73,12 +116,21 @@ pub fn random_prime(bits: u32, rng: &mut TranscriptRng) -> u64 {
 /// Safe primes give a large prime-order subgroup (the quadratic residues)
 /// for Pedersen hashing. `bits` is the size of `p`; feasible up to ~40 bits
 /// in tests, larger in release experiments.
+///
+/// The result is the first candidate `q` of [`random_prime`]`(bits − 1)`'s
+/// word stream (one word per candidate) with `q` prime and `2q + 1` prime:
+/// the loop that retries `random_prime` until `2q + 1` is prime accepts
+/// exactly that candidate. Both tests are pure functions of the candidate,
+/// so their order cannot change which candidate is accepted or how many
+/// words are drawn; the search therefore sieves `q` and `p` by the primes
+/// below 256 first and runs Miller–Rabin only on the few survivors.
 pub fn random_safe_prime(bits: u32, rng: &mut TranscriptRng) -> u64 {
     assert!((4..=62).contains(&bits), "bits must be in [4, 62]");
     loop {
-        let q = random_prime(bits - 1, rng);
+        let q = odd_candidate(bits - 1, rng);
+        // `q` has exactly `bits − 1` bits, so `p` has exactly `bits`.
         let p = 2 * q + 1;
-        if p >> (bits - 1) == 1 && is_prime(p) {
+        if !has_small_factor(q) && !has_small_factor(p) && is_prime(q) && is_prime(p) {
             return p;
         }
     }
@@ -257,6 +309,86 @@ mod tests {
         assert!(is_prime(p));
         assert!(is_prime((p - 1) / 2));
         assert_eq!(64 - p.leading_zeros(), 24);
+    }
+
+    /// [`random_prime`] as it was before the sieve pre-filter, frozen as
+    /// the oracle: every candidate goes straight to `is_prime`.
+    fn random_prime_oracle(bits: u32, rng: &mut TranscriptRng) -> u64 {
+        if bits == 2 {
+            return if rng.bernoulli(0.5) { 2 } else { 3 };
+        }
+        loop {
+            let mut cand = rng.next_u64() >> (64 - bits);
+            cand |= 1 << (bits - 1);
+            cand |= 1;
+            if is_prime(cand) {
+                return cand;
+            }
+        }
+    }
+
+    /// [`random_safe_prime`] as it was before the sieve pre-filter: retry
+    /// the oracle prime until `2q + 1` has `bits` bits and is prime.
+    fn random_safe_prime_oracle(bits: u32, rng: &mut TranscriptRng) -> u64 {
+        loop {
+            let q = random_prime_oracle(bits - 1, rng);
+            let p = 2 * q + 1;
+            if p >> (bits - 1) == 1 && is_prime(p) {
+                return p;
+            }
+        }
+    }
+
+    #[test]
+    fn small_factor_sieve_matches_trial_division() {
+        for n in (3u64..1 << 16).step_by(2) {
+            let trial = (3..256u64).any(|r| is_prime(r) && n % r == 0 && n != r);
+            assert_eq!(has_small_factor(n), trial, "n={n}");
+        }
+        assert!(!has_small_factor((1 << 61) - 1));
+        assert!(has_small_factor(251 * ((1 << 53) + 5)));
+    }
+
+    #[test]
+    fn sieved_generation_matches_frozen_loops_word_for_word() {
+        // Every size up to 40 bits — including 3..=8, where candidates
+        // can equal a sieve prime — and a sample of larger ones; the next
+        // tape word agreeing shows the same number of words was drawn.
+        for bits in (2..=40).chain([44, 48, 53, 57, 62]) {
+            for seed in 0..100u64 {
+                let (mut a, mut b) = (
+                    TranscriptRng::from_seed(seed),
+                    TranscriptRng::from_seed(seed),
+                );
+                let p = random_prime(bits, &mut a);
+                assert_eq!(
+                    p,
+                    random_prime_oracle(bits, &mut b),
+                    "bits={bits} seed={seed}"
+                );
+                assert_eq!(a.next_u64(), b.next_u64(), "bits={bits} seed={seed}");
+                if bits < 4 {
+                    continue;
+                }
+                let (mut a, mut b) = (
+                    TranscriptRng::from_seed(seed),
+                    TranscriptRng::from_seed(seed),
+                );
+                let p = random_safe_prime(bits, &mut a);
+                assert_eq!(
+                    p,
+                    random_safe_prime_oracle(bits, &mut b),
+                    "safe bits={bits} seed={seed}"
+                );
+                assert_eq!(a.next_u64(), b.next_u64(), "safe bits={bits} seed={seed}");
+            }
+        }
+        // Sieve primes themselves are accepted: the 3-bit primes are 5 and
+        // 7, and the only 4-bit safe prime is 11 = 2·5 + 1.
+        let mut rng = TranscriptRng::from_seed(7);
+        let small: Vec<u64> = (0..64).map(|_| random_prime(3, &mut rng)).collect();
+        assert!(small.contains(&5) && small.contains(&7));
+        assert_eq!(random_safe_prime(4, &mut rng), 11);
     }
 
     #[test]

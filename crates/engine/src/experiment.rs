@@ -6,7 +6,7 @@
 //! whose rows are either
 //!
 //! * [`GameRow`]s — an algorithm picked from the
-//!   [`registry`](crate::registry) by string key, a named
+//!   [`registry`] by string key, a named
 //!   [`WorkloadSpec`], and a [`RefereeSpec`]: the runner drives the stream
 //!   through the erased engine with batched ingestion and a **real**
 //!   referee, then renders the requested [`Metric`]s — so every "ok"
@@ -25,7 +25,7 @@
 //!   file (or stdout with `-`);
 //! * `--threads N` — worker threads for row execution (default: one per
 //!   core). Rows are independent jobs on the engine's
-//!   [pool](crate::pool); tables still print in declaration order and the
+//!   [`pool`]; tables still print in declaration order and the
 //!   JSON report is byte-identical across thread counts;
 //! * `--prelude-m M` — rescale every game row's workload to `M` updates
 //!   ([`WorkloadSpec::resized`]; underscores allowed, e.g. `10_000_000`).
@@ -367,7 +367,7 @@ pub fn write_json_report(path: &str, lines: &[String]) {
 /// returning the JSON report lines (one object per row).
 ///
 /// Rows are independent: each one becomes a job on the engine's
-/// [pool](crate::pool) (sized by [`RunnerConfig::threads`]). Finished rows
+/// [`pool`] (sized by [`RunnerConfig::threads`]). Finished rows
 /// stream to stdout as soon as every earlier row is done — long runs show
 /// progress — and they rejoin their sections in declaration order, so the
 /// printed tables and the JSON report are byte-identical no matter how

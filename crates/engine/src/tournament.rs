@@ -5,7 +5,7 @@
 //! the `exp_e*` binaries do not measure robustness breadth. This module
 //! enumerates the full registry cross-product — algorithm × adversary ×
 //! workload — and plays every cell as an erased game on the hand-rolled
-//! [pool](crate::pool), aggregating verdicts into a [`TournamentReport`].
+//! [`pool`], aggregating verdicts into a [`TournamentReport`].
 //!
 //! **Cell anatomy.** Each cell first ingests an *oblivious prelude* drawn
 //! from the named workload generator — the algorithm's state is preloaded

@@ -340,6 +340,16 @@ const ZIPF_COIN_CUT: u64 = (0.7 * ZIPF_GRID) as u64;
 /// draw bits) plus a binary search over the rare bucket straddling more
 /// than one item — O(1) typical, O(log heavy) worst case, byte-identical
 /// to the walk by construction.
+///
+/// Building the table costs O(heavy²) float subtractions, two per
+/// inversion step (the answer is `fl(t + w)` or one ulp either side): the
+/// heavy − 1 inversion chains are independent, so they advance side by
+/// side (one stage across all chains at a time) and the CPU overlaps them,
+/// and the 1024 bucket ranges come from one merge walk over the sorted
+/// thresholds.
+///
+/// The head must be non-empty and leave a non-empty noise tail:
+/// construction panics unless `1 <= heavy < n`.
 #[derive(Debug, Clone)]
 struct ZipfSampler {
     n: u64,
@@ -371,27 +381,35 @@ fn ulp_down(x: f64) -> f64 {
     f64::from_bits(x.to_bits() - 1)
 }
 
-/// Smallest `x` with `fl(x − w) ≥ t`, for positive finite `t`, `w`. The
-/// candidate `fl(t + w)` is within a couple of ulps of the answer; refine
-/// by stepping, relying on the monotonicity of float subtraction.
+/// Smallest `x` with `fl(x − w) ≥ t`, for positive finite `t`, `w` with a
+/// finite sum: `fl(t + w)` or one ulp either side of it.
+///
+/// Why one ulp suffices: let `s = t + w` exactly and `F` the least float
+/// `≥ s`. Rounding is monotone and `t` is a float, so every float `≥ s`
+/// qualifies and the answer is at most `F`. A float `x < s` qualifies only
+/// if `x − w` rounds up to `t`, so `x` lies within `ulp(t)/2 ≤ ulp(s)/2`
+/// below `s`; floats there are at least `ulp(s)/2` apart, so only the
+/// float just below `F` can. And `fl(s)` is `F` or the float just below
+/// it. Hence: if `fl(s)` fails, the answer is the next float up; otherwise
+/// it is the float just below `fl(s)` if that one qualifies too, else
+/// `fl(s)`.
 fn min_x_sub_ge(t: f64, w: f64) -> f64 {
-    let mut x = t + w;
-    let mut steps = 0u32;
-    while x - w < t {
-        x = ulp_up(x);
-        steps += 1;
-        assert!(steps < 1024, "min_x_sub_ge: candidate too far below");
+    let x = t + w;
+    if x - w < t {
+        ulp_up(x)
+    } else if ulp_down(x) - w >= t {
+        ulp_down(x)
+    } else {
+        x
     }
-    while x > w && ulp_down(x) - w >= t {
-        x = ulp_down(x);
-        steps += 1;
-        assert!(steps < 1024, "min_x_sub_ge: candidate too far above");
-    }
-    x
 }
 
 impl ZipfSampler {
     fn new(n: u64, heavy: u64) -> Self {
+        assert!(
+            1 <= heavy && heavy < n,
+            "zipf needs 1 <= heavy < n (a head and a noise tail), got heavy = {heavy}, n = {n}"
+        );
         let weights: Vec<f64> = (0..heavy).map(|i| 1.0 / (i + 1) as f64).collect();
         let total: f64 = weights.iter().sum();
         let mut sampler = ZipfSampler {
@@ -401,9 +419,9 @@ impl ZipfSampler {
             total,
             thresholds: Vec::new(),
             buckets: Vec::new(),
-            tail_recip: Reciprocal::new(n.wrapping_sub(heavy).max(1)),
+            tail_recip: Reciprocal::new(n - heavy),
         };
-        if (1..=ZIPF_TABLE_MAX_HEAVY).contains(&heavy) {
+        if heavy <= ZIPF_TABLE_MAX_HEAVY {
             sampler.build_table();
         }
         sampler
@@ -413,31 +431,43 @@ impl ZipfSampler {
     /// docs for the invariants).
     fn build_table(&mut self) {
         let k = self.weights.len();
-        let mut running = 0.0f64;
-        let mut thresholds = Vec::with_capacity(k - 1);
-        for j in 0..k - 1 {
-            // Smallest start value u whose walk survives stage j
-            // (`u_j ≥ w_j`), by inverting stages j−1..0 backward.
-            let mut t = self.weights[j];
-            for m in (0..j).rev() {
-                t = min_x_sub_ge(t, self.weights[m]);
+        // `chains[j]` ends as the smallest start value u whose walk
+        // survives stage j (`u_j ≥ w_j`): start at `w_j` and invert stages
+        // j−1..0 backward. The chains are independent, so they advance
+        // side by side — stage m is inverted in every chain j > m at once —
+        // and each chain still sees the same steps in the same order.
+        let mut chains = self.weights[..k - 1].to_vec();
+        for m in (0..k.saturating_sub(2)).rev() {
+            let w = self.weights[m];
+            for t in &mut chains[m + 1..] {
+                *t = min_x_sub_ge(*t, w);
             }
-            // The walk survives stages 0..=j iff it survives each; the
-            // binding constraint is the running max.
-            running = running.max(t);
-            thresholds.push(Self::min_grid_draw(running, self.total));
         }
-        let mut buckets = Vec::with_capacity(ZIPF_BUCKETS);
-        for b in 0..ZIPF_BUCKETS {
-            // Bucket boundaries are grid-aligned: `b/1024 = (b·2⁴³)·2⁻⁵³`.
-            let left = (b as u64) << ZIPF_BUCKET_SHIFT;
-            let right = (b as u64 + 1) << ZIPF_BUCKET_SHIFT;
-            let s = thresholds.partition_point(|&t| t < left);
-            let e = thresholds.partition_point(|&t| t < right);
-            buckets.push((s as u32, e as u32));
-        }
+        // The walk survives stages 0..=j iff it survives each; the binding
+        // constraint is the running max.
+        let mut running = 0.0f64;
+        let thresholds: Vec<u64> = chains
+            .iter()
+            .map(|&t| {
+                running = running.max(t);
+                Self::min_grid_draw(running, self.total)
+            })
+            .collect();
+        // Bucket b covers the grid draws `[b·2⁴³, (b+1)·2⁴³)` (boundaries
+        // are grid-aligned: `b/1024 = (b·2⁴³)·2⁻⁵³`); its range starts at
+        // the first threshold ≥ its left edge. The thresholds are sorted,
+        // so one walk finds every range.
+        let mut end = 0usize;
+        self.buckets = (1..=ZIPF_BUCKETS as u64)
+            .map(|b| {
+                let start = end;
+                while end < thresholds.len() && thresholds[end] < b << ZIPF_BUCKET_SHIFT {
+                    end += 1;
+                }
+                (start as u32, end as u32)
+            })
+            .collect();
         self.thresholds = thresholds;
-        self.buckets = buckets;
     }
 
     /// Smallest grid draw `k` (the draw being `k·2⁻⁵³`) with
@@ -504,22 +534,6 @@ impl ZipfSampler {
         words.resize(2 * k, 0);
         tape.next_u64_many(&mut words);
         let tail = self.n - self.heavy;
-        if tail == 0 {
-            // Degenerate head-only universe: preserve the scalar panic on
-            // the first tail draw (`below(0)`), draw by draw.
-            let mut wi = 0usize;
-            for _ in 0..k {
-                let coin = take_word(&words, &mut wi, tape);
-                assert!(
-                    (coin >> 11) < ZIPF_COIN_CUT,
-                    "below(0) is undefined" // the scalar tail draw panics here
-                );
-                let v = take_word(&words, &mut wi, tape);
-                buf.push(Update::Insert(self.head_item_bits(v >> 11)));
-            }
-            tape.scratch = words;
-            return;
-        }
         let pow2 = tail.is_power_of_two();
         let mask = tail.wrapping_sub(1);
         let recip = self.tail_recip;
@@ -574,7 +588,8 @@ pub enum WorkloadSpec {
         n: u64,
         /// Stream length.
         m: u64,
-        /// Size of the Zipf head.
+        /// Size of the Zipf head; needs `1 <= heavy < n`, or generating
+        /// the stream panics.
         heavy: u64,
         /// Generator seed.
         seed: u64,
@@ -800,7 +815,7 @@ enum StreamState {
 /// The lazy generator behind [`WorkloadSpec::stream`]: an [`UpdateSource`]
 /// holding only the generator's RNG/position state, never the stream.
 ///
-/// Every variant consumes pre-filled raw words from a [`WordTape`] in the
+/// Every variant consumes pre-filled raw words from a `WordTape` in the
 /// same order as the historical per-draw `TranscriptRng` generators;
 /// uniform, ddos, zipf and cycle chunks are produced by vectorized
 /// kernels, churn by per-wave logic over the buffered tape.
@@ -1240,6 +1255,140 @@ mod tests {
         assert!(!ZipfSampler::new(1 << 14, ZIPF_TABLE_MAX_HEAVY)
             .buckets
             .is_empty());
+    }
+
+    /// `min_x_sub_ge` as it was before the one-ulp closed form, frozen as
+    /// the oracle: step up from `fl(t + w)` until `x` qualifies, then down
+    /// while the float below still does.
+    fn min_x_sub_ge_stepping(t: f64, w: f64) -> f64 {
+        let mut x = t + w;
+        let mut steps = 0u32;
+        while x - w < t {
+            x = ulp_up(x);
+            steps += 1;
+            assert!(steps < 1024, "min_x_sub_ge: candidate too far below");
+        }
+        while x > w && ulp_down(x) - w >= t {
+            x = ulp_down(x);
+            steps += 1;
+            assert!(steps < 1024, "min_x_sub_ge: candidate too far above");
+        }
+        x
+    }
+
+    /// `build_table` as it was before the chains ran side by side, frozen
+    /// as the oracle: each threshold's inversion chain runs to completion
+    /// before the next starts, each step is the stepping refinement, and
+    /// each bucket range is two binary searches. Returns
+    /// `(thresholds, buckets)`.
+    fn build_table_oracle(weights: &[f64], total: f64) -> (Vec<u64>, Vec<(u32, u32)>) {
+        let k = weights.len();
+        let mut running = 0.0f64;
+        let mut thresholds = Vec::with_capacity(k - 1);
+        for j in 0..k - 1 {
+            let mut t = weights[j];
+            for m in (0..j).rev() {
+                t = min_x_sub_ge_stepping(t, weights[m]);
+            }
+            running = running.max(t);
+            thresholds.push(ZipfSampler::min_grid_draw(running, total));
+        }
+        let mut buckets = Vec::with_capacity(ZIPF_BUCKETS);
+        for b in 0..ZIPF_BUCKETS {
+            let left = (b as u64) << ZIPF_BUCKET_SHIFT;
+            let right = (b as u64 + 1) << ZIPF_BUCKET_SHIFT;
+            let s = thresholds.partition_point(|&t| t < left);
+            let e = thresholds.partition_point(|&t| t < right);
+            buckets.push((s as u32, e as u32));
+        }
+        (thresholds, buckets)
+    }
+
+    #[test]
+    fn zipf_table_matches_row_by_row_oracle() {
+        for heavy in [1u64, 2, 3, 8, 64, 255, 1024, 2048] {
+            let sampler = ZipfSampler::new(heavy + 1, heavy);
+            let (thresholds, buckets) = build_table_oracle(&sampler.weights, sampler.total);
+            assert_eq!(sampler.thresholds, thresholds, "heavy={heavy}");
+            assert_eq!(sampler.buckets, buckets, "heavy={heavy}");
+        }
+    }
+
+    #[test]
+    fn min_x_sub_ge_is_the_least_solution() {
+        // The one-ulp closed form must return the least x with
+        // fl(x − w) ≥ t, exactly what stepping returns, over weights and
+        // targets of every magnitude the table's chains reach.
+        let grid = (1..200u64).flat_map(|i| {
+            let w = 1.0 / i as f64;
+            [w, 1e-300, 1e-17, 0.3, 1.0 / 3.0, 7.5, 1e3, 2.0f64.powi(60)].map(|t| (t, w))
+        });
+        // Pairs whose answer is one ulp above and one ulp below `fl(t + w)`.
+        let edges = [
+            (5.684341886080802e-14, 3552688734475.1826),
+            (9.11877062114595e-13, 5.6222989872678674e-14),
+            (536870912.0000005, 68636.7670442462),
+        ];
+        // Random mantissas at random exponents, near-equal and far-apart
+        // magnitudes alike, plus targets a few ulps either side of
+        // `2^e − w`, so that `t + w` straddles a binade edge.
+        let mut rng = TranscriptRng::from_seed(0x5eed);
+        let mut random_float = || {
+            let mantissa = 1.0 + (rng.next_u64() >> 12) as f64 / (1u64 << 52) as f64;
+            mantissa * 2.0f64.powi(rng.below(120) as i32 - 60)
+        };
+        let mut random = Vec::new();
+        for _ in 0..50_000 {
+            let t = random_float();
+            let w = random_float();
+            random.push((t, w));
+            let edge = 2.0f64.powi(w.log2().ceil() as i32 + 1) - w;
+            random.extend((0..5).map(|j| (f64::from_bits(edge.to_bits() + j - 2), w)));
+        }
+        for (t, w) in grid.chain(edges).chain(random) {
+            let x = min_x_sub_ge(t, w);
+            assert!(x - w >= t, "t={t} w={w}");
+            assert!(ulp_down(x) - w < t, "t={t} w={w}");
+            assert_eq!(x, min_x_sub_ge_stepping(t, w), "t={t} w={w}");
+        }
+        assert_eq!(
+            min_x_sub_ge(edges[0].0, edges[0].1),
+            ulp_up(edges[0].0 + edges[0].1)
+        );
+        assert_eq!(
+            min_x_sub_ge(edges[1].0, edges[1].1),
+            ulp_down(edges[1].0 + edges[1].1)
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "zipf needs 1 <= heavy < n (a head and a noise tail), got heavy = 8, n = 7"
+    )]
+    fn zipf_rejects_head_wider_than_universe() {
+        ZipfSampler::new(7, 8);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "zipf needs 1 <= heavy < n (a head and a noise tail), got heavy = 8, n = 8"
+    )]
+    fn zipf_rejects_head_filling_universe() {
+        ZipfSampler::new(8, 8);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "zipf needs 1 <= heavy < n (a head and a noise tail), got heavy = 0, n = 16"
+    )]
+    fn zipf_rejects_empty_head() {
+        WorkloadSpec::Zipf {
+            n: 16,
+            m: 10,
+            heavy: 0,
+            seed: 1,
+        }
+        .stream();
     }
 
     #[test]

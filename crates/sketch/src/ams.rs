@@ -263,7 +263,7 @@ impl StreamAlg for AmsF2 {
     /// reusable [`RunAggregator`] — O(len), no sort.
     ///
     /// Sign evaluations are then resolved through the cross-batch
-    /// [`SignCache`] (when the copies fit one packed word, the common
+    /// `SignCache` (when the copies fit one packed word, the common
     /// case): each run looks up — or fills, Horner-evaluating every copy
     /// once — the packed signs for its point, and the copy-major
     /// accumulation loop turns into a bit test plus signed add per run.
