@@ -397,7 +397,58 @@ fn decode_update(bytes: &[u8], pos: &mut usize) -> Result<Result<Update, String>
 /// so the value cannot overflow a `u64`). `None` — with `*pos` anywhere —
 /// when the token is empty, longer, or continues with a fraction,
 /// exponent or sign, all of which the JSON number lexer would read on.
+///
+/// With eight bytes left to read, one little-endian word load finds the
+/// end of a run of up to seven digits (the lowest set bit of a per-byte
+/// non-digit mask) and [`eight_digits`] computes its value. A run of
+/// eight or more digits, and a token in the last seven bytes of the line,
+/// take the byte loop [`lex_digits_bytewise`]. This function is forced
+/// inline and the byte loop kept out of line because, left to the
+/// compiler, the word load lost most of its gain in `parse_request`
+/// (README, "The daemon wire path").
+#[inline(always)]
 fn lex_digits(bytes: &[u8], pos: &mut usize, max: usize) -> Option<u64> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = ONES << 7;
+    const ZEROS: u64 = ONES * b'0' as u64;
+    let Some(word) = bytes.get(*pos..*pos + 8) else {
+        return lex_digits_bytewise(bytes, pos, max);
+    };
+    let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+    // A byte of `x` is 0..=9 exactly where `w` holds a digit. Its high bit
+    // in `non_digit` is set when `x` ≥ 128, or when its low seven bits
+    // plus 0x76 reach 0x80, i.e. are ≥ 10; no sum carries across bytes.
+    let x = w ^ ZEROS;
+    let non_digit = (((x & !HIGHS) + ONES * (0x80 - 10)) | x) & HIGHS;
+    if non_digit == 0 {
+        return lex_digits_bytewise(bytes, pos, max);
+    }
+    let run = (non_digit.trailing_zeros() / 8) as usize;
+    if run == 0 || run > max || matches!(word[run], b'.' | b'e' | b'E' | b'+' | b'-') {
+        return None;
+    }
+    *pos += run;
+    // The run's digit values, moved to the top bytes of the word behind
+    // 8 − run zero digits. Subtracting can borrow only out of the byte
+    // after the run, and the shift drops that byte and all above it.
+    Some(eight_digits(w.wrapping_sub(ZEROS) << (64 - 8 * run)))
+}
+
+/// The value of eight decimal digits, one per byte of `digits` (values
+/// 0..=9, most significant in the lowest byte), in three multiplies: pair
+/// adjacent digits, then combine the four pairs.
+fn eight_digits(digits: u64) -> u64 {
+    const PAIRS: u64 = 0x0000_00ff_0000_00ff;
+    let v = digits.wrapping_mul(10).wrapping_add(digits >> 8);
+    let high = (v & PAIRS).wrapping_mul(100 + (1_000_000 << 32));
+    let low = ((v >> 16) & PAIRS).wrapping_mul(1 + (10_000 << 32));
+    high.wrapping_add(low) >> 32
+}
+
+/// [`lex_digits`] one byte at a time.
+#[cold]
+#[inline(never)]
+fn lex_digits_bytewise(bytes: &[u8], pos: &mut usize, max: usize) -> Option<u64> {
     let start = *pos;
     let mut value = 0u64;
     while let Some(&d @ b'0'..=b'9') = bytes.get(*pos) {
@@ -859,6 +910,74 @@ mod tests {
         assert!(bad_message(&bomb).contains("nesting"));
     }
 
+    /// The byte loop `lex_digits` used before it read eight bytes at a
+    /// time, frozen as its oracle.
+    fn lex_digits_oracle(bytes: &[u8], pos: &mut usize, max: usize) -> Option<u64> {
+        let start = *pos;
+        let mut value = 0u64;
+        while let Some(&d @ b'0'..=b'9') = bytes.get(*pos) {
+            if *pos - start == max {
+                return None;
+            }
+            value = value * 10 + u64::from(d - b'0');
+            *pos += 1;
+        }
+        match bytes.get(*pos) {
+            Some(b'.' | b'e' | b'E' | b'+' | b'-') => None,
+            _ if *pos == start => None,
+            _ => Some(value),
+        }
+    }
+
+    /// `lex_digits` agrees with the oracle on `bytes` from `start`: the
+    /// same value, and the same end position wherever that is `Some`.
+    fn lex_agrees(bytes: &[u8], start: usize, max: usize) {
+        let (mut got_pos, mut want_pos) = (start, start);
+        let got = lex_digits(bytes, &mut got_pos, max);
+        let want = lex_digits_oracle(bytes, &mut want_pos, max);
+        let shown = String::from_utf8_lossy(bytes);
+        assert_eq!(got, want, "{shown:?} from byte {start}, max {max}");
+        if want.is_some() {
+            assert_eq!(got_pos, want_pos, "{shown:?} from byte {start}, max {max}");
+        }
+    }
+
+    #[test]
+    fn decoder_lex_digits_matches_the_byte_loop_at_every_boundary() {
+        // Runs of 0..=21 digits (every digit value appears), each followed
+        // by every terminator class and then cut so that the run starts
+        // anywhere from 0 bytes before the end of the buffer to 9 bytes
+        // past its terminator: the word load sees every split of digits,
+        // terminator and end of input.
+        let digits = b"9081726354".repeat(3);
+        for run in 0..=21 {
+            for term in [",", "]", " ", ".", "e", "E", "+", "-", ""] {
+                let mut token = digits[..run].to_vec();
+                token.extend_from_slice(term.as_bytes());
+                if !term.is_empty() {
+                    token.extend_from_slice(b"7,[12,-3]]}");
+                }
+                for lead in ["", "[", "1, "] {
+                    let end = token.len().min(run + term.len() + 9);
+                    for cut in 0..=end {
+                        let mut bytes = lead.as_bytes().to_vec();
+                        bytes.extend_from_slice(&token[..cut]);
+                        for max in [18, 19] {
+                            lex_agrees(&bytes, lead.len(), max);
+                        }
+                    }
+                }
+            }
+        }
+        // The largest values each width admits, next to the word boundary.
+        for (text, max) in [("9999999", 18), ("99999999", 18), ("1234567", 19)] {
+            for pad in 0..=9 {
+                let bytes = format!("{text}{}", ",".repeat(pad));
+                lex_agrees(bytes.as_bytes(), 0, max);
+            }
+        }
+    }
+
     /// The line generator's stream (SplitMix64, seeded by the property).
     /// A `wild` line may also draw values and shapes the protocol refuses.
     struct Mix {
@@ -1055,6 +1174,20 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn decoder_lex_digits_matches_the_byte_loop_on_random_bytes(
+            picks in proptest::collection::vec(0u8..22, 0..40),
+            start in 0usize..40,
+        ) {
+            // Mostly digits, with every terminator class and other bytes.
+            const ALPHABET: &[u8] = b"0123456789012.eE+- ,]x";
+            let bytes: Vec<u8> = picks.iter().map(|&i| ALPHABET[i as usize]).collect();
+            let start = start.min(bytes.len());
+            for max in [1, 7, 8, 18, 19] {
+                lex_agrees(&bytes, start, max);
+            }
+        }
 
         #[test]
         fn decoder_matches_tree_oracle(

@@ -8,6 +8,14 @@
 //! [`PendingOp`]; requests pipelined behind it wait in the read buffer, so
 //! per-session reply order is the request order by construction.
 //!
+//! **No per-line copy.** Socket reads land directly in the session's
+//! read buffer, the newline search looks at eight bytes per step, and a
+//! request line is handed to the dispatcher as a `&str` borrowed from
+//! that buffer: it is converted lossily (invalid sequences become U+FFFD)
+//! only when it is not valid UTF-8, so a well-formed line is never
+//! copied. Replies are serialized into one reused buffer and appended to
+//! the session's write queue.
+//!
 //! **Wakeups.** Handlers never block the loop: when a request hits inbox
 //! backpressure or needs quiescence, it registers a
 //! [`Waiter`](crate::tenant::Waiter) carrying the session's token and
@@ -31,9 +39,11 @@ use crate::json::Json;
 use crate::proto::{ErrorKind, ProtoError};
 use crate::server::Shared;
 use crate::tenant::{TenantSlot, WakeSink};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -246,6 +256,10 @@ const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 /// capping one session's read keeps the loop fair without losing data.
 const READ_BUDGET: usize = 256 * 1024;
 
+/// The least free space a read is offered: below it the read buffer
+/// moves its unconsumed tail to the front, or grows.
+const MIN_READ: usize = 16 * 1024;
+
 /// Write-queue high-water mark: above this backlog the session stops
 /// dispatching (and reading), so a client that pipelines requests but
 /// never reads replies stalls its own socket instead of growing daemon
@@ -258,20 +272,143 @@ const WRITE_HIGH_WATER: usize = 1 << 20;
 /// races the close and the client sees a broken pipe.
 const DRAIN_GRACE: Duration = Duration::from_millis(200);
 
+/// A session's read buffer with incremental line framing.
+///
+/// `buf` is initialised storage that only grows: `buf[start..end]` holds
+/// received, unconsumed bytes, and `buf[start..scan]` is known to hold no
+/// newline, so no byte is scanned twice. Reads land directly in
+/// `buf[end..]`. A line is handed out as a range of `buf`; its bytes stay
+/// where they are until the next [`LineBuf::fill`], which is also the only
+/// place that moves an unconsumed tail to the front.
+#[derive(Default)]
+struct LineBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    scan: usize,
+}
+
+impl LineBuf {
+    fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    fn has_full_line(&self) -> bool {
+        find_newline(&self.buf[self.scan..self.end]).is_some()
+    }
+
+    /// Read from `src` until it would block, a read comes back short, or
+    /// about `budget` bytes have arrived. A short read means the socket
+    /// was drained; the caller's epoll is level-triggered, so anything that
+    /// arrives later is reported again rather than asked for with one more
+    /// `read` that would fail with `EAGAIN`. Returns `true` at EOF.
+    fn fill(&mut self, src: &mut impl Read, budget: usize) -> io::Result<bool> {
+        let mut budget = budget;
+        while budget > 0 {
+            self.make_room();
+            let room = &mut self.buf[self.end..];
+            let offered = room.len();
+            match src.read(room) {
+                Ok(0) => return Ok(true),
+                Ok(k) => {
+                    self.end += k;
+                    budget = budget.saturating_sub(k);
+                    if k < offered {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
+    }
+
+    /// Leave at least [`MIN_READ`] free bytes after `end`: first by moving
+    /// the unconsumed tail (usually part of one line) to the front, then
+    /// by doubling. Zero-filling happens only when the buffer grows.
+    fn make_room(&mut self) {
+        if self.buf.len() - self.end >= MIN_READ {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.scan -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < MIN_READ {
+            let len = (2 * self.buf.len()).max(self.end + MIN_READ);
+            self.buf.resize(len, 0);
+        }
+    }
+
+    /// The next complete line as a range of `buf`, newline and one
+    /// trailing `\r` excluded; `None` until a newline arrives.
+    fn next_line(&mut self) -> Option<Range<usize>> {
+        let Some(rel) = find_newline(&self.buf[self.scan..self.end]) else {
+            self.scan = self.end;
+            return None;
+        };
+        let newline = self.scan + rel;
+        let mut end = newline;
+        if end > self.start && self.buf[end - 1] == b'\r' {
+            end -= 1;
+        }
+        let line = self.start..end;
+        if newline + 1 == self.end {
+            // Everything is consumed: the next read starts at the front.
+            (self.start, self.end, self.scan) = (0, 0, 0);
+        } else {
+            (self.start, self.scan) = (newline + 1, newline + 1);
+        }
+        Some(line)
+    }
+}
+
+/// A request line as text: borrowed when it is valid UTF-8, else a lossy
+/// copy with U+FFFD for each invalid sequence.
+fn line_text(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
+}
+
+/// Index of the first `\n` in `bytes`, eight bytes per step: a byte of
+/// `word ^ NEWLINES` is zero exactly where `word` holds a newline, and
+/// `(x - 0x01…) & !x & 0x80…` marks the lowest zero byte of `x` exactly
+/// (a borrow can only mark bytes above it).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = ONES << 7;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NEWLINES;
+        let hit = x.wrapping_sub(ONES) & !x & HIGHS;
+        if hit != 0 {
+            return Some(base + (hit.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|i| base + i)
+}
+
 /// One nonblocking session state machine.
 struct Session {
     stream: TcpStream,
     token: u64,
     gen: u32,
-    /// Read buffer; `rpos` is the consumed prefix, `scan` the newline
-    /// scan frontier (never rescan bytes known line-free).
-    rbuf: Vec<u8>,
-    rpos: usize,
-    scan: usize,
+    /// Received bytes, framed into request lines.
+    rx: LineBuf,
     /// Write queue; `wpos` is the flushed prefix.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// The one parked op; requests behind it wait in `rbuf`.
+    /// The one parked op; requests behind it wait in `rx`.
     pending: Option<PendingOp>,
     /// Close once the write queue flushes (`bye`, oversized line).
     closing: bool,
@@ -291,9 +428,7 @@ impl Session {
             stream,
             token,
             gen,
-            rbuf: Vec::with_capacity(4096),
-            rpos: 0,
-            scan: 0,
+            rx: LineBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
             pending: None,
@@ -309,61 +444,16 @@ impl Session {
     }
 
     fn buffered(&self) -> usize {
-        self.rbuf.len() - self.rpos
+        self.rx.buffered()
     }
 
-    fn has_full_line(&self) -> bool {
-        self.rbuf[self.rpos..].contains(&b'\n')
-    }
-
-    /// Pull socket bytes into the read buffer until `WouldBlock`, EOF, or
-    /// the fairness budget.
+    /// Pull socket bytes into the read buffer until `WouldBlock`, a short
+    /// read, EOF, or the fairness budget.
     fn fill(&mut self) -> io::Result<()> {
-        let mut budget = READ_BUDGET;
-        let mut tmp = [0u8; 16 * 1024];
-        while budget > 0 && !self.eof {
-            match self.stream.read(&mut tmp) {
-                Ok(0) => self.eof = true,
-                Ok(k) => {
-                    self.rbuf.extend_from_slice(&tmp[..k]);
-                    budget = budget.saturating_sub(k);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+        if !self.eof && self.rx.fill(&mut self.stream, READ_BUDGET)? {
+            self.eof = true;
         }
         Ok(())
-    }
-
-    /// Extract the next complete line (newline and any `\r` stripped).
-    fn take_line(&mut self) -> Option<String> {
-        match self.rbuf[self.scan..].iter().position(|&b| b == b'\n') {
-            Some(rel) => {
-                let end = self.scan + rel;
-                let mut line: &[u8] = &self.rbuf[self.rpos..end];
-                if line.last() == Some(&b'\r') {
-                    line = &line[..line.len() - 1];
-                }
-                let s = String::from_utf8_lossy(line).into_owned();
-                self.rpos = end + 1;
-                self.scan = self.rpos;
-                if self.rpos == self.rbuf.len() {
-                    self.rbuf.clear();
-                    self.rpos = 0;
-                    self.scan = 0;
-                } else if self.rpos >= 64 * 1024 {
-                    self.rbuf.drain(..self.rpos);
-                    self.scan -= self.rpos;
-                    self.rpos = 0;
-                }
-                Some(s)
-            }
-            None => {
-                self.scan = self.rbuf.len();
-                None
-            }
-        }
     }
 
     /// Flush the write queue until `WouldBlock` or empty.
@@ -429,6 +519,8 @@ struct Reactor {
     /// Tenant drain jobs the bounded pool queue refused; retried every
     /// tick and flushed blockingly before the loop exits.
     deferred: VecDeque<Arc<TenantSlot>>,
+    /// Reused serialization buffer for one reply line.
+    reply_line: String,
 }
 
 /// Run the reactor until the daemon drains and every session closes.
@@ -452,6 +544,7 @@ pub fn run(shared: Arc<Shared>, listener: TcpListener, poller: Poller, hub: Arc<
         free: Vec::new(),
         live: 0,
         deferred: VecDeque::new(),
+        reply_line: String::new(),
     };
     let mut events: Vec<sys::EpollEvent> = Vec::with_capacity(256);
     let mut accepting = true;
@@ -614,8 +707,9 @@ impl Reactor {
     fn advance(&mut self, sess: &mut Session) -> bool {
         loop {
             while sess.pending.is_none() && !sess.closing && sess.backlog() < WRITE_HIGH_WATER {
-                match sess.take_line() {
-                    Some(line) => {
+                match sess.rx.next_line() {
+                    Some(range) => {
+                        let line = line_text(&sess.rx.buf[range]);
                         if line.trim().is_empty() {
                             continue;
                         }
@@ -666,7 +760,7 @@ impl Reactor {
             if sess.closing {
                 return flushed && sess.pending.is_none();
             }
-            if sess.eof && sess.pending.is_none() && !sess.has_full_line() {
+            if sess.eof && sess.pending.is_none() && !sess.rx.has_full_line() {
                 // EOF: every complete buffered line has been served; a
                 // trailing partial one is discarded. Unflushed replies are
                 // written best-effort (the peer may only have closed its
@@ -708,11 +802,13 @@ impl Reactor {
         }
     }
 
-    fn queue_reply(&self, sess: &mut Session, reply: &Json) {
+    fn queue_reply(&mut self, sess: &mut Session, reply: &Json) {
         if reply.get("ok") == Some(&Json::Bool(false)) {
             self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
         }
-        let mut out = reply.to_line();
+        let out = &mut self.reply_line;
+        out.clear();
+        reply.write(out);
         out.push('\n');
         sess.wbuf.extend_from_slice(out.as_bytes());
         self.shared
@@ -815,9 +911,215 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     //! One test per `unsafe` block family, on the process's own fds only:
-    //! an epoll instance and the wakeup self-pipe.
+    //! an epoll instance and the wakeup self-pipe. The `framing_` tests
+    //! check [`LineBuf`] against the copying framer it replaced.
 
     use super::*;
+
+    /// The framer `LineBuf` replaced, frozen as its oracle: bytes are
+    /// appended to `rbuf`, and each line is found a byte at a time and
+    /// copied into a new `String`.
+    #[derive(Default)]
+    struct CopyingFramer {
+        rbuf: Vec<u8>,
+        rpos: usize,
+        scan: usize,
+    }
+
+    impl CopyingFramer {
+        fn take_line(&mut self) -> Option<String> {
+            match self.rbuf[self.scan..].iter().position(|&b| b == b'\n') {
+                Some(rel) => {
+                    let end = self.scan + rel;
+                    let mut line: &[u8] = &self.rbuf[self.rpos..end];
+                    if line.last() == Some(&b'\r') {
+                        line = &line[..line.len() - 1];
+                    }
+                    let s = String::from_utf8_lossy(line).into_owned();
+                    self.rpos = end + 1;
+                    self.scan = self.rpos;
+                    if self.rpos == self.rbuf.len() {
+                        self.rbuf.clear();
+                        self.rpos = 0;
+                        self.scan = 0;
+                    } else if self.rpos >= 64 * 1024 {
+                        self.rbuf.drain(..self.rpos);
+                        self.scan -= self.rpos;
+                        self.rpos = 0;
+                    }
+                    Some(s)
+                }
+                None => {
+                    self.scan = self.rbuf.len();
+                    None
+                }
+            }
+        }
+    }
+
+    /// A socket stand-in: each read takes what fits of the first queued
+    /// piece, so every piece boundary is a short read; an empty queue is
+    /// EOF.
+    struct Pieces(VecDeque<Vec<u8>>);
+
+    impl Read for Pieces {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let Some(piece) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            let k = piece.len().min(out.len());
+            out[..k].copy_from_slice(&piece[..k]);
+            piece.drain(..k);
+            if piece.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(k)
+        }
+    }
+
+    /// SplitMix64, the stream generator's source.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A byte stream of request-like text, CRLF and bare `\r`, empty and
+    /// whitespace-only lines, valid and invalid UTF-8, and now and then a
+    /// line longer than one 16 KiB read; it may end inside a line.
+    fn stream(g: &mut Mix) -> Vec<u8> {
+        const TEXT: &[u8] = br#"{"cmd":"ingest","tenant":"t","updates":[17,[3,-1],4095]}"#;
+        let mut out = Vec::new();
+        for _ in 0..g.below(40) {
+            match g.below(16) {
+                0..=3 => {
+                    let from = g.below(TEXT.len() as u64) as usize;
+                    out.extend_from_slice(&TEXT[from..]);
+                }
+                4..=6 => out.push(b'\n'),
+                7 | 8 => out.extend_from_slice(b"\r\n"),
+                9 => out.push(b'\r'),
+                10 => out.extend_from_slice(b" \t "),
+                11 => {
+                    let bad: [&[u8]; 5] =
+                        [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f"];
+                    out.extend_from_slice(bad[g.below(5) as usize]);
+                }
+                12 => out.extend_from_slice("é😀".as_bytes()),
+                13 => {
+                    // Bytes whose low seven bits are those of `\n`, or near.
+                    out.extend_from_slice(b"\x8a\x0b\x09\x0a\x8a");
+                }
+                14 if g.below(4) == 0 => {
+                    let len = 16 * 1024 + g.below(24 * 1024) as usize;
+                    out.extend((0..len).map(|i| b'0' + (i % 10) as u8));
+                }
+                _ => out.extend_from_slice(b"7,"),
+            }
+        }
+        out
+    }
+
+    /// Cut `bytes` into read-sized pieces: single bytes, small pieces, or
+    /// pieces around one read's size.
+    fn pieces(g: &mut Mix, bytes: &[u8]) -> VecDeque<Vec<u8>> {
+        let scale = [8, 200, 20_000][g.below(3) as usize];
+        let mut out = VecDeque::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let k = (1 + g.below(scale) as usize).min(bytes.len() - at);
+            out.push_back(bytes[at..at + k].to_vec());
+            at += k;
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn framing_matches_the_copying_oracle(seed in proptest::any::<u64>(), budget in 0usize..4) {
+            let mut g = Mix(seed);
+            let bytes = stream(&mut g);
+            let pieces = pieces(&mut g, &bytes);
+
+            let mut oracle = CopyingFramer::default();
+            let mut want = Vec::new();
+            for piece in &pieces {
+                oracle.rbuf.extend_from_slice(piece);
+                want.extend(std::iter::from_fn(|| oracle.take_line()));
+            }
+
+            // Fill until EOF with a budget from one byte to a whole pump,
+            // taking every complete line after each fill.
+            let budget = [1, 4096, MIN_READ, READ_BUDGET][budget];
+            let mut src = Pieces(pieces);
+            let mut framer = LineBuf::default();
+            let mut got = Vec::new();
+            loop {
+                let eof = framer.fill(&mut src, budget).unwrap();
+                while let Some(line) = framer.next_line() {
+                    got.push(line_text(&framer.buf[line]).into_owned());
+                }
+                assert!(!framer.has_full_line());
+                if eof {
+                    break;
+                }
+            }
+            assert_eq!(got, want);
+            // The same partial trailing line is left over.
+            assert_eq!(framer.buffered(), oracle.rbuf.len() - oracle.rpos);
+        }
+    }
+
+    #[test]
+    fn framing_find_newline_matches_a_byte_scan() {
+        // Every length up to three words, a newline (or none) at every
+        // position, over bytes that share bits with `\n`.
+        let fill = [b'\x8a', b'\x0b', b'\x09', b'\x00', b'\xff', b'a'];
+        for len in 0..=24 {
+            for at in 0..=len {
+                for &f in &fill {
+                    let mut bytes = vec![f; len];
+                    if at < len {
+                        bytes[at] = b'\n';
+                        if at + 2 < len {
+                            bytes[at + 2] = b'\n';
+                        }
+                    }
+                    let want = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(&bytes), want, "{bytes:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn framing_strips_one_cr_and_borrows_valid_lines() {
+        let mut framer = LineBuf::default();
+        let mut src = Pieces(VecDeque::from([b"a\r\r\n\r\n\xffb\nok\n tail".to_vec()]));
+        assert!(!framer.fill(&mut src, READ_BUDGET).unwrap());
+        let mut lines = Vec::new();
+        while let Some(line) = framer.next_line() {
+            let text = line_text(&framer.buf[line]);
+            lines.push((text.to_string(), matches!(text, Cow::Borrowed(_))));
+        }
+        let want = [
+            ("a\r", true),
+            ("", true),
+            ("\u{fffd}b", false),
+            ("ok", true),
+        ];
+        assert_eq!(lines, want.map(|(l, b)| (l.to_string(), b)));
+        assert_eq!(framer.buffered(), 5, "the partial line stays buffered");
+        assert!(framer.fill(&mut src, READ_BUDGET).unwrap(), "then EOF");
+    }
 
     /// The `(token, events)` pairs of the last `wait` (the fields are
     /// copied out: the event struct is packed on x86-64).

@@ -26,6 +26,7 @@
 
 use crate::proto::{ErrorKind, HelloParams, ProtoError};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 use wb_core::rng::{derive_seed, TranscriptRng};
@@ -246,27 +247,42 @@ impl Tenant {
     /// Apply one accepted chunk (called by pool workers, in arrival
     /// order). Unexpected mid-stream failures (budget exhaustion — model
     /// errors were excluded at accept time) poison the tenant; the error
-    /// replays on every later request.
+    /// replays on every later request. A panicking kernel poisons it the
+    /// same way: the panic is caught here, so it never unwinds through the
+    /// slot lock the worker holds, and its message becomes the error.
     pub fn apply_chunk(&mut self, chunk: &[Update]) {
         self.applied += chunk.len() as u64;
-        match &mut self.engine {
-            TenantEngine::Flat { alg, rng } => {
-                if let Err(error) = alg.process_batch_dyn(chunk, rng) {
-                    self.engine = TenantEngine::Failed { error };
-                }
-            }
+        let engine = &mut self.engine;
+        let applied = panic::catch_unwind(AssertUnwindSafe(|| match engine {
+            TenantEngine::Flat { alg, rng } => alg.process_batch_dyn(chunk, rng),
             TenantEngine::Sharded { pipeline } => {
                 pipeline.push(chunk);
-                if pipeline.all_failed() {
-                    let error = pipeline
-                        .first_failure()
-                        .cloned()
-                        .unwrap_or_else(|| WbError::invalid("sharded pipeline failed"));
-                    self.engine = TenantEngine::Failed { error };
+                if !pipeline.all_failed() {
+                    return Ok(());
                 }
+                Err(pipeline
+                    .first_failure()
+                    .cloned()
+                    .unwrap_or_else(|| WbError::invalid("sharded pipeline failed")))
             }
-            TenantEngine::Failed { .. } => {}
-        }
+            TenantEngine::Failed { .. } => Ok(()),
+        }));
+        let error = match applied {
+            Ok(Ok(())) => return,
+            Ok(Err(error)) => error,
+            Err(payload) => {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("a non-string payload");
+                WbError::Internal(format!(
+                    "{} panicked while applying a chunk: {what}",
+                    self.alg_name
+                ))
+            }
+        };
+        self.engine = TenantEngine::Failed { error };
     }
 
     /// Answer the tenant's fixed query. The sharded path flushes staging
@@ -818,6 +834,107 @@ mod tests {
         assert!(st.inbox.is_empty());
         assert!(!st.scheduled);
         assert_eq!(st.tenant.applied, 15);
+    }
+
+    /// A test-only kernel with a bug: every batch panics.
+    struct Panicking;
+
+    impl DynStreamAlg for Panicking {
+        fn process_dyn(&mut self, _: &Update, _: &mut TranscriptRng) -> Result<(), WbError> {
+            panic!("kernel bug: index out of range")
+        }
+        fn process_batch_dyn(
+            &mut self,
+            _: &[Update],
+            _: &mut TranscriptRng,
+        ) -> Result<(), WbError> {
+            panic!("kernel bug: index out of range")
+        }
+        fn query_dyn(&self) -> Answer {
+            Answer::Count(0)
+        }
+        fn space_bits_dyn(&self) -> u64 {
+            0
+        }
+        fn name_dyn(&self) -> &'static str {
+            "Panicking"
+        }
+        fn model_dyn(&self) -> StreamModel {
+            StreamModel::InsertOnly
+        }
+        fn merge_dyn(&mut self, _: &dyn DynStreamAlg) -> Result<(), wb_core::MergeError> {
+            Err(wb_core::MergeError::Unmergeable { alg: "Panicking" })
+        }
+        fn snapshot_dyn(&self) -> Result<Vec<u8>, SnapError> {
+            Ok(Vec::new())
+        }
+        fn restore_dyn(&mut self, _: &[u8]) -> Result<(), SnapError> {
+            Ok(())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Records the tokens it is asked to wake.
+    #[derive(Default)]
+    struct Woken(Mutex<Vec<u64>>);
+
+    impl WakeSink for Woken {
+        fn wake(&self, token: u64) {
+            self.0.lock().unwrap().push(token);
+        }
+    }
+
+    #[test]
+    fn a_panicking_kernel_fails_its_tenant_without_poisoning_a_lock() {
+        // The panic message below is expected on stderr: the default hook
+        // prints it before `apply_chunk` catches the unwind.
+        let mut broken = Tenant::create("bad", "count_min", 1, &hello_defaults(), 1, 64).unwrap();
+        broken.engine = TenantEngine::Flat {
+            alg: Box::new(Panicking),
+            rng: TranscriptRng::from_seed(1),
+        };
+        let bad = TenantSlot::new(broken);
+        let good = TenantSlot::new(
+            Tenant::create("ok", "count_min", 1, &hello_defaults(), 1, 64).unwrap(),
+        );
+        let sink = std::sync::Arc::new(Woken::default());
+        for (slot, token) in [(&bad, 7), (&good, 8)] {
+            let mut st = slot.state.lock().unwrap();
+            st.tenant.accepted = 30;
+            st.inbox.push_back(vec![Update::Insert(1); 10]);
+            st.inbox.push_back(vec![Update::Insert(2); 20]);
+            st.scheduled = true;
+            st.waiters.push(Waiter {
+                token,
+                sink: sink.clone(),
+            });
+        }
+        bad.drain_inbox();
+        good.drain_inbox();
+
+        assert!(!bad.state.is_poisoned() && !good.state.is_poisoned());
+        assert_eq!(*sink.0.lock().unwrap(), [7, 8], "both waiters woken");
+        let mut st = bad.state.lock().unwrap();
+        assert!(st.inbox.is_empty() && !st.scheduled);
+        assert_eq!(st.tenant.applied, st.tenant.accepted, "owed chunks counted");
+        let ingest = st.tenant.validate_batch(&[Update::Insert(3)]).unwrap_err();
+        assert_eq!(ingest.kind, ErrorKind::TenantFailed);
+        assert!(
+            ingest.message.contains("count_min panicked")
+                && ingest.message.contains("kernel bug: index out of range"),
+            "{}",
+            ingest.message
+        );
+        assert_eq!(st.tenant.query().unwrap_err(), ingest);
+        drop(st);
+
+        let mut st = good.state.lock().unwrap();
+        assert!(st.inbox.is_empty() && !st.scheduled);
+        assert_eq!((st.tenant.applied, st.tenant.accepted), (30, 30));
+        assert!(st.tenant.validate_batch(&[Update::Insert(3)]).is_ok());
+        assert!(st.tenant.query().is_ok());
     }
 
     #[test]
