@@ -12,11 +12,12 @@
 //! newline-delimited protocol requires.
 //!
 //! The lexer is also the request decoder's: `proto::parse_request` walks a
-//! line with the same object and array loops (`parse_members`,
-//! `parse_elems`) and `parse_value`, handing only the `updates` elements
-//! it can read in place to its own integer lexer. So [`Json::parse`] and
-//! the decoder accept the same lines and report the same syntax error,
-//! at the same byte, for every line they refuse.
+//! line with the same object loop (`parse_members`) and `parse_value`,
+//! and reads the `updates` array in a loop of its own that follows
+//! `parse_arr`'s grammar, lexing plain integers in place and handing
+//! every other element to `parse_value`. So [`Json::parse`] and the
+//! decoder accept the same lines and report the same syntax error, at the
+//! same byte, for every line they refuse.
 
 use std::fmt::Write as _;
 
@@ -211,6 +212,9 @@ pub(crate) fn parse_line<T>(
     Ok(out)
 }
 
+/// Step over whitespace; inlined, so where there is none it costs one
+/// byte test.
+#[inline]
 pub(crate) fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
         *pos += 1;
@@ -269,13 +273,29 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String
     Ok(Json::Obj(members))
 }
 
+/// The array grammar `[ value , ... ]` from the `[` at `*pos` through its
+/// `]`. (`proto`'s `updates` decoder follows the same grammar in its own
+/// loop.)
 fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
-    parse_elems(bytes, pos, |bytes, pos| {
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(Json::Arr(items));
+    }
+    loop {
         items.push(parse_value(bytes, pos, depth + 1)?);
-        Ok(())
-    })?;
-    Ok(Json::Arr(items))
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+        }
+    }
 }
 
 /// The object grammar `{ "key" : value , ... }` from the `{` at `*pos`
@@ -306,34 +326,6 @@ pub(crate) fn parse_members(
                 return Ok(());
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-/// The array grammar `[ value , ... ]` from the `[` at `*pos` through its
-/// `]`. `elem` must consume exactly one element, starting at the first
-/// byte of the element or of the whitespace before it.
-pub(crate) fn parse_elems(
-    bytes: &[u8],
-    pos: &mut usize,
-    mut elem: impl FnMut(&[u8], &mut usize) -> Result<(), String>,
-) -> Result<(), String> {
-    expect(bytes, pos, b'[')?;
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        elem(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
         }
     }
 }

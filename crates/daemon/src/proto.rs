@@ -32,10 +32,11 @@
 //!
 //! [`parse_request`] decodes a line in one pass over its bytes, with the
 //! lexer primitives of [`crate::json`]: members are read in order, the
-//! first `updates` array is decoded element by element straight into a
-//! `Vec<Update>` (plain integers and `[item, delta]` pairs are lexed in
-//! place; any other element is parsed as one [`Json`] value and read the
-//! same way), and every other member is kept as a [`Json`] value. No tree
+//! first `updates` array is decoded by one loop straight into a
+//! `Vec<Update>` reserved up front (plain integers and `[item, delta]`
+//! pairs are lexed in place; any other element is parsed as one [`Json`]
+//! value and read the same way), and every other member is kept as a
+//! [`Json`] value. No tree
 //! of the batch is built and no line is parsed twice. Errors come in a
 //! fixed precedence: a syntax error anywhere in the line (`malformed
 //! JSON: …`, also trailing bytes and nesting deeper than the JSON
@@ -345,52 +346,74 @@ fn decode(line: &str) -> Result<(Json, Batch), String> {
     })
 }
 
+/// Most updates an `updates` array reserves room for before its elements
+/// are read: the batch size `wbd`'s clients send. A longer batch grows its
+/// `Vec` as it goes; a shorter line reserves only what its bytes can hold.
+const RESERVE_UPDATES: usize = 1024;
+
 /// The value of the first `updates` member (a depth-1 value).
+///
+/// An array is read by one loop that follows the array grammar of
+/// `json::parse_arr`, with the `,` or `]` after each element checked in
+/// place. A bare item of at most 19 digits and an
+/// `[item, delta]` pair of plain integers are lexed in place; any other
+/// element (a sign on an item, a fraction or exponent, a longer digit
+/// string, another shape) is parsed as a [`Json`] value and read by
+/// [`parse_update`]. Both ways give the same `Update` or message. After a
+/// malformed element the rest is still lexed, so that a later syntax error
+/// wins, but nothing more is kept.
 fn decode_updates(bytes: &[u8], pos: &mut usize) -> Result<Batch, String> {
     json::skip_ws(bytes, pos);
     if bytes.get(*pos) != Some(&b'[') {
         json::parse_value(bytes, pos, 1)?;
         return Ok(None);
     }
-    let mut updates = Vec::new();
+    *pos += 1;
+    // An element and its `,` or `]` take two bytes at least.
+    let room = (bytes.len() - *pos) / 2;
+    let mut updates = Vec::with_capacity(room.min(RESERVE_UPDATES));
     let mut malformed = None;
-    json::parse_elems(bytes, pos, |bytes, pos| {
-        // After a malformed element the rest is still lexed, so that a
-        // later syntax error wins, but nothing more is kept.
-        match decode_update(bytes, pos)? {
+    json::skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(Some(Ok(updates)));
+    }
+    loop {
+        let start = *pos;
+        let lexed = match bytes.get(*pos) {
+            Some(b'0'..=b'9') => lex_digits(bytes, pos, 19).map(Update::Insert),
+            Some(b'[') => lex_pair(bytes, pos),
+            _ => None,
+        };
+        let update = match lexed {
+            Some(u) => Ok(u),
+            None => {
+                *pos = start;
+                parse_update(&json::parse_value(bytes, pos, 2)?)
+            }
+        };
+        match update {
             Ok(u) if malformed.is_none() => updates.push(u),
             Err(e) if malformed.is_none() => {
                 malformed = Some(format!("updates[{}]: {e}", updates.len()));
             }
             _ => {}
         }
-        Ok(())
-    })?;
+        json::skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                break;
+            }
+            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+        }
+        json::skip_ws(bytes, pos);
+    }
     Ok(Some(match malformed {
         None => Ok(updates),
         Some(e) => Err(e),
     }))
-}
-
-/// One `updates` element (a depth-2 value): `Err` is a syntax error,
-/// `Ok(Err)` a shape error. A bare item of at most 19 digits and an
-/// `[item, delta]` pair of plain integers are lexed in place; any other
-/// element (a sign on an item, a fraction or exponent, a longer digit
-/// string, another shape) is parsed as a [`Json`] value and read by
-/// [`parse_update`]. Both ways give the same `Update` or message.
-fn decode_update(bytes: &[u8], pos: &mut usize) -> Result<Result<Update, String>, String> {
-    let start = *pos;
-    json::skip_ws(bytes, pos);
-    let lexed = match bytes.get(*pos) {
-        Some(b'0'..=b'9') => lex_digits(bytes, pos, 19).map(Update::Insert),
-        Some(b'[') => lex_pair(bytes, pos),
-        _ => None,
-    };
-    if let Some(u) = lexed {
-        return Ok(Ok(u));
-    }
-    *pos = start;
-    json::parse_value(bytes, pos, 2).map(|v| parse_update(&v))
 }
 
 /// A whole number token of 1 to `max` ASCII digits at `*pos` (`max` ≤ 19,
@@ -873,6 +896,8 @@ mod tests {
         for line in [
             r#"{"cmd":"ingest","tenant":"t","updates":["five",1,]}"#,
             r#"{"cmd":"ingest","tenant":"t","updates":[[1],2] x}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[1,[2,3]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[1}"#,
             r#"{"updates":[-1],"cmd":"ingest","tenant":"t""#,
             r#"{"cmd":"frob","updates":[1.5],"x":tru}"#,
         ] {
@@ -908,6 +933,102 @@ mod tests {
         );
         let bomb = ingest_of(&"[".repeat(100_000));
         assert!(bad_message(&bomb).contains("nesting"));
+    }
+
+    /// A 1024-element ingest line of canonical elements (bare items and
+    /// compact pairs), element `at` replaced by `odd`; with `broken`, a
+    /// syntax error follows `odd` at once.
+    fn canonical_with(odd: &str, at: usize, broken: bool) -> String {
+        let elements: Vec<String> = (0..1024)
+            .map(|i| match i {
+                _ if i == at && broken => format!("{odd},,"),
+                _ if i == at => odd.to_string(),
+                _ if i % 3 == 0 => format!("[{},-{}]", i * 7919, i % 5 + 1),
+                _ => (i * 104_729).to_string(),
+            })
+            .collect();
+        ingest_of(&elements.join(","))
+    }
+
+    #[test]
+    fn decoder_one_odd_element_in_a_canonical_batch_matches_the_oracle() {
+        let shape = "update must be ITEM or [ITEM, DELTA]";
+        let bare = "bare update must be a non-negative u64 item";
+        // Each form with the shape message it gets (`None`: accepted).
+        let forms: [(&str, Option<&str>); 16] = [
+            (" 5 ", None),
+            ("\t[7, -2]\r\n", None),
+            ("-0", None),
+            ("-3", Some(bare)),
+            ("+3", Some(shape)),
+            ("1.5", Some(shape)),
+            ("2e3", Some(shape)),
+            ("9999999999999999999", None),
+            ("18446744073709551615", None),
+            ("18446744073709551616", Some(bare)),
+            ("[1,-0]", None),
+            ("[ 1 , 2 ]", None),
+            ("[1,2,3]", Some(shape)),
+            ("\"five\"", Some(shape)),
+            ("null", Some(shape)),
+            ("[-1,2]", Some("turnstile item must be a u64")),
+        ];
+        for (odd, message) in forms {
+            for at in [0, 511, 1023] {
+                match agree(&canonical_with(odd, at, false)) {
+                    Ok(Request::Ingest { updates, .. }) => {
+                        assert_eq!(message, None, "{odd:?} at {at}");
+                        assert_eq!(updates.len(), 1024, "{odd:?} at {at}");
+                    }
+                    Err(e) => assert_eq!(
+                        Some(e.message),
+                        message.map(|m| format!("updates[{at}]: {m}")),
+                        "{odd:?} at {at}"
+                    ),
+                    Ok(other) => panic!("{odd:?} at {at}: {other:?}"),
+                }
+                // A later syntax error wins, in the array or after it.
+                let in_array = canonical_with(odd, at, true);
+                let after = canonical_with(odd, at, false).replace("]}", r#"],"x":tru}"#);
+                for line in [in_array, after] {
+                    let err = bad_message(&line);
+                    assert!(
+                        err.starts_with("malformed JSON: "),
+                        "{odd:?} at {at}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_reserves_at_most_the_cap() {
+        // 1 MiB of spaces could hold no element: the batch is empty and
+        // its reservation stays within the cap.
+        let line = format!(
+            r#"{{"cmd":"ingest","tenant":"t","updates":[{}]}}"#,
+            " ".repeat(1 << 20)
+        );
+        let (_, batch) = decode(&line).unwrap();
+        let updates = batch.expect("an array").expect("no malformed element");
+        assert!(updates.is_empty());
+        assert!(
+            updates.capacity() <= RESERVE_UPDATES,
+            "{}",
+            updates.capacity()
+        );
+        assert_eq!(
+            agree(&line),
+            Ok(Request::Ingest {
+                tenant: "t".into(),
+                updates: Vec::new(),
+            })
+        );
+        // A short array reserves no more than its bytes could hold.
+        let (_, batch) = decode(&ingest_of("1,2,3")).unwrap();
+        let updates = batch.expect("an array").expect("no malformed element");
+        assert_eq!(updates.len(), 3);
+        assert!(updates.capacity() <= 4, "{}", updates.capacity());
     }
 
     /// The byte loop `lex_digits` used before it read eight bytes at a

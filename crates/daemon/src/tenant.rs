@@ -293,9 +293,8 @@ impl Tenant {
         match &mut self.engine {
             TenantEngine::Flat { alg, .. } => Ok(alg.query_dyn()),
             TenantEngine::Sharded { pipeline } => {
-                let alg_name = self.alg_name.clone();
-                let params = self.params.clone();
-                let ctor = move |_: usize| registry::get(&alg_name, &params);
+                let (alg_name, params) = (&self.alg_name, &self.params);
+                let ctor = |_: usize| registry::get(alg_name, params);
                 match pipeline.snapshot_merged(&ctor) {
                     Ok(merged) => Ok(merged.query_dyn()),
                     Err(error) => {

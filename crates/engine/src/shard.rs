@@ -45,7 +45,7 @@ use crate::workload::UpdateSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use wb_core::merge::MergeError;
-use wb_core::rng::{derive_seed, SplitMix64, TranscriptRng};
+use wb_core::rng::{derive_seed, Reciprocal, SplitMix64, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::WbError;
 
@@ -122,9 +122,17 @@ impl ShardConfig {
     }
 }
 
-/// The shard index of `item` under hash partitioning.
+/// The shard index of `item` under hash partitioning:
+/// `SplitMix64::new(item).next_u64() % shards`.
 pub fn hash_shard(item: u64, shards: usize) -> usize {
-    (SplitMix64::new(item).next_u64() % shards as u64) as usize
+    hash_route(item, &Reciprocal::new(shards as u64))
+}
+
+/// [`hash_shard`] with the reciprocal of the shard count built once:
+/// [`Reciprocal::rem`] is exactly the `%` it replaces, without a division.
+#[inline]
+fn hash_route(item: u64, shards: &Reciprocal) -> usize {
+    shards.rem(SplitMix64::new(item).next_u64()) as usize
 }
 
 /// Fold `instances` into one by a deterministic reduction tree: at every
@@ -210,14 +218,6 @@ pub struct ShardedIngest {
 /// `S × (QUEUE_CHUNKS + 2) × batch` updates — independent of `m`.
 const QUEUE_CHUNKS: usize = 2;
 
-/// The shard an update at global stream position `j` routes to.
-fn route(partition: Partition, u: &Update, j: u64, shards: usize) -> usize {
-    match partition {
-        Partition::Hash => hash_shard(u.item(), shards),
-        Partition::RoundRobin => (j % shards as u64) as usize,
-    }
-}
-
 /// After a chunk-level ingest error, locate the offset (relative to the
 /// start of this ingester's subsequence; `base` updates were accepted
 /// before this chunk) of the first update that fails on its own. Probing
@@ -301,6 +301,8 @@ impl Shard {
 /// chunk is full.
 struct Router {
     partition: Partition,
+    /// The shard count's reciprocal: both partitions reduce by it.
+    shards: Reciprocal,
     batch: usize,
     /// Global stream position (drives round-robin routing).
     pos: u64,
@@ -313,6 +315,7 @@ impl Router {
         let batch = cfg.batch.max(1);
         Router {
             partition: cfg.partition,
+            shards: Reciprocal::new(shards as u64),
             batch,
             pos: 0,
             loads: vec![0; shards],
@@ -324,7 +327,10 @@ impl Router {
     /// just reached the chunk size and must be delivered.
     #[inline]
     fn stage(&mut self, u: &Update) -> Option<usize> {
-        let s = route(self.partition, u, self.pos, self.staging.len());
+        let s = match self.partition {
+            Partition::Hash => hash_route(u.item(), &self.shards),
+            Partition::RoundRobin => self.shards.rem(self.pos) as usize,
+        };
         self.pos += 1;
         self.loads[s] += 1;
         self.staging[s].push(*u);
@@ -469,24 +475,21 @@ impl ShardPipeline {
         self.router.staging[s].clear();
     }
 
-    /// Route one update into its shard's staging buffer, delivering the
-    /// buffer when it reaches the chunk size.
-    pub fn push_update(&mut self, u: &Update) {
+    /// Route a chunk of updates into their shards' staging buffers,
+    /// delivering each buffer when it reaches the chunk size. Stops early
+    /// once every shard has failed; only a delivery can fail a shard, so
+    /// that is tested after each.
+    pub fn push(&mut self, chunk: &[Update]) {
         if self.dead {
             return;
         }
-        if let Some(s) = self.router.stage(u) {
-            self.deliver(s);
-        }
-    }
-
-    /// Route a chunk of updates (stops early if every shard has failed).
-    pub fn push(&mut self, chunk: &[Update]) {
         for u in chunk {
-            if self.dead {
-                return;
+            if let Some(s) = self.router.stage(u) {
+                self.deliver(s);
+                if self.dead {
+                    return;
+                }
             }
-            self.push_update(u);
         }
     }
 
@@ -666,7 +669,7 @@ impl ShardPipeline {
     /// The threaded mode of [`ingest_sharded_source`]: every shard moves
     /// into its own scoped consumer thread behind a bounded SPSC chunk
     /// queue, while the caller's thread routes and stages with the same
-    /// [`Router`] as [`ShardPipeline::push_update`] and hands each full
+    /// [`Router`] as [`ShardPipeline::push`] and hands each full
     /// chunk over instead of ingesting it.
     fn ingest_threaded(self, source: &mut dyn UpdateSource) -> Result<ShardedIngest, WbError> {
         let ShardPipeline {
@@ -1079,6 +1082,113 @@ mod tests {
         // Truncated frames are Truncated, not panics.
         let mut twin = ShardPipeline::new(&ctor, &cfg).unwrap();
         assert!(twin.resume(&frame[..frame.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn routing_hash_shard_is_splitmix_mod_s() {
+        let mut g = SplitMix64::new(0x5eed);
+        let items: Vec<u64> = [0, 1, u64::MAX]
+            .into_iter()
+            .chain((0..10_000).map(|_| g.next_u64()))
+            .collect();
+        for shards in (1..=64).chain([100, 1000, 65537]) {
+            for &item in &items {
+                assert_eq!(
+                    hash_shard(item, shards),
+                    (SplitMix64::new(item).next_u64() % shards as u64) as usize,
+                    "item {item}, {shards} shards"
+                );
+            }
+        }
+    }
+
+    /// `ShardPipeline::push` before routing by reciprocal: every update
+    /// routed by `%` on its own, with `dead` tested before each. Frozen as
+    /// the router's oracle; it drives the pipeline's own shards.
+    fn push_per_update_oracle(p: &mut ShardPipeline, chunk: &[Update]) {
+        let shards = p.shards.len() as u64;
+        for u in chunk {
+            if p.dead {
+                return;
+            }
+            let s = match p.router.partition {
+                Partition::Hash => (SplitMix64::new(u.item()).next_u64() % shards) as usize,
+                Partition::RoundRobin => (p.router.pos % shards) as usize,
+            };
+            p.router.pos += 1;
+            p.router.loads[s] += 1;
+            p.router.staging[s].push(*u);
+            if p.router.staging[s].len() >= p.router.batch {
+                p.deliver(s);
+            }
+        }
+    }
+
+    #[test]
+    fn routing_chunked_push_matches_the_per_update_router() {
+        let params = Params::default().with_n(1 << 12);
+        let mut g = SplitMix64::new(29);
+        let turnstile: Vec<Update> = (0..3000)
+            .map(|_| {
+                let r = g.next_u64();
+                let delta = if r & 3 == 0 { -1 } else { 2 };
+                Update::Turnstile {
+                    item: r >> 20,
+                    delta,
+                }
+            })
+            .collect();
+        // Inserts, then deletions from position 1200 on: every shard of an
+        // insert-only summary fails at its first chunk holding one.
+        let failing: Vec<Update> = (0..3000u64)
+            .map(|t| match t {
+                0..=1199 => Update::Insert(t.wrapping_mul(2654435761) % 4096),
+                _ => Update::Turnstile { item: t, delta: -1 },
+            })
+            .collect();
+        let mut stopped_early = 0;
+        for shards in [1, 2, 3, 4, 5, 7, 8] {
+            for partition in [Partition::Hash, Partition::RoundRobin] {
+                for batch in [1, 7, 64, 1024] {
+                    let cfg = ShardConfig {
+                        shards,
+                        partition,
+                        threads: 1,
+                        batch,
+                        master_seed: 21,
+                    };
+                    let at = format!("{shards} shards, {}, batch {batch}", partition.label());
+                    let ctor = registry_ctor("ams_f2", params.clone());
+                    let mut got = ShardPipeline::new(&ctor, &cfg).unwrap();
+                    let mut want = ShardPipeline::new(&ctor, &cfg).unwrap();
+                    for piece in turnstile.chunks(333) {
+                        got.push(piece);
+                        push_per_update_oracle(&mut want, piece);
+                    }
+                    assert_eq!(got.routed(), want.routed(), "{at}");
+                    assert_eq!(got.stats(), want.stats(), "{at}");
+                    assert_eq!(got.checkpoint(), want.checkpoint(), "{at}");
+
+                    let ctor = registry_ctor("misra_gries", params.clone());
+                    let mut got = ShardPipeline::new(&ctor, &cfg).unwrap();
+                    let mut want = ShardPipeline::new(&ctor, &cfg).unwrap();
+                    for piece in failing.chunks(333) {
+                        got.push(piece);
+                        push_per_update_oracle(&mut want, piece);
+                    }
+                    assert_eq!(got.routed(), want.routed(), "{at}");
+                    assert_eq!(got.stats(), want.stats(), "{at}");
+                    assert_eq!(got.all_failed(), want.all_failed(), "{at}");
+                    assert_eq!(
+                        got.first_failure().map(WbError::to_string),
+                        want.first_failure().map(WbError::to_string),
+                        "{at}"
+                    );
+                    stopped_early += usize::from(got.routed() < failing.len() as u64);
+                }
+            }
+        }
+        assert!(stopped_early > 0, "no configuration reached the stop point");
     }
 
     #[test]

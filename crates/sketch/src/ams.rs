@@ -110,9 +110,9 @@ const SIGN_CACHE_EMPTY: u64 = u64::MAX;
 /// to the packed signs of **every** copy at `x` (bit `j` set ⇔ copy `j`'s
 /// sign is `+1`). The sign functions are fixed at construction, so an
 /// entry stays valid for the sketch's lifetime (cleared on restore, where
-/// the coefficients are overwritten); a churn-style stream that revisits
-/// items across batches pays the `copies` Horner evaluations once per
-/// distinct point instead of once per batch. Pure scratch: identical
+/// the coefficients are overwritten); a stream that revisits items pays
+/// the `copies` Horner evaluations once per distinct point (while it
+/// keeps its slot) instead of once per update. Pure scratch: identical
 /// signs come out either way, so estimates stay bit-identical, and the
 /// table is skipped by snapshots.
 #[derive(Debug, Clone, Default)]
@@ -157,11 +157,13 @@ impl SignCache {
 #[derive(Debug, Clone)]
 pub struct AmsF2 {
     copies: Vec<AmsCopy>,
-    /// Reusable batch scratch: distinct-point delta aggregation table.
+    /// Reusable batch scratch for more than 64 copies: distinct-point
+    /// delta aggregation table.
     agg: RunAggregator<i64>,
-    /// Cross-batch scratch: packed signs per reduced point.
+    /// Cross-batch scratch for at most 64 copies: packed signs per reduced
+    /// point.
     sign_cache: SignCache,
-    /// Per-batch scratch: one packed-sign word per aggregated run.
+    /// Per-batch scratch: one packed-sign word per update.
     sign_scratch: Vec<u64>,
 }
 
@@ -251,56 +253,51 @@ impl StreamAlg for AmsF2 {
         self.update(update.item, update.delta);
     }
 
-    /// Batched ingestion: deltas are aggregated per item (sort +
-    /// run-length) before touching the counters, so each distinct item's
-    /// sign functions are evaluated once per batch instead of once per
-    /// update. Each counter maintains `⟨Z, f⟩`, which is linear in the
-    /// deltas, so `counter += Z(i)·(δ₁ + δ₂)` is exactly
-    /// `counter += Z(i)·δ₁ + Z(i)·δ₂` — the final state is bit-identical
-    /// to sequential processing (items whose deltas cancel contribute 0
-    /// either way). Aggregation is by the reduced point `x = item mod P`
-    /// (reduced once per update; the sign depends only on `x`), via the
-    /// reusable [`RunAggregator`] — O(len), no sort.
+    /// Batched ingestion. Each counter maintains `⟨Z, f⟩`, which is linear
+    /// in the deltas, so summing a copy's `Z(i)·δ` over the batch and
+    /// adding once is exactly `counter += Z(i)·δ` update by update: the
+    /// final state is bit-identical to sequential processing.
     ///
-    /// Sign evaluations are then resolved through the cross-batch
-    /// `SignCache` (when the copies fit one packed word, the common
-    /// case): each run looks up — or fills, Horner-evaluating every copy
-    /// once — the packed signs for its point, and the copy-major
-    /// accumulation loop turns into a bit test plus signed add per run.
-    /// A churn stream revisiting its items pays zero field arithmetic on
-    /// cache hits; the cached signs are the very values `sign_of` would
-    /// return, and runs are consumed in the same order, so the counters
-    /// stay bit-identical either way.
+    /// When the copies fit one packed word (the common case) every update
+    /// resolves its packed signs through the cross-batch `SignCache`,
+    /// keyed by the reduced point `x = item mod P` (the sign depends only
+    /// on `x`): a hit costs no field arithmetic, a miss Horner-evaluates
+    /// every copy once. The copy-major loop then adds `±δ` per update
+    /// without a branch. The cached signs are the very values `sign_of`
+    /// returns.
+    ///
+    /// With more copies, deltas are first aggregated per reduced point by
+    /// the reusable [`RunAggregator`] (O(len), no sort), and each copy
+    /// evaluates its sign once per distinct point; items whose deltas
+    /// cancel contribute 0 either way.
     fn process_batch(&mut self, updates: &[Turnstile], _rng: &mut TranscriptRng) {
-        let runs = self.agg.aggregate(
-            updates.iter().map(|u| (reduce64(u.item), u.delta)),
-            updates.len(),
-        );
         if self.copies.len() <= 64 {
             let mut signs = std::mem::take(&mut self.sign_scratch);
             signs.clear();
             signs.extend(
-                runs.iter()
-                    .map(|&(x, _)| self.sign_cache.lookup(x, &self.copies)),
+                updates
+                    .iter()
+                    .map(|u| self.sign_cache.lookup(reduce64(u.item), &self.copies)),
             );
             for (j, copy) in self.copies.iter_mut().enumerate() {
                 let mut acc = 0i64;
-                for (packed, &(_, delta)) in signs.iter().zip(runs) {
-                    if delta != 0 {
-                        acc += if (packed >> j) & 1 == 1 {
-                            delta
-                        } else {
-                            -delta
-                        };
-                    }
+                for (&packed, u) in signs.iter().zip(updates) {
+                    // `flip` is −1 where copy j's sign is −1, else 0, and
+                    // `(δ ^ flip) − flip` is then `−δ` or `δ`.
+                    let flip = ((packed >> j) & 1) as i64 - 1;
+                    acc += (u.delta ^ flip) - flip;
                 }
                 copy.counter += acc;
             }
             self.sign_scratch = signs;
         } else {
-            // Too many copies for one packed word: the copy-major loop
-            // keeps each copy's coefficients in registers while a local
-            // accumulator sums `Z(x)·δ` over the whole batch.
+            let runs = self.agg.aggregate(
+                updates.iter().map(|u| (reduce64(u.item), u.delta)),
+                updates.len(),
+            );
+            // The copy-major loop keeps each copy's coefficients in
+            // registers while a local accumulator sums `Z(x)·δ` over the
+            // whole batch.
             for copy in &mut self.copies {
                 let coeffs = copy.coeffs;
                 let mut acc = 0i64;
@@ -492,6 +489,137 @@ mod tests {
         assert_eq!(seq.estimate(), bat.estimate());
         for (a, b) in seq.copies().iter().zip(bat.copies()) {
             assert_eq!(a.counter(), b.counter(), "counters must be bit-identical");
+        }
+    }
+
+    /// `process_batch` before the per-update sign-cache kernel: deltas
+    /// aggregated per reduced point, then one cache lookup and one branch
+    /// per run. Frozen as the kernel's oracle.
+    fn process_batch_aggregated(ams: &mut AmsF2, updates: &[Turnstile]) {
+        let runs = ams.agg.aggregate(
+            updates.iter().map(|u| (reduce64(u.item), u.delta)),
+            updates.len(),
+        );
+        if ams.copies.len() <= 64 {
+            let mut signs = std::mem::take(&mut ams.sign_scratch);
+            signs.clear();
+            signs.extend(
+                runs.iter()
+                    .map(|&(x, _)| ams.sign_cache.lookup(x, &ams.copies)),
+            );
+            for (j, copy) in ams.copies.iter_mut().enumerate() {
+                let mut acc = 0i64;
+                for (packed, &(_, delta)) in signs.iter().zip(runs) {
+                    if delta != 0 {
+                        acc += if (packed >> j) & 1 == 1 {
+                            delta
+                        } else {
+                            -delta
+                        };
+                    }
+                }
+                copy.counter += acc;
+            }
+            ams.sign_scratch = signs;
+        } else {
+            for copy in &mut ams.copies {
+                let coeffs = copy.coeffs;
+                let mut acc = 0i64;
+                for &(x, delta) in runs {
+                    if delta != 0 {
+                        acc += delta * sign_of(&coeffs, x);
+                    }
+                }
+                copy.counter += acc;
+            }
+        }
+    }
+
+    fn snap_bytes(ams: &AmsF2) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        ams.snap(&mut w);
+        w.finish()
+    }
+
+    /// The oracle grid's streams: repeats, cancellations to zero (also of
+    /// items `x` and `x + P`, which share a reduced point), one item, none,
+    /// and deltas of ±2³² (the erased layer's largest turnstile delta).
+    fn kernel_streams() -> Vec<(&'static str, Vec<Turnstile>)> {
+        let t = |item: u64, delta: i64| Turnstile { item, delta };
+        let repeats = (0..3000u64)
+            .map(|i| t(i % 97 * 0x1_0000_0001, [1, 3, -2, 1, 5][i as usize % 5]))
+            .collect();
+        let cancels = (0..600u64)
+            .flat_map(|i| {
+                let item = if i % 3 == 0 { i + P } else { i };
+                [
+                    t(item, 4),
+                    t(i, -4),
+                    t(u64::MAX - i, 1),
+                    t(u64::MAX - i, -1),
+                ]
+            })
+            .collect();
+        let single = (0..1000).map(|i| t(42, [2, -1, 7][i % 3])).collect();
+        let big = 1i64 << 32;
+        let extreme = (0..2000u64)
+            .map(|i| t(i % 13, if i % 2 == 0 { big } else { -big }))
+            .collect();
+        vec![
+            ("repeats", repeats),
+            ("cancellations", cancels),
+            ("single item", single),
+            ("empty", Vec::new()),
+            ("±2^32 deltas", extreme),
+        ]
+    }
+
+    #[test]
+    fn kernel_matches_the_aggregated_oracle_and_per_update_process() {
+        // Per (copies, stream, chunk size): the kernel, the frozen
+        // aggregated kernel and per-update `process` must agree on every
+        // counter and snapshot byte, before a `restore` (with a warm sign
+        // cache) and after one, which swaps in other sign coefficients.
+        for copies in [1, 7, 63, 64, 65] {
+            for (name, stream) in kernel_streams() {
+                for chunk in [1, 173, 4096] {
+                    let mut rng = TranscriptRng::from_seed(60 + copies as u64);
+                    let fresh = AmsF2::new(copies, &mut rng);
+                    let mut donor = AmsF2::new(copies, &mut rng);
+                    donor.update(5, 3);
+                    let donor = snap_bytes(&donor);
+                    let mut kernel = fresh.clone();
+                    let mut frozen = fresh.clone();
+                    let mut single = fresh;
+                    let mut r = TranscriptRng::from_seed(0);
+                    for phase in ["before restore", "after restore"] {
+                        if phase == "after restore" {
+                            for ams in [&mut kernel, &mut frozen, &mut single] {
+                                let mut reader = SnapReader::new(&donor).unwrap();
+                                ams.restore(&mut reader).unwrap();
+                                reader.finish().unwrap();
+                            }
+                        }
+                        for c in stream.chunks(chunk) {
+                            kernel.process_batch(c, &mut r);
+                            process_batch_aggregated(&mut frozen, c);
+                        }
+                        kernel.process_batch(&[], &mut r);
+                        process_batch_aggregated(&mut frozen, &[]);
+                        for u in &stream {
+                            single.process(u, &mut r);
+                        }
+                        let at = format!("{copies} copies, {name}, chunk {chunk}, {phase}");
+                        let want: Vec<i64> = single.copies().iter().map(|c| c.counter()).collect();
+                        for (got, which) in [(&kernel, "kernel"), (&frozen, "oracle")] {
+                            let counters: Vec<i64> =
+                                got.copies().iter().map(|c| c.counter()).collect();
+                            assert_eq!(counters, want, "{which}: {at}");
+                            assert_eq!(snap_bytes(got), snap_bytes(&single), "{which}: {at}");
+                        }
+                    }
+                }
+            }
         }
     }
 
