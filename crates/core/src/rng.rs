@@ -173,61 +173,6 @@ impl Snapshot for Xoshiro256StarStar {
     }
 }
 
-/// A precomputed reciprocal for exact division-free `v % n` (the
-/// libdivide/Lemire "fastmod" strength reduction: one 128-bit multiply by
-/// `⌈2¹²⁸/n⌉`, then the high half of a 128×64 product).
-///
-/// [`Reciprocal::rem`] is **bit-identical** to the hardware `v % n` for
-/// every `v` and every `n ≥ 1` — not an approximation — so random tapes
-/// produced through it are unchanged (proptested against `%` in
-/// `rng_bulk_equivalence`). Computing the magic costs one 128-bit
-/// division, amortized over every later call; the hot paths (uniform
-/// sampling, CountMin bucket folding) reuse one `Reciprocal` across a
-/// whole stream or sketch lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reciprocal {
-    n: u64,
-    /// `⌈2¹²⁸ / n⌉`, wrapped to 0 for `n = 1` (where every residue is 0).
-    magic: u128,
-    /// Largest multiple of `n` that fits in `u64`: accept `v < zone` when
-    /// rejection-sampling a uniform draw below `n`.
-    zone: u64,
-}
-
-impl Reciprocal {
-    /// Precomputes the reciprocal of `n`. Panics if `n == 0`.
-    pub fn new(n: u64) -> Self {
-        assert!(n > 0, "Reciprocal of 0 is undefined");
-        let magic = (u128::MAX / n as u128).wrapping_add(1);
-        let mut r = Reciprocal { n, magic, zone: 0 };
-        r.zone = u64::MAX - r.rem(u64::MAX);
-        r
-    }
-
-    /// The divisor this reciprocal was built for.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Exactly `v % n`, via two multiplies instead of a division.
-    #[inline]
-    pub fn rem(&self, v: u64) -> u64 {
-        let low = self.magic.wrapping_mul(v as u128);
-        // High 64 bits of the 192-bit product `low * n`.
-        let hi = (low >> 64) as u64;
-        let lo = low as u64;
-        let t = ((lo as u128 * self.n as u128) >> 64) + hi as u128 * self.n as u128;
-        (t >> 64) as u64
-    }
-
-    /// The rejection-sampling acceptance zone: the largest multiple of `n`
-    /// representable in `u64` (accept `v < zone` for exact uniformity).
-    #[inline]
-    pub fn zone(&self) -> u64 {
-        self.zone
-    }
-}
-
 /// The public record of all randomness drawn by a streaming algorithm.
 ///
 /// Adversaries receive a `&RandTranscript` each round. The seed is public,
@@ -409,48 +354,34 @@ pub trait WordSource {
 
     /// The next `out.len()` words of the tape, in tape order.
     fn next_u64_many(&mut self, out: &mut [u64]);
-
-    /// The source's one-entry [`Reciprocal`] cache for [`below`]: callers
-    /// overwhelmingly sample one modulus repeatedly (a workload's universe,
-    /// a sketch's width), so the 128-bit division behind the magic is paid
-    /// once per modulus change, not once per draw. A pure cache: it never
-    /// changes a drawn value and is not part of any snapshot.
-    fn recip_cache(&mut self) -> &mut Option<Reciprocal>;
 }
 
-/// The cached reciprocal for modulus `n` (recomputed only when `n`
-/// changes between calls).
+/// The acceptance zone of the uniform-draw rule for a modulus `n` that is
+/// not a power of two: the largest multiple of `n` in `u64` range. [`below`]
+/// accepts a word `v` exactly when `v < rejection_zone(n)`. Panics if
+/// `n == 0`.
 #[inline]
-fn cached_recip<S: WordSource + ?Sized>(src: &mut S, n: u64) -> Reciprocal {
-    let cache = src.recip_cache();
-    match *cache {
-        Some(r) if r.n() == n => r,
-        _ => {
-            let r = Reciprocal::new(n);
-            *cache = Some(r);
-            r
-        }
-    }
+pub fn rejection_zone(n: u64) -> u64 {
+    u64::MAX - u64::MAX % n
 }
 
 /// The uniform-draw rule: a uniform integer in `[0, n)` from `src`'s tape.
 /// Panics if `n == 0`.
 ///
 /// A power-of-two `n` masks one word. Any other `n` rejection-samples for
-/// exact uniformity: words at or above the [`Reciprocal::zone`] are
-/// skipped, and the first accepted word is reduced by the cached
-/// [`Reciprocal`], bit-identical to the hardware `v % n`.
+/// exact uniformity: words at or above the [`rejection_zone`] are skipped,
+/// and the first accepted word `v` gives `v % n`.
 #[inline]
 pub fn below<S: WordSource + ?Sized>(src: &mut S, n: u64) -> u64 {
     assert!(n > 0, "below(0) is undefined");
     if n.is_power_of_two() {
         return src.next_u64() & (n - 1);
     }
-    let r = cached_recip(src, n);
+    let zone = rejection_zone(n);
     loop {
         let v = src.next_u64();
-        if v < r.zone() {
-            return r.rem(v);
+        if v < zone {
+            return v % n;
         }
     }
 }
@@ -469,7 +400,7 @@ pub fn fill_below<S: WordSource + ?Sized>(src: &mut S, n: u64, out: &mut [u64]) 
         }
         return;
     }
-    let r = cached_recip(src, n);
+    let zone = rejection_zone(n);
     // Optimistic pass: one word per output. Rejected words are skipped
     // (in tape order, exactly like the scalar rejection loop) and the
     // shortfall redrawn in small rounds — each round draws exactly the
@@ -479,8 +410,8 @@ pub fn fill_below<S: WordSource + ?Sized>(src: &mut S, n: u64, out: &mut [u64]) 
     let mut filled = 0;
     for i in 0..out.len() {
         let v = out[i];
-        if v < r.zone() {
-            out[filled] = r.rem(v);
+        if v < zone {
+            out[filled] = v % n;
             filled += 1;
         }
     }
@@ -489,8 +420,8 @@ pub fn fill_below<S: WordSource + ?Sized>(src: &mut S, n: u64, out: &mut [u64]) 
         let need = (out.len() - filled).min(spare.len());
         src.next_u64_many(&mut spare[..need]);
         for &v in &spare[..need] {
-            if v < r.zone() {
-                out[filled] = r.rem(v);
+            if v < zone {
+                out[filled] = v % n;
                 filled += 1;
             }
         }
@@ -510,8 +441,6 @@ const WORD_BLOCK: usize = 512;
 pub struct TranscriptRng {
     rng: Xoshiro256StarStar,
     transcript: RandTranscript,
-    /// See [`WordSource::recip_cache`].
-    recip: Option<Reciprocal>,
 }
 
 impl TranscriptRng {
@@ -520,7 +449,6 @@ impl TranscriptRng {
         TranscriptRng {
             rng: Xoshiro256StarStar::from_seed(seed),
             transcript: RandTranscript::new(seed),
-            recip: None,
         }
     }
 
@@ -613,17 +541,10 @@ impl WordSource for TranscriptRng {
     fn next_u64_many(&mut self, out: &mut [u64]) {
         TranscriptRng::next_u64_many(self, out)
     }
-
-    #[inline]
-    fn recip_cache(&mut self) -> &mut Option<Reciprocal> {
-        &mut self.recip
-    }
 }
 
 impl Snapshot for TranscriptRng {
     fn snap(&self, w: &mut SnapWriter) {
-        // The reciprocal cache is a pure function of the last modulus and
-        // is rebuilt on first use; only generator + transcript persist.
         self.rng.snap(w);
         self.transcript.snap(w);
     }
@@ -631,7 +552,6 @@ impl Snapshot for TranscriptRng {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng.restore(r)?;
         self.transcript.restore(r)?;
-        self.recip = None;
         Ok(())
     }
 }
@@ -791,44 +711,6 @@ mod tests {
     fn below_zero_panics() {
         let mut rng = TranscriptRng::from_seed(1);
         rng.below(0);
-    }
-
-    #[test]
-    fn reciprocal_rem_matches_hardware_division() {
-        let divisors = [
-            1u64,
-            2,
-            3,
-            7,
-            10,
-            255,
-            256,
-            257,
-            1 << 20,
-            (1 << 20) + 1,
-            P_TEST,
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        let values = [0u64, 1, 2, 6, 7, 255, 1 << 33, u64::MAX - 1, u64::MAX];
-        for &n in &divisors {
-            let r = Reciprocal::new(n);
-            assert_eq!(r.n(), n);
-            assert_eq!(r.zone(), u64::MAX - (u64::MAX % n), "zone for n={n}");
-            for &v in &values {
-                assert_eq!(r.rem(v), v % n, "v={v}, n={n}");
-            }
-            // A stretch of sequential values around a multiple boundary.
-            for v in (n.saturating_sub(3))..(n.saturating_add(3)) {
-                assert_eq!(r.rem(v), v % n, "v={v}, n={n}");
-            }
-        }
-        let mut sm = SplitMix64::new(99);
-        for _ in 0..5000 {
-            let n = sm.next_u64().max(1);
-            let v = sm.next_u64();
-            assert_eq!(Reciprocal::new(n).rem(v), v % n, "v={v}, n={n}");
-        }
     }
 
     const P_TEST: u64 = (1 << 61) - 1;

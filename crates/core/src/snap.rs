@@ -32,8 +32,7 @@
 //! garbage. Restores are **in-place**: callers construct the object with
 //! its original parameters (and, where relevant, the original derived
 //! seed) and then overwrite the mutable state, which keeps large derived
-//! immutables — SIS matrices, CRHF keys, reciprocal caches — out of the
-//! snapshot entirely.
+//! immutables — SIS matrices, CRHF keys — out of the snapshot entirely.
 //!
 //! # Versioning rules
 //!

@@ -36,7 +36,7 @@ use crate::round::Round;
 use crate::workload::UpdateSource;
 use std::any::Any;
 use wb_core::merge::MergeError;
-use wb_core::rng::{RandTranscript, Reciprocal, TranscriptRng};
+use wb_core::rng::{RandTranscript, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::SpaceUsage;
 use wb_core::stream::{InsertOnly, StreamAlg, Turnstile};
@@ -99,30 +99,15 @@ impl Update {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`. A zero universe used to be silently clamped to
-    /// 1, collapsing every item onto 0 and skewing verdicts; the registry
-    /// and tournament now reject `n == 0` at construction time, so reaching
-    /// this with an empty universe is a harness bug, not a stream property.
+    /// Panics if `n == 0`. The registry and tournament reject `n == 0` at
+    /// construction time, so reaching this with an empty universe is a
+    /// harness bug, not a stream property.
     pub fn fold_into(self, n: u64) -> Update {
         assert!(n > 0, "fold_into requires a nonempty universe (n >= 1)");
         match self {
             Update::Insert(item) => Update::Insert(item % n),
             Update::Turnstile { item, delta } => Update::Turnstile {
                 item: item % n,
-                delta,
-            },
-        }
-    }
-
-    /// [`Update::fold_into`] with a precomputed [`Reciprocal`] — the form
-    /// the streaming pipeline's per-update hot path (`FoldSource`) uses to
-    /// avoid a hardware division per update. `Reciprocal::rem` is
-    /// bit-identical to `% n`, so the two folds agree on every item.
-    pub fn fold_with(self, r: &Reciprocal) -> Update {
-        match self {
-            Update::Insert(item) => Update::Insert(r.rem(item)),
-            Update::Turnstile { item, delta } => Update::Turnstile {
-                item: r.rem(item),
                 delta,
             },
         }

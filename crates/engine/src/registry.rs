@@ -321,10 +321,9 @@ pub fn describe() -> Vec<(&'static str, &'static str)> {
     ENTRIES.iter().map(|&(n, d, _)| (n, d)).collect()
 }
 
-/// Reject an empty universe at construction time. `Update::fold_into`
-/// used to clamp `n = 0` to 1, silently collapsing every item onto 0 (and
-/// with it the whole ground truth); an empty universe is a configuration
-/// error, not a stream property, so it fails loudly here instead.
+/// Reject an empty universe at construction time: an empty universe is a
+/// configuration error, not a stream property, so it fails here rather
+/// than at `Update::fold_into`'s assertion mid-stream.
 fn check_universe(n: u64) -> Result<(), WbError> {
     if n == 0 {
         Err(WbError::invalid(

@@ -45,7 +45,7 @@ use crate::workload::UpdateSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use wb_core::merge::MergeError;
-use wb_core::rng::{derive_seed, Reciprocal, SplitMix64, TranscriptRng};
+use wb_core::rng::{derive_seed, SplitMix64, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::WbError;
 
@@ -124,15 +124,9 @@ impl ShardConfig {
 
 /// The shard index of `item` under hash partitioning:
 /// `SplitMix64::new(item).next_u64() % shards`.
-pub fn hash_shard(item: u64, shards: usize) -> usize {
-    hash_route(item, &Reciprocal::new(shards as u64))
-}
-
-/// [`hash_shard`] with the reciprocal of the shard count built once:
-/// [`Reciprocal::rem`] is exactly the `%` it replaces, without a division.
 #[inline]
-fn hash_route(item: u64, shards: &Reciprocal) -> usize {
-    shards.rem(SplitMix64::new(item).next_u64()) as usize
+pub fn hash_shard(item: u64, shards: usize) -> usize {
+    (SplitMix64::new(item).next_u64() % shards as u64) as usize
 }
 
 /// Fold `instances` into one by a deterministic reduction tree: at every
@@ -301,8 +295,7 @@ impl Shard {
 /// chunk is full.
 struct Router {
     partition: Partition,
-    /// The shard count's reciprocal: both partitions reduce by it.
-    shards: Reciprocal,
+    shards: usize,
     batch: usize,
     /// Global stream position (drives round-robin routing).
     pos: u64,
@@ -315,7 +308,7 @@ impl Router {
         let batch = cfg.batch.max(1);
         Router {
             partition: cfg.partition,
-            shards: Reciprocal::new(shards as u64),
+            shards,
             batch,
             pos: 0,
             loads: vec![0; shards],
@@ -328,8 +321,8 @@ impl Router {
     #[inline]
     fn stage(&mut self, u: &Update) -> Option<usize> {
         let s = match self.partition {
-            Partition::Hash => hash_route(u.item(), &self.shards),
-            Partition::RoundRobin => self.shards.rem(self.pos) as usize,
+            Partition::Hash => hash_shard(u.item(), self.shards),
+            Partition::RoundRobin => (self.pos % self.shards as u64) as usize,
         };
         self.pos += 1;
         self.loads[s] += 1;
@@ -1102,9 +1095,9 @@ mod tests {
         }
     }
 
-    /// `ShardPipeline::push` before routing by reciprocal: every update
-    /// routed by `%` on its own, with `dead` tested before each. Frozen as
-    /// the router's oracle; it drives the pipeline's own shards.
+    /// `ShardPipeline::push` as a per-update loop: every update routed by
+    /// `%` on its own, with `dead` tested before each. Frozen as the
+    /// router's oracle; it drives the pipeline's own shards.
     fn push_per_update_oracle(p: &mut ShardPipeline, chunk: &[Update]) {
         let shards = p.shards.len() as u64;
         for u in chunk {

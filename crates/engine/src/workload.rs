@@ -27,7 +27,9 @@
 //! [`SliceSource`], the one slice-shaped [`UpdateSource`].
 
 use crate::erased::Update;
-use wb_core::rng::{below, f64_from_word, fill_below, Reciprocal, WordSource, Xoshiro256StarStar};
+use wb_core::rng::{
+    below, f64_from_word, fill_below, rejection_zone, WordSource, Xoshiro256StarStar,
+};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::stream::Turnstile;
 
@@ -108,9 +110,7 @@ impl UpdateSource for SliceSource<'_> {
 #[derive(Debug, Clone)]
 pub struct FoldSource<S> {
     inner: S,
-    /// Precomputed reciprocal of `n`: the fold is a per-update hot path,
-    /// and [`Reciprocal::rem`] is bit-identical to the `% n` it replaces.
-    recip: Reciprocal,
+    n: u64,
 }
 
 impl<S: UpdateSource> FoldSource<S> {
@@ -121,16 +121,12 @@ impl<S: UpdateSource> FoldSource<S> {
     /// Panics if `n == 0` (see [`Update::fold_into`]).
     pub fn new(inner: S, n: u64) -> Self {
         assert!(n > 0, "FoldSource requires a nonempty universe (n >= 1)");
-        FoldSource {
-            inner,
-            recip: Reciprocal::new(n),
-        }
+        FoldSource { inner, n }
     }
 }
 
 impl<S: Snapshot> Snapshot for FoldSource<S> {
-    /// Pure delegation: the fold modulus (and its reciprocal) is
-    /// construction config the restoring twin already holds.
+    /// Pure delegation: the fold modulus is construction config the restoring twin already holds.
     fn snap(&self, w: &mut SnapWriter) {
         self.inner.snap(w);
     }
@@ -144,7 +140,7 @@ impl<S: UpdateSource> UpdateSource for FoldSource<S> {
     fn next_chunk(&mut self, buf: &mut Vec<Update>) -> usize {
         let wrote = self.inner.next_chunk(buf);
         for u in buf.iter_mut() {
-            *u = u.fold_with(&self.recip);
+            *u = u.fold_into(self.n);
         }
         wrote
     }
@@ -198,7 +194,6 @@ struct WordTape {
     buf: Vec<u64>,
     pos: usize,
     scratch: Vec<u64>,
-    recip: Option<Reciprocal>,
 }
 
 impl WordTape {
@@ -210,7 +205,6 @@ impl WordTape {
             buf: Vec::new(),
             pos: 0,
             scratch: Vec::new(),
-            recip: None,
         }
     }
 
@@ -250,19 +244,14 @@ impl WordSource for WordTape {
             self.rng.fill_u64(&mut out[take..]);
         }
     }
-
-    #[inline]
-    fn recip_cache(&mut self) -> &mut Option<Reciprocal> {
-        &mut self.recip
-    }
 }
 
 impl Snapshot for WordTape {
     /// Layout: `rng | unconsumed buffered words`. Only the words not yet
     /// consumed (`buf[pos..]`) are captured — together with the generator
     /// state they pin the exact tape position, so a restored tape emits the
-    /// same word sequence draw for draw. `scratch` and `recip` are pure
-    /// caches and are rebuilt on demand.
+    /// same word sequence draw for draw. `scratch` is a pure cache and is
+    /// rebuilt on demand.
     fn snap(&self, w: &mut SnapWriter) {
         self.rng.snap(w);
         w.put_u64_seq(&self.buf[self.pos..]);
@@ -279,7 +268,6 @@ impl Snapshot for WordTape {
         }
         self.buf = buffered;
         self.pos = 0;
-        self.recip = None;
         Ok(())
     }
 }
@@ -365,10 +353,9 @@ struct ZipfSampler {
     /// Per-bucket `[start, end)` index range into `thresholds` that can
     /// still straddle the bucket; empty when the table is not built.
     buckets: Vec<(u32, u32)>,
-    /// The tail width's reciprocal for the table kernel's tail draws — the
-    /// value the uniform rule's cache would hold — hoisted out of the
-    /// per-chunk path. A power-of-two (or empty) tail never reads it.
-    tail_recip: Reciprocal,
+    /// The tail width's [`rejection_zone`] for the table kernel's tail
+    /// draws. A power-of-two tail never reads it.
+    tail_zone: u64,
 }
 
 /// Next representable `f64` above positive finite `x`.
@@ -419,7 +406,7 @@ impl ZipfSampler {
             total,
             thresholds: Vec::new(),
             buckets: Vec::new(),
-            tail_recip: Reciprocal::new(n - heavy),
+            tail_zone: rejection_zone(n - heavy),
         };
         if heavy <= ZIPF_TABLE_MAX_HEAVY {
             sampler.build_table();
@@ -536,28 +523,24 @@ impl ZipfSampler {
         let tail = self.n - self.heavy;
         let pow2 = tail.is_power_of_two();
         let mask = tail.wrapping_sub(1);
-        let recip = self.tail_recip;
+        let zone = self.tail_zone;
         let mut wi = 0usize;
         for _ in 0..k {
             // Head and tail consume the same value word, so a draw is a
-            // fixed (coin, value) pair unless a non-pow2 tail rejects —
-            // compute both interpretations and select on the coin, keeping
-            // the 70/30 branch out of the pipeline.
+            // fixed (coin, value) pair unless a non-pow2 tail rejects.
             let coin = take_word(&words, &mut wi, tape);
-            let v = take_word(&words, &mut wi, tape);
-            let is_head = (coin >> 11) < ZIPF_COIN_CUT;
-            let head = self.head_item_bits(v >> 11);
-            let tail_raw = if pow2 { v & mask } else { recip.rem(v) };
-            let mut item = if is_head { head } else { self.heavy + tail_raw };
-            if !pow2 && !is_head && v >= recip.zone() {
+            let mut v = take_word(&words, &mut wi, tape);
+            let item = if (coin >> 11) < ZIPF_COIN_CUT {
+                self.head_item_bits(v >> 11)
+            } else if pow2 {
+                self.heavy + (v & mask)
+            } else {
                 // Rare tail rejection: keep drawing, exactly like `below`.
-                item = loop {
-                    let v = take_word(&words, &mut wi, tape);
-                    if v < recip.zone() {
-                        break self.heavy + recip.rem(v);
-                    }
-                };
-            }
+                while v >= zone {
+                    v = take_word(&words, &mut wi, tape);
+                }
+                self.heavy + v % tail
+            };
             buf.push(Update::Insert(item));
         }
         tape.scratch = words;
@@ -1200,6 +1183,8 @@ mod tests {
             (1 << 10, 16, 7),
             (257, 8, 11),
             (1 << 10, 512, 3),
+            // A tail just above 2^63 rejects about half its words.
+            ((1 << 63) + 100, 64, 13),
         ] {
             let sampler = ZipfSampler::new(n, heavy);
             assert!(!sampler.buckets.is_empty(), "table expected for {heavy}");

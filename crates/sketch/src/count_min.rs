@@ -9,7 +9,7 @@
 //! the experiments (E8) chart its success against the sketch dimensions.
 
 use wb_core::merge::MergeError;
-use wb_core::rng::{Reciprocal, TranscriptRng};
+use wb_core::rng::TranscriptRng;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, SpaceUsage};
 use wb_core::stream::{InsertOnly, RunAggregator, StreamAlg};
@@ -28,9 +28,6 @@ pub struct CountMin {
     seeds: Vec<(u64, u64)>,
     table: Vec<u64>, // depth × width, row-major
     processed: u64,
-    /// Precomputed reciprocal of `width` — [`Reciprocal::rem`] is
-    /// bit-identical to the `% width` it replaces in the bucket hash.
-    width_recip: Reciprocal,
     /// Reusable batch scratch: distinct-item aggregation table.
     agg: RunAggregator<u64>,
 }
@@ -52,23 +49,21 @@ impl CountMin {
             seeds,
             table: vec![0; depth * width],
             processed: 0,
-            width_recip: Reciprocal::new(width as u64),
             agg: RunAggregator::new(),
         }
     }
 
     /// Bucket of `item` in `row`: `((a·x + b) mod P) mod width`, with the
     /// Mersenne reduction done by shift-adds (`a, b < P` keeps the hash
-    /// below `2^125`, so the short [`reduce125`] fold applies) and the
-    /// width fold by the precomputed reciprocal — both bit-identical to
-    /// the `%` operators they replace.
+    /// below `2^125`, so the short [`reduce125`] fold applies, bit-identical
+    /// to `% P`) and the width fold a mask when `width` is a power of two.
     pub fn bucket(&self, row: usize, item: u64) -> usize {
         let (a, b) = self.seeds[row];
         let h = reduce125(a as u128 * item as u128 + b as u128);
         if self.width.is_power_of_two() {
             (h & (self.width as u64 - 1)) as usize
         } else {
-            self.width_recip.rem(h) as usize
+            (h % self.width as u64) as usize
         }
     }
 
@@ -117,7 +112,7 @@ impl Snapshot for CountMin {
     /// are validated; the public hash coefficients are serialized and
     /// overwritten (they are state drawn at construction, and restoring
     /// them exactly is what makes post-restore bucketing bit-identical).
-    /// The width reciprocal and batch aggregator are pure caches — skipped.
+    /// The batch aggregator is a pure cache — skipped.
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.depth);
         w.put_usize(self.width);
@@ -179,7 +174,6 @@ fn apply_weighted(
     seeds: &[(u64, u64)],
     table: &mut [u64],
     width: usize,
-    recip: Reciprocal,
     pairs: impl Iterator<Item = (u64, u64)>,
 ) {
     if let ([s0, s1, s2, s3], true) = (seeds, width.is_power_of_two()) {
@@ -209,7 +203,7 @@ fn apply_weighted(
             let h = reduce125(a as u128 * item as u128 + b as u128);
             let bucket = match pow2_mask {
                 Some(mask) => (h & mask) as usize,
-                None => recip.rem(h) as usize,
+                None => (h % width as u64) as usize,
             };
             table[row * width + bucket] += w;
         }
@@ -238,11 +232,10 @@ impl StreamAlg for CountMin {
             seeds,
             table,
             processed,
-            width_recip,
             agg,
             ..
         } = self;
-        let (width, recip) = (*width, *width_recip);
+        let width = *width;
         *processed += updates.len() as u64;
         const SAMPLE: usize = 512;
         let sample = updates.len().min(SAMPLE);
@@ -251,13 +244,13 @@ impl StreamAlg for CountMin {
             agg.add(u.0, 1);
         }
         if updates.len() > sample && agg.runs().len() * 2 >= sample {
-            apply_weighted(seeds, table, width, recip, updates.iter().map(|u| (u.0, 1)));
+            apply_weighted(seeds, table, width, updates.iter().map(|u| (u.0, 1)));
             return;
         }
         for u in &updates[sample..] {
             agg.add(u.0, 1);
         }
-        apply_weighted(seeds, table, width, recip, agg.runs().iter().copied());
+        apply_weighted(seeds, table, width, agg.runs().iter().copied());
     }
 
     /// Linear-sketch merge: with identical dimensions **and identical row
@@ -411,6 +404,52 @@ mod tests {
         }
         assert_eq!(seq.table, bat.table);
         assert_eq!(seq.processed(), bat.processed());
+    }
+
+    #[test]
+    fn widths_off_powers_of_two_match_reference_hash_and_sequential() {
+        use wb_core::snap::to_bytes;
+        // A mostly distinct stream (the batch path hashes it directly) and
+        // a repetitive one (the batch path aggregates it first).
+        let distinct: Vec<InsertOnly> = (0..5000u64)
+            .map(|t| InsertOnly(t.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let repetitive: Vec<InsertOnly> = (0..5000u64).map(|t| InsertOnly(t % 37)).collect();
+        for width in [3usize, 100, 257, 1000] {
+            for depth in [1usize, 3, 4, 5] {
+                let mut rng = TranscriptRng::from_seed(39 + width as u64 * 8 + depth as u64);
+                let fresh = CountMin::new(depth, width, &mut rng);
+                for item in [0, 1, 2, P - 1, P, u64::MAX]
+                    .into_iter()
+                    .chain(distinct.iter().take(200).map(|u| u.0))
+                {
+                    for (row, &(a, b)) in fresh.seeds().iter().enumerate() {
+                        let h = (a as u128 * item as u128 + b as u128) % P as u128;
+                        assert_eq!(
+                            fresh.bucket(row, item),
+                            (h % width as u128) as usize,
+                            "{depth}x{width}, row {row}, item {item}"
+                        );
+                    }
+                }
+                for stream in [&distinct, &repetitive] {
+                    let mut seq = fresh.clone();
+                    for u in stream.iter() {
+                        seq.insert(u.0);
+                    }
+                    for chunk in [1usize, 7, 4096] {
+                        let mut bat = fresh.clone();
+                        let mut r = TranscriptRng::from_seed(40);
+                        for c in stream.chunks(chunk) {
+                            bat.process_batch(c, &mut r);
+                        }
+                        let at = format!("{depth}x{width}, chunk {chunk}");
+                        assert_eq!(seq.table, bat.table, "{at}");
+                        assert_eq!(to_bytes(&seq), to_bytes(&bat), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

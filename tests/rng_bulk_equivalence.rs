@@ -1,15 +1,16 @@
 //! Bulk RNG / scalar equivalence: the amortized batch APIs of the
 //! vectorized pipeline (`Xoshiro256StarStar::fill_u64`,
-//! `TranscriptRng::next_u64_many`, the bulk uniform rule `fill_below` fed
-//! by it, and the libdivide-style [`Reciprocal`] behind `below`) must be **draw-for-draw
-//! identical** to the historical scalar loops: same raw words, same items,
+//! `TranscriptRng::next_u64_many`, and the bulk uniform rule `fill_below`
+//! fed by it) must be **draw-for-draw identical** to the historical scalar
+//! loops: same raw words, same items,
 //! and the same public transcript (`draws`, `recent`, `last`). This is the
 //! white-box model's non-negotiable: every optimization must leave the
 //! public random tape byte-identical.
 
 use proptest::prelude::*;
 use wbstream::core::rng::{
-    coin_threshold, f64_from_word, fill_below, Reciprocal, TranscriptRng, Xoshiro256StarStar,
+    below, coin_threshold, f64_from_word, fill_below, rejection_zone, TranscriptRng, WordSource,
+    Xoshiro256StarStar,
 };
 
 /// Batch sizes the ISSUE pins: a singleton, a non-round prime, and a batch
@@ -17,7 +18,7 @@ use wbstream::core::rng::{
 /// wrap and drop non-surviving words.
 const BATCH_SIZES: &[usize] = &[1, 7, 4096];
 
-/// Moduli worth pinning: non-powers-of-two (the reciprocal path), a power
+/// Moduli worth pinning: non-powers-of-two (the rejection path), a power
 /// of two (the mask path), `1` (degenerate), and a value above `2^63`
 /// where rejection sampling actually rejects ~half the raw words, forcing
 /// `fill_below` through its redraw rounds.
@@ -83,39 +84,77 @@ fn fill_below_matches_scalar_loop() {
     }
 }
 
-#[test]
-fn reciprocal_edge_cases() {
-    for &n in &[1u64, 2, 3, (1 << 61) - 1, u64::MAX - 1, u64::MAX] {
-        let r = Reciprocal::new(n);
-        for &v in &[
-            0u64,
-            1,
-            n - 1,
-            n,
-            n.wrapping_add(1),
-            u64::MAX / 2,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            assert_eq!(r.rem(v), v % n, "rem({v}) mod {n}");
+/// A tape of fixed words, read in order. Reading past the last word
+/// panics, so a draw that consumes more words than it should fails.
+struct FixedWords {
+    words: Vec<u64>,
+    read: usize,
+}
+
+impl FixedWords {
+    fn new(words: &[u64]) -> Self {
+        FixedWords {
+            words: words.to_vec(),
+            read: 0,
         }
-        // The acceptance zone is the largest multiple of n in u64 range.
-        assert_eq!(r.zone() % n, 0, "zone is a multiple of n={n}");
-        assert!(
-            u64::MAX - r.zone() < n,
-            "zone is the largest multiple, n={n}"
-        );
+    }
+}
+
+impl WordSource for FixedWords {
+    fn next_u64(&mut self) -> u64 {
+        self.read += 1;
+        self.words[self.read - 1]
+    }
+
+    fn next_u64_many(&mut self, out: &mut [u64]) {
+        for w in out {
+            *w = self.next_u64();
+        }
+    }
+}
+
+/// The uniform-draw rule's rejection boundary: for a modulus that is not
+/// a power of two, the top word and the zone itself are rejected and the
+/// word just below the zone is accepted, by the scalar and the bulk rule
+/// alike, after exactly three words.
+#[test]
+fn uniform_rule_rejects_exactly_from_the_zone_up() {
+    for &n in &[
+        3u64,
+        4032,
+        (1 << 61) - 1,
+        (1 << 63) + 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ] {
+        let zone = u64::MAX - u64::MAX % n;
+        // The zone is the largest multiple of n in u64 range.
+        assert_eq!(zone % n, 0, "zone is a multiple of n={n}");
+        assert!(u64::MAX - zone < n, "zone is the largest multiple, n={n}");
+        assert_eq!(rejection_zone(n), zone, "n={n}");
+        let words = [u64::MAX, zone, zone - 1];
+        let mut tape = FixedWords::new(&words);
+        assert_eq!(below(&mut tape, n), (zone - 1) % n, "below, n={n}");
+        assert_eq!(tape.read, 3, "below's words, n={n}");
+        let mut tape = FixedWords::new(&words);
+        let mut out = [0u64];
+        fill_below(&mut tape, n, &mut out);
+        assert_eq!(out[0], (zone - 1) % n, "fill_below, n={n}");
+        assert_eq!(tape.read, 3, "fill_below's words, n={n}");
+    }
+    // A power of two masks: the top word is accepted as it is.
+    for &n in &[1u64, 2, 4096, 1 << 63] {
+        let mut tape = FixedWords::new(&[u64::MAX]);
+        assert_eq!(below(&mut tape, n), n - 1, "below, n={n}");
+        let mut tape = FixedWords::new(&[u64::MAX]);
+        let mut out = [0u64];
+        fill_below(&mut tape, n, &mut out);
+        assert_eq!(out[0], n - 1, "fill_below, n={n}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `Reciprocal::rem` is exactly `%` for every divisor and dividend.
-    #[test]
-    fn reciprocal_rem_is_exact(n in 1u64..=u64::MAX, v in any::<u64>()) {
-        prop_assert_eq!(Reciprocal::new(n).rem(v), v % n);
-    }
 
     /// Bulk word fills agree with the scalar tape from any interior offset
     /// (a scalar prefix desynchronizes any fill that assumed alignment).
