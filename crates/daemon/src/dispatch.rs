@@ -190,7 +190,7 @@ pub fn resume(shared: &Arc<Shared>, ctx: &mut SessionCtx<'_>, op: PendingOp) -> 
             }),
         },
         kind => {
-            let mut st = slot.state.lock().unwrap();
+            let mut st = crate::lock(&slot.state);
             if st.inbox.is_empty() && !st.scheduled {
                 let reply = finish_quiescent(&mut st, &kind).unwrap_or_else(|e| e.to_json());
                 drop(st);
@@ -228,7 +228,7 @@ fn handle_hello(
     // A `hello` for a registered tenant adopts it if the algorithm and
     // seed match.
     let adopt = |slot: &TenantSlot| -> Result<Json, ProtoError> {
-        let st = slot.state.lock().unwrap();
+        let st = crate::lock(&slot.state);
         st.tenant.check_hello_matches(alg, seed_base)?;
         Ok(hello_reply(&st.tenant))
     };
@@ -277,7 +277,7 @@ fn handle_ingest(
     let slot = lookup(shared, tenant)?;
     let accepted = updates.len() as u64;
     {
-        let mut st = slot.state.lock().unwrap();
+        let mut st = crate::lock(&slot.state);
         if let Err(e) = st.tenant.validate_batch(&updates) {
             st.tenant.rejected += accepted;
             return Err(e);
@@ -344,7 +344,7 @@ fn push_chunks(
     slot: &Arc<TenantSlot>,
     remaining: &mut VecDeque<Vec<Update>>,
 ) -> Pushed {
-    let mut st = slot.state.lock().unwrap();
+    let mut st = crate::lock(&slot.state);
     loop {
         if remaining.is_empty() {
             return Pushed::Complete {
@@ -364,7 +364,7 @@ fn push_chunks(
             st.scheduled = true;
             drop(st);
             schedule(shared, ctx.deferred, slot);
-            st = slot.state.lock().unwrap();
+            st = crate::lock(&slot.state);
         }
     }
 }
@@ -389,7 +389,7 @@ fn handle_quiescent(
         Ok(slot) => slot,
         Err(e) => return Outcome::reply(e.to_json()),
     };
-    let mut st = slot.state.lock().unwrap();
+    let mut st = crate::lock(&slot.state);
     if !st.inbox.is_empty() || st.scheduled {
         st.waiters.push(ctx.waiter());
         drop(st);
@@ -484,10 +484,7 @@ fn handle_restore(shared: &Arc<Shared>, path: &str) -> Result<Json, ProtoError> 
 
 /// Look up `tenant`, typed-erroring when it has not said `hello`.
 fn lookup(shared: &Arc<Shared>, tenant: &str) -> Result<Arc<TenantSlot>, ProtoError> {
-    shared
-        .tenants
-        .lock()
-        .unwrap()
+    crate::lock(&shared.tenants)
         .get(tenant)
         .cloned()
         .ok_or_else(|| {

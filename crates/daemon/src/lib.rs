@@ -6,8 +6,8 @@
 //! newline-delimited JSON over TCP, multiplexes thousands of tenants onto
 //! the [`wb_engine::pool`] work queue, shards mergeable tenants through
 //! [`wb_engine::shard::ShardPipeline`]s, and answers sketch queries
-//! online, with every backpressure point (tenant inboxes, pool queue,
-//! shard queues) bounded and counted.
+//! online, with every backpressure point (tenant inboxes, pool queue)
+//! bounded and counted.
 //!
 //! **Determinism contract.** A tenant's state is a pure function of its
 //! own update sequence and its derived seeds
@@ -44,3 +44,15 @@ pub mod tenant;
 pub use json::Json;
 pub use proto::{ErrorKind, ProtoError, Request};
 pub use server::{DaemonConfig, Server};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, taking the guard out of a [`PoisonError`] if a thread
+/// panicked while holding it. Kernel panics are already caught inside
+/// `Tenant::apply_chunk`; any other panic under a daemon lock is a bug,
+/// but the counters and queues it guards stay readable, and one poisoned
+/// tenant slot must not take metrics, the reactor or the other tenants
+/// down with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

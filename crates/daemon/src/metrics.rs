@@ -8,7 +8,7 @@
 //! |---|---|
 //! | per-tenant accepted/applied/rejected, rate | tenant counters |
 //! | per-tenant pending chunks, inbox stalls | the bounded inbox |
-//! | per-shard loads, skew, queue stalls | `wb_engine::shard::ShardStats` |
+//! | per-shard loads, skew | `wb_engine::shard::ShardStats` |
 //! | pool depth, peak, submit stalls | `wb_engine::pool::PoolStats` |
 //! | session lifecycle, request/error counts | server atomics |
 
@@ -68,11 +68,11 @@ pub fn tenant_json(st: &TenantState) -> Json {
 pub fn snapshot(shared: &Shared) -> Json {
     let pool = shared.pool.stats();
     let (opened, closed, active) = session_gauges(shared);
-    let tenants = shared.tenants.lock().unwrap();
+    let tenants = crate::lock(&shared.tenants);
     let mut per_tenant = Vec::with_capacity(tenants.len());
     let (mut accepted, mut applied, mut rejected, mut inbox_stalls) = (0u64, 0u64, 0u64, 0u64);
     for slot in tenants.values() {
-        let st = slot.state.lock().unwrap();
+        let st = crate::lock(&slot.state);
         accepted += st.tenant.accepted;
         applied += st.tenant.applied;
         rejected += st.tenant.rejected;
@@ -176,10 +176,10 @@ const TOP_ROWS: usize = 32;
 pub fn top_text(shared: &Shared) -> String {
     let pool = shared.pool.stats();
     let (opened, _closed, active) = session_gauges(shared);
-    let tenants = shared.tenants.lock().unwrap();
+    let tenants = crate::lock(&shared.tenants);
     let mut rows: Vec<(u64, String)> = Vec::with_capacity(tenants.len());
     for slot in tenants.values() {
-        let st = slot.state.lock().unwrap();
+        let st = crate::lock(&slot.state);
         let t = &st.tenant;
         let skew = t
             .shard_stats()

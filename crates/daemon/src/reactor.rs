@@ -195,7 +195,7 @@ impl WakeHub {
     }
 
     fn take_tokens(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.tokens.lock().unwrap())
+        std::mem::take(&mut *crate::lock(&self.tokens))
     }
 
     fn drain_pipe(&self) {
@@ -213,7 +213,7 @@ impl WakeHub {
 
 impl WakeSink for WakeHub {
     fn wake(&self, token: u64) {
-        self.tokens.lock().unwrap().push(token);
+        crate::lock(&self.tokens).push(token);
         let byte = 1u8;
         // EAGAIN (pipe full) means a wakeup is already queued; any other
         // failure only costs latency — the loop's timeout re-checks.

@@ -172,7 +172,7 @@ impl Shared {
     /// Whether a tenant `id` would be admitted right now — a pre-check,
     /// so `hello` builds no algorithm it would have to throw away.
     pub fn check_admission(&self, id: &str) -> Result<(), Refusal> {
-        self.admit(&self.tenants.lock().unwrap(), id)
+        self.admit(&crate::lock(&self.tenants), id)
     }
 
     /// The one way a tenant enters the registry (`hello`, `restore` and
@@ -181,7 +181,7 @@ impl Shared {
     /// tenant is being built cannot gain a tenant it will never flush, and
     /// a registered tenant is never replaced.
     pub fn register(&self, tenant: Tenant) -> Result<(), Refusal> {
-        let mut tenants = self.tenants.lock().unwrap();
+        let mut tenants = crate::lock(&self.tenants);
         self.admit(&tenants, &tenant.id)?;
         tenants.insert(tenant.id.clone(), Arc::new(TenantSlot::new(tenant)));
         Ok(())
@@ -371,9 +371,9 @@ fn persist_state_dir(shared: &Arc<Shared>) -> std::io::Result<()> {
         return Ok(());
     };
     std::fs::create_dir_all(&dir)?;
-    let tenants = shared.tenants.lock().unwrap();
+    let tenants = crate::lock(&shared.tenants);
     for (id, slot) in tenants.iter() {
-        let mut st = slot.state.lock().unwrap();
+        let mut st = crate::lock(&slot.state);
         debug_assert!(st.inbox.is_empty(), "persist ran before the pool drained");
         match st.tenant.snapshot_bytes() {
             Ok(frame) => {

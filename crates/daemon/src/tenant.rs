@@ -328,7 +328,7 @@ impl Tenant {
         }
     }
 
-    /// Per-shard routing stats (loads always; stalls stay zero inline).
+    /// Per-shard routing stats (routed loads).
     /// `None` for flat tenants.
     pub fn shard_stats(&self) -> Option<ShardStats> {
         match &self.engine {
@@ -536,7 +536,7 @@ impl TenantSlot {
     /// behind without a worker owning it. Registered [`Waiter`]s are woken
     /// at every progress point.
     pub fn drain_inbox(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = crate::lock(&self.state);
         loop {
             match st.inbox.pop_front() {
                 Some(chunk) => {
@@ -564,7 +564,7 @@ impl TenantSlot {
     /// tenant if no worker owns it. Returns `true` when the caller must
     /// schedule a [`Self::drain_inbox`] job.
     pub fn hand_off(&self, chunks: VecDeque<Vec<Update>>) -> bool {
-        let mut st = self.state.lock().unwrap();
+        let mut st = crate::lock(&self.state);
         st.inbox.extend(chunks);
         let claim = !st.scheduled && !st.inbox.is_empty();
         st.scheduled |= claim;

@@ -34,9 +34,8 @@
 //! * [`shard`] — sharded ingestion: route one logical stream across `S`
 //!   instances (hash or round-robin) and fold the states back together
 //!   with `DynStreamAlg::merge_dyn` in a deterministic reduction tree. One
-//!   core serves both modes: a per-shard ingest step and one
-//!   route-and-stage step, run inline by [`ShardPipeline`] or with one
-//!   consumer thread per shard behind a bounded chunk queue. Only
+//!   core, [`ShardPipeline`], serves every caller on the caller's thread:
+//!   a per-shard ingest step and one route-and-stage step. Only
 //!   algorithms that override `StreamAlg::merge_from` participate; the rest
 //!   refuse with a typed `MergeError`.
 //! * [`workload`] — one generator per named workload (the declarative

@@ -107,9 +107,8 @@ pub fn run_ordered_with<'a, T: Send>(
 /// batch).
 pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
-/// A point-in-time snapshot of a [`WorkerPool`]'s counters — the pool-level
-/// half of the daemon's backpressure instrumentation (the per-shard half is
-/// [`crate::shard::ShardStats`]).
+/// A point-in-time snapshot of a [`WorkerPool`]'s counters — the daemon's
+/// pool-level backpressure instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Jobs accepted by [`WorkerPool::submit`] so far.

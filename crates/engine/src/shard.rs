@@ -1,36 +1,30 @@
 //! Sharded ingestion: one logical stream, `S` shard instances, one merged
 //! answer — the first end-to-end scale-out path in the workspace.
 //!
-//! The pipeline is **streaming**: [`ingest_sharded_source`] pulls chunks
-//! from an [`UpdateSource`] on the caller's thread (the producer), routes
-//! each update to its shard's staging buffer, and hands full `batch`-sized
-//! chunks to the shard's consumer over a **bounded SPSC chunk queue**
-//! (consumers recycle emptied buffers back to the producer, so the whole
-//! run keeps O(S × batch) updates in flight regardless of the stream
-//! length — there are no materialized per-shard buckets). Each consumer
-//! ingests its chunks through the batched
-//! [`DynStreamAlg::process_batch_dyn`] path, and the caller then folds the
-//! shard states together with [`DynStreamAlg::merge_dyn`] in a
+//! The pipeline is **streaming** and runs on the caller's thread:
+//! [`ingest_sharded_source`] pulls chunks from an [`UpdateSource`], routes
+//! each update to its shard's staging buffer, and hands every full
+//! `batch`-sized buffer to its shard, so the whole run keeps
+//! O(S × batch) updates in memory regardless of the stream length — there
+//! are no materialized per-shard buckets. Each shard ingests its chunks
+//! through the batched [`DynStreamAlg::process_batch_dyn`] path, and the
+//! shard states then fold together with [`DynStreamAlg::merge_dyn`] in a
 //! **deterministic reduction tree**: level by level, shard `2i+1` merges
-//! into shard `2i`. Scheduling is invisible — each shard's update
-//! subsequence and chunk boundaries are pure functions of the stream and
-//! the config, shard seeds derive from the master seed via
-//! [`derive_seed`]`(master, ["shard", i])`, and merges happen in fixed
-//! tree order on the caller's thread — so the merged instance is a pure
+//! into shard `2i`. Each shard's update subsequence and chunk boundaries
+//! are pure functions of the stream and the config, shard seeds derive
+//! from the master seed via [`derive_seed`]`(master, ["shard", i])`, and
+//! merges happen in fixed tree order — so the merged instance is a pure
 //! function of `(stream, algorithm, S, partition, batch, master_seed)`,
-//! byte-identical for every thread count and identical to the historical
-//! materialized-bucket implementation (asserted by the
+//! identical to the materialized-bucket dataflow (asserted by the
 //! `streaming_pipeline` test suite).
 //!
-//! Both modes share one core: a per-shard ingest step (the shard's
-//! instance, tape, and first-failure bookkeeping) and one route-and-stage
-//! step (routing, load counting, chunk staging). With `threads <= 1`
-//! [`ShardPipeline`] runs them fully inline on the caller's thread — no
-//! queues, no spawns — producing the identical chunk sequence per shard;
-//! the threaded mode only adds what threads need (consumers, queues,
-//! buffer recycling, stall counts). The tournament uses the inline mode,
-//! because its cells already parallelize on the engine
-//! [pool](crate::pool).
+//! [`ShardPipeline`] is the one ingestion core: a per-shard ingest step
+//! (the shard's instance, tape, and first-failure bookkeeping) and one
+//! route-and-stage step (routing, load counting, chunk staging). The
+//! one-shot path pulls a source through it; the daemon's tenants keep one
+//! alive and push requests into it. Parallelism lives a level up: the
+//! tournament runs whole cells on the engine [pool](crate::pool), and
+//! `wbd` applies tenants on its worker pool.
 //!
 //! **White-box caveat.** Sharding never weakens the paper's adversary — it
 //! strengthens it: the adversary observes *every* shard's internal state
@@ -42,8 +36,6 @@
 
 use crate::erased::{DynStreamAlg, Update};
 use crate::workload::UpdateSource;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use wb_core::merge::MergeError;
 use wb_core::rng::{derive_seed, SplitMix64, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -89,14 +81,12 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Routing rule.
     pub partition: Partition,
-    /// Threading mode: `1` runs the whole pipeline inline on the caller's
-    /// thread; anything that resolves to more than one worker (`0` = one
-    /// per core) spawns **one consumer thread per shard**, fed over
-    /// bounded chunk queues by the caller-thread producer. Both modes
-    /// produce bit-identical shard states.
+    /// Inert: nothing reads it. Ingestion always runs on the caller's
+    /// thread, and the shard states never depended on the thread count.
+    /// The field remains only so struct-literal constructions keep
+    /// compiling.
     pub threads: usize,
-    /// Chunk size for each shard's batched ingestion (and the unit of the
-    /// producer→consumer queues).
+    /// Chunk size for each shard's batched ingestion.
     pub batch: usize,
     /// Master seed; shard `i`'s random tape is seeded with
     /// `derive_seed(master_seed, ["shard", i])`.
@@ -132,9 +122,8 @@ pub fn hash_shard(item: u64, shards: usize) -> usize {
 /// Fold `instances` into one by a deterministic reduction tree: at every
 /// level, instance `2i+1` merges into instance `2i`; survivors repeat until
 /// one remains. Equivalent to a left fold in outcome for associative
-/// merges, but the tree shape is part of the contract so reports stay
-/// byte-identical as the shard count varies only with `S`, never with the
-/// thread count.
+/// merges, but the tree shape is part of the contract: it depends on `S`
+/// alone, so reports stay byte-identical.
 pub fn merge_reduce(
     mut instances: Vec<Box<dyn DynStreamAlg>>,
 ) -> Result<Box<dyn DynStreamAlg>, MergeError> {
@@ -153,19 +142,13 @@ pub fn merge_reduce(
     Ok(instances.pop().expect("one instance remains"))
 }
 
-/// Per-shard ingestion statistics: routed-item counts and bounded-queue
-/// backpressure, exported so callers (the daemon's metrics layer,
-/// `exp_sharded`) can see what used to be invisible internal state.
+/// Per-shard ingestion statistics: routed-item counts, exported so callers
+/// (the daemon's metrics layer, `exp_sharded`) can see how the stream was
+/// spread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// Updates routed to each shard; sums to the stream length.
     pub loads: Vec<usize>,
-    /// Producer stalls per shard: how often a full `batch`-sized chunk
-    /// found the shard's bounded SPSC queue full and the producer had to
-    /// block until the consumer freed a slot. Always zero in inline mode
-    /// (there are no queues) — a nonzero count means that shard's consumer
-    /// is the pipeline's bottleneck.
-    pub queue_stalls: Vec<u64>,
 }
 
 impl ShardStats {
@@ -177,11 +160,6 @@ impl ShardStats {
     /// Largest per-shard load.
     pub fn max_load(&self) -> usize {
         self.loads.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total producer stalls across all queues.
-    pub fn total_stalls(&self) -> u64 {
-        self.queue_stalls.iter().sum()
     }
 
     /// Load skew: the largest shard's load divided by the mean load
@@ -202,15 +180,9 @@ impl ShardStats {
 pub struct ShardedIngest {
     /// The merged algorithm holding the whole stream's summary.
     pub merged: Box<dyn DynStreamAlg>,
-    /// How the stream was spread and how often the producer stalled.
+    /// How the stream was spread.
     pub stats: ShardStats,
 }
-
-/// How many in-flight chunks each shard's bounded queue may hold before
-/// the producer blocks. Together with the staging buffer and the buffers
-/// being recycled, this caps the pipeline's resident stream slice at
-/// `S × (QUEUE_CHUNKS + 2) × batch` updates — independent of `m`.
-const QUEUE_CHUNKS: usize = 2;
 
 /// After a chunk-level ingest error, locate the offset (relative to the
 /// start of this ingester's subsequence; `base` updates were accepted
@@ -236,8 +208,7 @@ pub(crate) fn locate_failure(
 }
 
 /// One shard: its instance, its public random tape, and its failure
-/// bookkeeping. [`ShardPipeline`] owns every shard; the threaded mode
-/// moves each one into its consumer thread.
+/// bookkeeping. [`ShardPipeline`] owns every shard.
 struct Shard {
     index: usize,
     alg: Box<dyn DynStreamAlg>,
@@ -290,9 +261,8 @@ impl Shard {
     }
 }
 
-/// The route-and-stage step both modes share: assign each update its
-/// shard, count the shard's load, and stage the update until the shard's
-/// chunk is full.
+/// The route-and-stage step: assign each update its shard, count the
+/// shard's load, and stage the update until the shard's chunk is full.
 struct Router {
     partition: Partition,
     shards: usize,
@@ -331,23 +301,10 @@ impl Router {
     }
 }
 
-/// Merge the per-shard outcomes: the first error in **shard order** wins
-/// (never the first in wall-clock order, which scheduling could reorder),
-/// otherwise reduce the states.
-fn finish_sharded(
-    results: Vec<Result<Box<dyn DynStreamAlg>, WbError>>,
-    stats: ShardStats,
-) -> Result<ShardedIngest, WbError> {
-    let ingested: Result<Vec<Box<dyn DynStreamAlg>>, WbError> = results.into_iter().collect();
-    let merged =
-        merge_reduce(ingested?).map_err(|e| WbError::invalid(format!("sharded merge: {e}")))?;
-    Ok(ShardedIngest { merged, stats })
-}
-
 /// Ingest a pull-based stream across `cfg.shards` instances built by
 /// `ctor` and return the merged result, holding only O(shards × batch)
-/// updates in memory at any moment (see the module docs for the
-/// producer/consumer anatomy).
+/// updates in memory at any moment: a pull loop over a [`ShardPipeline`]
+/// on the caller's thread.
 ///
 /// `ctor(i)` must build shard `i`'s instance; for seeded sketches
 /// (CountMin, AmsF2) every shard must be constructed from the **same**
@@ -356,11 +313,10 @@ fn finish_sharded(
 /// deletion offered to an insertion-only sketch) surface as the underlying
 /// [`WbError`], annotated with the shard and the failing offset; when
 /// several shards fail, the error of the lowest-numbered shard is
-/// reported. The outcome is deterministic because each shard's **first**
-/// failure is what it reports, and a shard keeps consuming (without
-/// processing) after failing — production only stops early once *every*
-/// shard has failed, by which point all reports are fixed. Merge refusals
-/// are mapped into
+/// reported. Each shard reports its **first** failure and counts (without
+/// processing) what it is handed after it; pulling stops early once
+/// *every* shard has failed, by which point all reports are fixed. Merge
+/// refusals are mapped into
 /// [`WbError::InvalidParameter`] with the typed error's message (probe
 /// with [`probe_mergeable`] first to branch on mergeability without paying
 /// for ingestion).
@@ -370,9 +326,6 @@ pub fn ingest_sharded_source(
     cfg: &ShardConfig,
 ) -> Result<ShardedIngest, WbError> {
     let mut pipeline = ShardPipeline::new(ctor, cfg)?;
-    if crate::pool::effective_threads(cfg.threads) > 1 && pipeline.shards() > 1 {
-        return pipeline.ingest_threaded(source);
-    }
     let mut buf: Vec<Update> = Vec::with_capacity(pipeline.router.batch);
     while source.next_chunk(&mut buf) > 0 {
         pipeline.push(&buf);
@@ -391,12 +344,10 @@ pub fn ingest_sharded_source(
 /// sessions push ingest batches as they arrive over the wire and query the
 /// merged answer whenever a client asks.
 ///
-/// The one-shot path is a pull loop over this type (its threaded mode
-/// moves the same shards and router onto consumer threads), so a pipeline
-/// fed the same updates in any request sizes ends in shard states
-/// byte-identical to an offline [`ingest_sharded_source`] run of the
-/// concatenated stream — chunk boundaries are pure transport by the
-/// batching contract.
+/// The one-shot path is a pull loop over this type, so a pipeline fed the
+/// same updates in any request sizes ends in shard states byte-identical
+/// to an offline [`ingest_sharded_source`] run of the concatenated stream
+/// — chunk boundaries are pure transport by the batching contract.
 pub struct ShardPipeline {
     shards: Vec<Shard>,
     router: Router,
@@ -424,22 +375,15 @@ impl ShardPipeline {
         })
     }
 
-    /// Number of shard instances.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Updates routed so far (including ones staged but not yet delivered).
     pub fn routed(&self) -> u64 {
         self.router.pos
     }
 
-    /// Current routed-load / stall statistics. Inline pipelines have no
-    /// queues, so stalls are always zero here.
+    /// Current routed-load statistics.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             loads: self.router.loads.clone(),
-            queue_stalls: vec![0; self.shards.len()],
         }
     }
 
@@ -655,100 +599,14 @@ impl ShardPipeline {
     pub fn finish(mut self) -> Result<ShardedIngest, WbError> {
         self.flush();
         let stats = self.stats();
-        let results = self.shards.into_iter().map(Shard::into_result).collect();
-        finish_sharded(results, stats)
-    }
-
-    /// The threaded mode of [`ingest_sharded_source`]: every shard moves
-    /// into its own scoped consumer thread behind a bounded SPSC chunk
-    /// queue, while the caller's thread routes and stages with the same
-    /// [`Router`] as [`ShardPipeline::push`] and hands each full
-    /// chunk over instead of ingesting it.
-    fn ingest_threaded(self, source: &mut dyn UpdateSource) -> Result<ShardedIngest, WbError> {
-        let ShardPipeline {
-            shards, mut router, ..
-        } = self;
-        let n = shards.len();
-        let batch = router.batch;
-        // Consumers bump this once, at their first failure; when it reaches
-        // `n` the producer stops generating — nothing downstream can
-        // change the outcome once every shard's first failure is fixed.
-        let failed_shards = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let mut queues = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for mut shard in shards {
-                let (full_tx, full_rx) = mpsc::sync_channel::<Vec<Update>>(QUEUE_CHUNKS);
-                let (empty_tx, empty_rx) = mpsc::channel::<Vec<Update>>();
-                queues.push((full_tx, empty_rx));
-                let failed_shards = &failed_shards;
-                handles.push(scope.spawn(move || {
-                    // An errored consumer keeps draining (and recycling)
-                    // chunks instead of dropping its receiver: closing the
-                    // queue would abort the producer mid-stream and make
-                    // *which other shards also fail* depend on scheduling.
-                    for mut chunk in full_rx {
-                        if shard.ingest(&chunk) {
-                            failed_shards.fetch_add(1, Ordering::Relaxed);
-                        }
-                        chunk.clear();
-                        let _ = empty_tx.send(chunk);
-                    }
-                    shard.into_result()
-                }));
-            }
-
-            let mut queue_stalls = vec![0u64; n];
-            // Swap shard `s`'s full staging buffer for a recycled one and
-            // queue it. Offer without blocking first so a full queue is
-            // observable: when the consumer is the bottleneck, count the
-            // stall, then fall back to the blocking send. Consumers never
-            // close their queue while the producer lives, so send only
-            // fails if a consumer panicked — surfaced at join.
-            let mut hand_off = |router: &mut Router, s: usize| {
-                let (full_tx, empty_rx) = &queues[s];
-                let next = empty_rx
-                    .try_recv()
-                    .unwrap_or_else(|_| Vec::with_capacity(batch));
-                let chunk = std::mem::replace(&mut router.staging[s], next);
-                if let Err(mpsc::TrySendError::Full(chunk)) = full_tx.try_send(chunk) {
-                    queue_stalls[s] += 1;
-                    let _ = full_tx.send(chunk);
-                }
-            };
-            let mut buf: Vec<Update> = Vec::with_capacity(batch);
-            while source.next_chunk(&mut buf) > 0 {
-                for u in &buf {
-                    if let Some(s) = router.stage(u) {
-                        hand_off(&mut router, s);
-                    }
-                }
-                if failed_shards.load(Ordering::Relaxed) >= n {
-                    break;
-                }
-            }
-            for s in 0..n {
-                if !router.staging[s].is_empty() {
-                    hand_off(&mut router, s);
-                }
-            }
-            drop(queues); // close the queues: consumers finish and return
-
-            let results = handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect();
-            finish_sharded(
-                results,
-                ShardStats {
-                    loads: router.loads,
-                    queue_stalls,
-                },
-            )
-        })
+        let ingested = self
+            .shards
+            .into_iter()
+            .map(Shard::into_result)
+            .collect::<Result<Vec<_>, WbError>>()?;
+        let merged =
+            merge_reduce(ingested).map_err(|e| WbError::invalid(format!("sharded merge: {e}")))?;
+        Ok(ShardedIngest { merged, stats })
     }
 }
 
@@ -768,7 +626,7 @@ pub fn probe_mergeable(
 mod tests {
     use super::*;
     use crate::registry::{self, Params};
-    use crate::workload::SliceSource;
+    use crate::workload::{InspectSource, SliceSource};
 
     fn registry_ctor(
         name: &'static str,
@@ -792,38 +650,29 @@ mod tests {
     #[test]
     fn sharded_linear_sketch_equals_single_stream_exactly() {
         // CountMin is linear: the merged table must be bit-identical to
-        // single-stream ingestion, for both partitions and any threads.
+        // single-stream ingestion, for both partitions.
         let params = Params::default().with_n(1 << 10);
         let updates = zipfish(4000, 1 << 10);
         let mut single = registry::get("count_min", &params).unwrap();
         let mut rng = TranscriptRng::from_seed(1);
         single.process_batch_dyn(&updates, &mut rng).unwrap();
         for partition in [Partition::Hash, Partition::RoundRobin] {
-            for threads in [1usize, 4] {
-                let cfg = ShardConfig {
-                    shards: 4,
-                    partition,
-                    threads,
-                    batch: 128,
-                    master_seed: 7,
-                };
-                let out = ingest_sharded_source(
-                    &registry_ctor("count_min", params.clone()),
-                    &mut SliceSource::new(&updates),
-                    &cfg,
-                )
-                .unwrap();
-                assert_eq!(
-                    out.merged.query_dyn(),
-                    single.query_dyn(),
-                    "{partition:?} threads {threads}"
-                );
-                assert_eq!(out.merged.space_bits_dyn(), single.space_bits_dyn());
-                assert_eq!(out.stats.total(), 4000);
-                if threads == 1 {
-                    assert_eq!(out.stats.total_stalls(), 0, "inline mode has no queues");
-                }
-            }
+            let cfg = ShardConfig {
+                shards: 4,
+                partition,
+                threads: 1,
+                batch: 128,
+                master_seed: 7,
+            };
+            let out = ingest_sharded_source(
+                &registry_ctor("count_min", params.clone()),
+                &mut SliceSource::new(&updates),
+                &cfg,
+            )
+            .unwrap();
+            assert_eq!(out.merged.query_dyn(), single.query_dyn(), "{partition:?}");
+            assert_eq!(out.merged.space_bits_dyn(), single.space_bits_dyn());
+            assert_eq!(out.stats.total(), 4000);
         }
     }
 
@@ -831,30 +680,23 @@ mod tests {
     fn sharded_counter_summary_is_deterministic_and_within_guarantee() {
         let params = Params::default().with_n(1 << 10);
         let updates = zipfish(6000, 1 << 10);
-        let cfg = |threads| ShardConfig {
+        let cfg = ShardConfig {
             shards: 8,
             partition: Partition::Hash,
-            threads,
+            threads: 1,
             batch: 256,
             master_seed: 3,
         };
-        let a = ingest_sharded_source(
-            &registry_ctor("misra_gries", params.clone()),
-            &mut SliceSource::new(&updates),
-            &cfg(1),
-        )
-        .unwrap();
-        let b = ingest_sharded_source(
-            &registry_ctor("misra_gries", params.clone()),
-            &mut SliceSource::new(&updates),
-            &cfg(8),
-        )
-        .unwrap();
-        assert_eq!(
-            a.merged.query_dyn(),
-            b.merged.query_dyn(),
-            "thread count leaked into the merged state"
-        );
+        let run = || {
+            ingest_sharded_source(
+                &registry_ctor("misra_gries", params.clone()),
+                &mut SliceSource::new(&updates),
+                &cfg,
+            )
+            .unwrap()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.merged.query_dyn(), b.merged.query_dyn());
         // Items 1 (50%) and 2 (30%) are heavy and must be reported.
         let items = a.merged.query_dyn();
         let reported: Vec<u64> = items.as_items().unwrap().iter().map(|&(i, _)| i).collect();
@@ -1215,5 +1057,41 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("shard 0"), "{err}");
+    }
+
+    #[test]
+    fn one_shot_ingest_stops_pulling_once_every_shard_failed() {
+        // An all-deletion stream fails both shards of an insertion-only
+        // summary at their first chunk; the pull loop must stop there
+        // instead of draining the source.
+        let params = Params::default().with_n(1 << 10);
+        let cfg = ShardConfig {
+            shards: 2,
+            partition: Partition::RoundRobin,
+            threads: 1,
+            batch: 64,
+            master_seed: 9,
+        };
+        let deletions: Vec<Update> = (0..1u64 << 16)
+            .map(|i| Update::Turnstile {
+                item: i % 1024,
+                delta: -1,
+            })
+            .collect();
+        let mut pulled = 0usize;
+        let mut source = InspectSource::new(SliceSource::new(&deletions), |chunk: &[Update]| {
+            pulled += chunk.len();
+        });
+        let err =
+            match ingest_sharded_source(&registry_ctor("misra_gries", params), &mut source, &cfg) {
+                Ok(_) => panic!("deletions must fail misra_gries"),
+                Err(e) => e,
+            };
+        assert!(err.to_string().contains("shard 0:"), "{err}");
+        assert!(
+            pulled <= 4 * cfg.batch,
+            "pulled {pulled} of {} updates after every shard failed",
+            deletions.len()
+        );
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! **Streaming prelude.** The prelude is never materialized: chunks of
 //! `batch` updates are pulled from [`WorkloadSpec::stream`] into one
-//! reused buffer (flat mode) or routed through the bounded chunk queues of
+//! reused buffer (flat mode) or routed through the shard pipeline of
 //! [`crate::shard`] (sharded mode), so a cell's memory is O(batch + n)
 //! regardless of `prelude_m` — `--prelude-m 10_000_000` and beyond is a
 //! matter of wall-clock, not RAM. The chunk size is pure transport: the
@@ -913,7 +913,7 @@ fn play_cell(
         let shard_cfg = ShardConfig {
             shards,
             partition: Partition::Hash,
-            threads: 1, // cells already parallelize on the tournament pool
+            threads: 1,
             batch,
             master_seed: game_seed,
         };

@@ -6,7 +6,8 @@
 //!   `applied == accepted` for every tenant and globally;
 //! * the `metrics` payload exposes the new instrumentation — per-tenant
 //!   ingest rates and accepted/rejected counters, per-shard loads + skew,
-//!   queue-stall counters, pool depth, session lifecycle counts.
+//!   inbox-stall counters, pool depth, session lifecycle counts;
+//! * a poisoned tenant lock takes down neither metrics nor other tenants.
 //!
 //! `wbd` serves through its epoll reactor, so these tests run on Linux.
 
@@ -209,8 +210,8 @@ fn sixty_four_tenants_graceful_drain_loses_nothing() {
             let routed: u64 = loads.iter().map(|l| l.as_u64().unwrap()).sum();
             assert_eq!(routed, BATCHES * PER_BATCH, "all updates routed");
             assert!(t.get("shard_skew").is_some(), "per-shard skew exported");
-            // Tenant pipelines run inline (one thread), so they have no
-            // chunk queues to stall.
+            // Shard pipelines have no queues, so there are no stalls to
+            // export.
             assert!(t.get("shard_queue_stalls").is_none());
         } else {
             assert!(
@@ -601,6 +602,57 @@ fn insert_line(tenant: &str, from: u64, count: u64) -> String {
         "{{\"cmd\":\"ingest\",\"tenant\":\"{tenant}\",\"updates\":[{}]}}",
         updates.join(",")
     )
+}
+
+/// A thread that panics while holding one tenant's slot lock poisons that
+/// mutex. Metrics, `top`, and every other tenant must keep answering, in
+/// process and over the wire.
+#[test]
+fn a_poisoned_tenant_lock_leaves_metrics_and_other_tenants_serving() {
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut sess = Session::connect(server.addr());
+    sess.expect_ok(r#"{"cmd":"hello","tenant":"bad","alg":"misra_gries","seed":1,"shards":2}"#);
+    sess.expect_ok(r#"{"cmd":"hello","tenant":"good","alg":"count_min","seed":1,"shards":2}"#);
+    sess.expect_ok(&insert_line("bad", 0, 50));
+    sess.expect_ok(r#"{"cmd":"query","tenant":"bad"}"#);
+
+    let shared = server.shared();
+    let bad = std::sync::Arc::clone(&shared.tenants.lock().unwrap()["bad"]);
+    let poisoner = std::thread::spawn(move || {
+        let _held = bad.state.lock().unwrap();
+        panic!("poisoning tenant 'bad' on purpose");
+    });
+    assert!(poisoner.join().is_err());
+    assert!(shared.tenants.lock().unwrap()["bad"].state.is_poisoned());
+
+    let snap = wb_daemon::metrics::snapshot(shared);
+    let tenants = snap.get("tenants").expect("tenants rollup");
+    assert_eq!(tenants.get("count").and_then(Json::as_u64), Some(2));
+    let top = wb_daemon::metrics::top_text(shared);
+    assert!(top.contains("bad") && top.contains("good"), "{top}");
+
+    sess.expect_ok(&insert_line("good", 0, 40));
+    let reply = sess.expect_ok(r#"{"cmd":"query","tenant":"good"}"#);
+    assert_eq!(reply.get("processed").and_then(Json::as_u64), Some(40));
+    let metrics = sess.expect_ok(r#"{"cmd":"metrics"}"#);
+    let per_tenant = metrics
+        .get("metrics")
+        .and_then(|m| m.get("per_tenant"))
+        .and_then(Json::as_arr)
+        .expect("per-tenant metrics");
+    assert_eq!(per_tenant.len(), 2);
+    sess.expect_ok(r#"{"cmd":"top"}"#);
+    sess.expect_ok(r#"{"cmd":"bye"}"#);
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("tenants rollup");
+    assert_eq!(tenants.get("accepted").and_then(Json::as_u64), Some(90));
+    assert_eq!(tenants.get("applied"), tenants.get("accepted"));
 }
 
 /// The tentpole end-to-end: `snapshot` a mid-stream tenant to disk over

@@ -69,7 +69,7 @@ fn shard_config(shards: usize, partition: Partition, seed: u64) -> ShardConfig {
     ShardConfig {
         shards,
         partition,
-        threads: 2,
+        threads: 1,
         batch: 128,
         master_seed: seed,
     }
