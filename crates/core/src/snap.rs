@@ -461,6 +461,27 @@ pub fn from_bytes<T: Snapshot + ?Sized>(value: &mut T, bytes: &[u8]) -> Result<(
     r.finish()
 }
 
+/// Writes `bytes` to `path` atomically and durably: the bytes go to
+/// `<path>.tmp`, which is synced to disk and then renamed over `path`,
+/// and (on Unix) the rename is synced through the parent directory. A
+/// crash or power loss mid-write leaves either the previous file or the
+/// new one, never a torn frame.
+pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let tmp = path.with_extension("tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,5 +621,17 @@ mod tests {
         let mut bad = bytes.clone();
         bad.push(0);
         assert_eq!(from_bytes(&mut q, &bad), Err(SnapError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("wb_snap_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frame.bin");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(!path.with_extension("tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,11 +16,12 @@
 use crate::json::{obj, Json};
 use crate::metrics;
 use crate::proto::{self, ErrorKind, ProtoError, Request};
-use crate::server::{hex_id, write_atomic, Refusal, Shared};
+use crate::server::{hex_id, Refusal, Shared};
 use crate::tenant::{Tenant, TenantSlot, TenantState, Waiter, WakeSink, INBOX_CHUNKS};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use wb_core::snap::write_atomic;
 use wb_engine::Update;
 
 /// The session a request runs for: where it parks when it blocks, and
@@ -502,6 +503,5 @@ pub(crate) fn hello_reply(t: &Tenant) -> Json {
         ("alg", Json::from(t.alg_name.as_str())),
         ("model", Json::from(t.model.label())),
         ("shards", Json::from(t.shards as u64)),
-        ("tenant_seed", Json::from(t.tenant_seed)),
     ])
 }

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use wb_core::snap::write_atomic;
 use wb_engine::pool::WorkerPool;
 
 /// Upper bound on `--threads`: the ingest pool spawns one OS thread per
@@ -321,14 +322,6 @@ pub(crate) fn hex_id(id: &str) -> String {
         let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{b:02x}"));
         s
     })
-}
-
-/// Write `bytes` to `path` atomically (tmp + rename): a crash mid-write
-/// leaves either the previous snapshot or none, never a torn frame.
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Startup half of `--state-dir`: restore every `*.wbsnap` file present,

@@ -62,13 +62,13 @@ use crate::registry::{self, Params};
 use crate::report::{header, row};
 use crate::round::Round;
 use crate::shard::{self, Partition, ShardConfig};
-use crate::workload::{FoldSource, InspectSource, UpdateSource, WorkloadSpec, WorkloadStream};
+use crate::workload::{FoldSource, InspectSource, UpdateSource, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 use wb_core::rng::derive_seed;
-use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use wb_core::snap::{write_atomic, SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::WbError;
 
 /// The workload dimensions of the cross-product: every named generator in
@@ -490,7 +490,7 @@ pub struct CheckpointConfig {
 /// checkpoint is refused up front instead of failing cell by cell.
 fn config_fingerprint(cfg: &TournamentConfig) -> String {
     format!(
-        "v2;seed={};n={};prelude_m={};rounds={};shards={};algs={};adversaries={};workloads={}",
+        "v3;seed={};n={};prelude_m={};rounds={};shards={};algs={};adversaries={};workloads={}",
         cfg.master_seed,
         cfg.n,
         cfg.prelude_m,
@@ -639,12 +639,12 @@ impl CkptStore {
         })
     }
 
-    /// Atomic persist: write to `<path>.tmp`, then rename over `path` — a
-    /// kill mid-write leaves the previous checkpoint intact.
+    /// Best-effort durable persist through [`write_atomic`]: a kill or
+    /// power loss mid-write leaves the previous checkpoint intact. A failed
+    /// write costs only progress, so it is reported and the run goes on.
     fn persist(&self) {
-        let tmp = self.path.with_extension("tmp");
-        if std::fs::write(&tmp, self.serialize()).is_ok() {
-            let _ = std::fs::rename(&tmp, &self.path);
+        if let Err(e) = write_atomic(&self.path, &self.serialize()) {
+            eprintln!("tournament: could not persist {}: {e}", self.path.display());
         }
     }
 }
@@ -795,20 +795,20 @@ fn blank_cell(cfg: &TournamentConfig, alg: &str, adversary: &str, workload: &str
 }
 
 /// Serialize one in-flight cell: stream position, algorithm, game tape,
-/// referee ground truth, prelude generator, and the report accumulator.
-/// Everything a resumed cell needs to continue draw-for-draw.
+/// referee ground truth, and the report accumulator. Everything a resumed
+/// cell needs to continue draw-for-draw: the prelude stream is a pure
+/// function of the workload spec, so a resume regenerates it up to the
+/// stream position ([`skip_prelude`]) instead of reading it back.
 fn capture_cell_frame(
     game: &Round,
     alg: &dyn DynStreamAlg,
     referee: &dyn DynReferee,
-    source: &FoldSource<WorkloadStream>,
 ) -> Result<Vec<u8>, SnapError> {
     let mut w = SnapWriter::new();
     w.put_u64(game.t);
     w.put_bytes(&alg.snapshot_dyn()?);
     game.rng.snap(&mut w);
     w.put_bytes(&referee.snapshot_dyn()?);
-    source.snap(&mut w);
     game.report.snap(&mut w);
     Ok(w.finish())
 }
@@ -820,16 +820,37 @@ fn restore_cell_frame(
     game: &mut Round,
     alg: &mut dyn DynStreamAlg,
     referee: &mut dyn DynReferee,
-    source: &mut FoldSource<WorkloadStream>,
 ) -> Result<(), SnapError> {
     let mut r = SnapReader::new(frame)?;
     game.t = r.take_u64()?;
     alg.restore_dyn(&r.take_bytes()?)?;
     game.rng.restore(&mut r)?;
     referee.restore_dyn(&r.take_bytes()?)?;
-    source.restore(&mut r)?;
     game.report.restore(&mut r)?;
     r.finish()
+}
+
+/// Pull and discard exactly the first `t` updates of a fresh prelude
+/// stream, in chunks of at most `batch`: the stream position a restored
+/// frame recorded. A source that runs dry first means the frame's
+/// position lies past the prelude, so the frame is corrupt.
+fn skip_prelude(source: &mut impl UpdateSource, t: u64, batch: usize) -> Result<(), SnapError> {
+    let mut buf: Vec<Update> = Vec::new();
+    let mut skipped = 0;
+    while skipped < t {
+        let want = batch.min(usize::try_from(t - skipped).unwrap_or(batch));
+        if buf.capacity() != want {
+            buf = Vec::with_capacity(want);
+        }
+        let wrote = source.next_chunk(&mut buf);
+        if wrote == 0 {
+            return Err(SnapError::corrupt(format!(
+                "frame position {t} lies past the prelude's end at {skipped}"
+            )));
+        }
+        skipped += wrote as u64;
+    }
+    Ok(())
 }
 
 fn play_cell(
@@ -930,15 +951,13 @@ fn play_cell(
     } else {
         // Phase 1: oblivious workload prelude, streamed chunk by chunk
         // through one reused buffer — O(batch) memory for any prelude_m.
-        let mut source = FoldSource::new(spec.stream(), n);
+        // A resumed cell skips its frame's prefix before folding: the fold
+        // maps updates one to one, so skipped updates need no fold.
+        let mut stream = spec.stream();
         if let Some(frame) = ckpt.and_then(|c| c.resume) {
-            if let Err(e) = restore_cell_frame(
-                frame,
-                &mut game,
-                alg.as_mut(),
-                referee.as_mut(),
-                &mut source,
-            ) {
+            if let Err(e) = restore_cell_frame(frame, &mut game, alg.as_mut(), referee.as_mut())
+                .and_then(|()| skip_prelude(&mut stream, game.t, batch))
+            {
                 return error(cell, format!("corrupt cell checkpoint: {e}"));
             }
         }
@@ -946,7 +965,7 @@ fn play_cell(
             &mut game,
             alg.as_mut(),
             referee.as_mut(),
-            &mut source,
+            &mut FoldSource::new(stream, n),
             batch,
             ckpt,
         )
@@ -991,7 +1010,7 @@ fn flat_prelude(
     game: &mut Round,
     alg: &mut dyn DynStreamAlg,
     referee: &mut dyn DynReferee,
-    source: &mut FoldSource<WorkloadStream>,
+    source: &mut impl UpdateSource,
     batch: usize,
     ckpt: Option<&CellCkptCtx<'_>>,
 ) -> Result<(), String> {
@@ -1026,7 +1045,7 @@ fn flat_prelude(
             // Every erased algorithm and referee writes its state out; a
             // capture that still fails skips this frame, and a resume
             // replays the cell from its last frame (or from scratch).
-            if let Ok(frame) = capture_cell_frame(game, alg, referee, source) {
+            if let Ok(frame) = capture_cell_frame(game, alg, referee) {
                 (c.sink)(frame);
             }
         }
@@ -1219,6 +1238,9 @@ mod tests {
             ("misra_gries", "cycle", "uniform"),
             ("count_min", "hh_evader", "uniform"),
             ("exact_l0", "cycle", "churn"),
+            ("misra_gries", "hh_evader", "zipf"),
+            ("count_min", "cycle", "ddos"),
+            ("misra_gries", "cycle", "cycle"),
         ] {
             let frames_a = Mutex::new(Vec::<Vec<u8>>::new());
             let cfg_a = with_batch(32);
@@ -1269,6 +1291,43 @@ mod tests {
                 assert_eq!(resumed.json_line(), full.json_line(), "{alg} resumed");
             }
         }
+
+        // A frame whose stream position lies past the prelude cannot be
+        // resumed by regenerating the prelude: it is an error cell naming
+        // the corrupt checkpoint, not a silent resume. The position is the
+        // frame's first field, right after the 6-byte magic and version.
+        let cfg = tiny(1);
+        let frames = Mutex::new(Vec::<Vec<u8>>::new());
+        run_cell_resumable(
+            &cfg,
+            "misra_gries",
+            "cycle",
+            "uniform",
+            Some(&CellCkptCtx {
+                every: 48,
+                resume: None,
+                sink: &|f| frames.lock().unwrap().push(f),
+            }),
+        );
+        let mut frame = frames.into_inner().unwrap().remove(0);
+        frame[6..14].copy_from_slice(&(cfg.prelude_m + 1).to_le_bytes());
+        let cell = run_cell_resumable(
+            &cfg,
+            "misra_gries",
+            "cycle",
+            "uniform",
+            Some(&CellCkptCtx {
+                every: 48,
+                resume: Some(&frame),
+                sink: &noop,
+            }),
+        );
+        assert_eq!(cell.verdict, CellVerdict::Error, "{}", cell.detail);
+        assert!(
+            cell.detail.contains("corrupt cell checkpoint"),
+            "{}",
+            cell.detail
+        );
     }
 
     #[test]
@@ -1318,21 +1377,21 @@ mod tests {
     #[test]
     fn checkpoint_with_older_frame_tag_is_refused() {
         // A checkpoint written before the cell-frame layout changed carries
-        // the `v1;` tag. Resuming from it must fail up front with the
+        // the `v2;` tag. Resuming from it must fail up front with the
         // typed error, not replay its in-flight frames cell by cell.
-        let dir = std::env::temp_dir().join(format!("wb_ckpt_v1_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("wb_ckpt_v2_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tournament.ckpt");
         let cfg = tiny(1);
         let current = config_fingerprint(&cfg);
-        assert!(current.starts_with("v2;"), "{current}");
+        assert!(current.starts_with("v3;"), "{current}");
         let mut inflight = BTreeMap::new();
         inflight.insert(
             ("misra_gries".into(), "cycle".into(), "uniform".into()),
             b"pre-change cell frame".to_vec(),
         );
         CkptStore {
-            fingerprint: current.replacen("v2;", "v1;", 1),
+            fingerprint: current.replacen("v3;", "v2;", 1),
             path: path.clone(),
             completed: BTreeMap::new(),
             inflight,
@@ -1345,7 +1404,7 @@ mod tests {
         match run_tournament(&cfg, Some(&ck)) {
             Err(WbError::InvalidParameter(msg)) => {
                 assert!(msg.contains("different configuration"), "{msg}");
-                assert!(msg.contains("checkpoint: v1;"), "{msg}");
+                assert!(msg.contains("checkpoint: v2;"), "{msg}");
             }
             other => panic!(
                 "old checkpoint not refused: {:?}",

@@ -30,7 +30,6 @@ use crate::erased::Update;
 use wb_core::rng::{
     below, f64_from_word, fill_below, rejection_zone, WordSource, Xoshiro256StarStar,
 };
-use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::stream::Turnstile;
 
 /// Default chunk size of the streaming pipeline: the buffer length
@@ -122,17 +121,6 @@ impl<S: UpdateSource> FoldSource<S> {
     pub fn new(inner: S, n: u64) -> Self {
         assert!(n > 0, "FoldSource requires a nonempty universe (n >= 1)");
         FoldSource { inner, n }
-    }
-}
-
-impl<S: Snapshot> Snapshot for FoldSource<S> {
-    /// Pure delegation: the fold modulus is construction config the restoring twin already holds.
-    fn snap(&self, w: &mut SnapWriter) {
-        self.inner.snap(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.inner.restore(r)
     }
 }
 
@@ -243,32 +231,6 @@ impl WordSource for WordTape {
         if take < out.len() {
             self.rng.fill_u64(&mut out[take..]);
         }
-    }
-}
-
-impl Snapshot for WordTape {
-    /// Layout: `rng | unconsumed buffered words`. Only the words not yet
-    /// consumed (`buf[pos..]`) are captured — together with the generator
-    /// state they pin the exact tape position, so a restored tape emits the
-    /// same word sequence draw for draw. `scratch` is a pure cache and is
-    /// rebuilt on demand.
-    fn snap(&self, w: &mut SnapWriter) {
-        self.rng.snap(w);
-        w.put_u64_seq(&self.buf[self.pos..]);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng.restore(r)?;
-        let buffered = r.take_u64_seq()?;
-        if buffered.len() > WORD_TAPE_BUF {
-            return Err(SnapError::corrupt(format!(
-                "WordTape buffer holds {} words, max is {WORD_TAPE_BUF}",
-                buffered.len()
-            )));
-        }
-        self.buf = buffered;
-        self.pos = 0;
-        Ok(())
     }
 }
 
@@ -805,212 +767,6 @@ enum StreamState {
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
     state: StreamState,
-}
-
-/// Variant tag used in [`WorkloadStream`] snapshot frames.
-fn stream_tag(state: &StreamState) -> u8 {
-    match state {
-        StreamState::Zipf { .. } => 0,
-        StreamState::Ddos { .. } => 1,
-        StreamState::Churn { .. } => 2,
-        StreamState::Uniform { .. } => 3,
-        StreamState::Cycle { .. } => 4,
-    }
-}
-
-/// Human label for a variant tag, for mismatch diagnostics.
-fn tag_label(tag: u8) -> &'static str {
-    match tag {
-        0 => "zipf",
-        1 => "ddos",
-        2 => "churn",
-        3 => "uniform",
-        4 => "cycle",
-        _ => "unknown",
-    }
-}
-
-impl Snapshot for WorkloadStream {
-    /// Layout: `variant tag | config params | position state | tape`.
-    ///
-    /// Restore targets a twin built from the **same [`WorkloadSpec`]**:
-    /// configuration parameters are validated (wrong spec ⇒
-    /// [`SnapError::Mismatch`]), position state and the word tape are
-    /// overwritten, so the resumed stream emits exactly the updates the
-    /// snapshotted one had left — draw for draw, independent of how either
-    /// side chunked its pulls.
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(stream_tag(&self.state));
-        match &self.state {
-            StreamState::Zipf {
-                tape,
-                sampler,
-                remaining,
-            } => {
-                w.put_u64(sampler.n);
-                w.put_u64(sampler.heavy);
-                w.put_u64(*remaining);
-                tape.snap(w);
-            }
-            StreamState::Ddos { tape, t, m } => {
-                w.put_u64(*m);
-                w.put_u64(*t);
-                tape.snap(w);
-            }
-            StreamState::Churn {
-                tape,
-                n,
-                wave,
-                waves_left,
-                base,
-                phase,
-                ..
-            } => {
-                w.put_u64(*n);
-                w.put_u64(*wave);
-                w.put_u64(*waves_left);
-                w.put_u64(*base);
-                match *phase {
-                    ChurnPhase::NextWave => w.put_u8(0),
-                    ChurnPhase::Insert(i, cur) => {
-                        w.put_u8(1);
-                        w.put_u64(i);
-                        w.put_u64(cur);
-                    }
-                    ChurnPhase::Delete(i, cur) => {
-                        w.put_u8(2);
-                        w.put_u64(i);
-                        w.put_u64(cur);
-                    }
-                }
-                tape.snap(w);
-            }
-            StreamState::Uniform { tape, n, remaining } => {
-                w.put_u64(*n);
-                w.put_u64(*remaining);
-                tape.snap(w);
-            }
-            StreamState::Cycle { items, t, m, cur } => {
-                w.put_u64(*items);
-                w.put_u64(*m);
-                w.put_u64(*t);
-                w.put_u64(*cur);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let tag = r.take_u8()?;
-        let own = stream_tag(&self.state);
-        if tag != own {
-            return Err(SnapError::mismatch(tag_label(own), tag_label(tag)));
-        }
-        match &mut self.state {
-            StreamState::Zipf {
-                tape,
-                sampler,
-                remaining,
-            } => {
-                let (sn, sheavy) = (r.take_u64()?, r.take_u64()?);
-                if sn != sampler.n || sheavy != sampler.heavy {
-                    return Err(SnapError::mismatch(
-                        format!("zipf(n={}, heavy={})", sampler.n, sampler.heavy),
-                        format!("zipf(n={sn}, heavy={sheavy})"),
-                    ));
-                }
-                *remaining = r.take_u64()?;
-                tape.restore(r)
-            }
-            StreamState::Ddos { tape, t, m } => {
-                let sm = r.take_u64()?;
-                if sm != *m {
-                    return Err(SnapError::mismatch(
-                        format!("ddos(m={m})"),
-                        format!("ddos(m={sm})"),
-                    ));
-                }
-                let st = r.take_u64()?;
-                if st > *m {
-                    return Err(SnapError::corrupt(format!("ddos position {st} > m {m}")));
-                }
-                *t = st;
-                tape.restore(r)
-            }
-            StreamState::Churn {
-                tape,
-                n,
-                wave,
-                waves_left,
-                base,
-                phase,
-                ..
-            } => {
-                let (sn, swave) = (r.take_u64()?, r.take_u64()?);
-                if sn != *n || swave != *wave {
-                    return Err(SnapError::mismatch(
-                        format!("churn(n={n}, wave={wave})"),
-                        format!("churn(n={sn}, wave={swave})"),
-                    ));
-                }
-                *waves_left = r.take_u64()?;
-                let sbase = r.take_u64()?;
-                if sbase >= *n {
-                    return Err(SnapError::corrupt(format!("churn base {sbase} >= n {n}")));
-                }
-                *base = sbase;
-                *phase = match r.take_u8()? {
-                    0 => ChurnPhase::NextWave,
-                    ptag @ (1 | 2) => {
-                        let (i, cur) = (r.take_u64()?, r.take_u64()?);
-                        let bound = if ptag == 1 { *wave } else { *wave / 2 };
-                        if i > bound || cur >= *n {
-                            return Err(SnapError::corrupt(format!(
-                                "churn phase {ptag} position (i={i}, cur={cur}) out of range"
-                            )));
-                        }
-                        if ptag == 1 {
-                            ChurnPhase::Insert(i, cur)
-                        } else {
-                            ChurnPhase::Delete(i, cur)
-                        }
-                    }
-                    other => {
-                        return Err(SnapError::corrupt(format!("unknown churn phase {other}")))
-                    }
-                };
-                tape.restore(r)
-            }
-            StreamState::Uniform { tape, n, remaining } => {
-                let sn = r.take_u64()?;
-                if sn != *n {
-                    return Err(SnapError::mismatch(
-                        format!("uniform(n={n})"),
-                        format!("uniform(n={sn})"),
-                    ));
-                }
-                *remaining = r.take_u64()?;
-                tape.restore(r)
-            }
-            StreamState::Cycle { items, t, m, cur } => {
-                let (sitems, sm) = (r.take_u64()?, r.take_u64()?);
-                if sitems != *items || sm != *m {
-                    return Err(SnapError::mismatch(
-                        format!("cycle(items={items}, m={m})"),
-                        format!("cycle(items={sitems}, m={sm})"),
-                    ));
-                }
-                let (st, scur) = (r.take_u64()?, r.take_u64()?);
-                if st > *m || scur >= *items {
-                    return Err(SnapError::corrupt(format!(
-                        "cycle position (t={st}, cur={scur}) out of range"
-                    )));
-                }
-                *t = st;
-                *cur = scur;
-                Ok(())
-            }
-        }
-    }
 }
 
 /// Chunk budget left for a generator with `left` updates remaining.
@@ -1643,67 +1399,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stream_snapshot_resumes_draw_for_draw() {
-        // Snapshot mid-stream at an offset that is NOT chunk-aligned (so
-        // the word tape holds buffered words), restore into a twin built
-        // from the same spec, and check the twin emits exactly the updates
-        // the original had left, and only those.
-        for spec in all_specs() {
-            let reference = spec.generate();
-            let mut source = spec.stream();
-            let mut buf = Vec::with_capacity(13);
-            let mut consumed = 0usize;
-            while consumed < 200 {
-                let wrote = source.next_chunk(&mut buf);
-                assert!(wrote > 0);
-                consumed += wrote;
-            }
-            let frame = wb_core::snap::to_bytes(&source);
-            let mut twin = spec.stream();
-            wb_core::snap::from_bytes(&mut twin, &frame).unwrap();
-            let mut got = Vec::new();
-            let mut buf2 = Vec::with_capacity(31);
-            while twin.next_chunk(&mut buf2) > 0 {
-                got.extend_from_slice(&buf2);
-            }
-            assert_eq!(got, reference[consumed..], "{} resumed tail", spec.label());
-            assert_eq!(
-                (consumed + got.len()) as u64,
-                spec.len(),
-                "{} emitted before + after the snapshot",
-                spec.label()
-            );
-        }
-    }
-
-    #[test]
-    fn stream_snapshot_rejects_wrong_spec() {
-        let uniform = WorkloadSpec::Uniform {
-            n: 1000,
-            m: 100,
-            seed: 1,
-        };
-        let frame = wb_core::snap::to_bytes(&uniform.stream());
-        // Wrong variant.
-        let mut cycle = WorkloadSpec::Cycle { items: 3, m: 100 }.stream();
-        assert!(matches!(
-            wb_core::snap::from_bytes(&mut cycle, &frame),
-            Err(SnapError::Mismatch { .. })
-        ));
-        // Same variant, different universe.
-        let mut other = WorkloadSpec::Uniform {
-            n: 2000,
-            m: 100,
-            seed: 1,
-        }
-        .stream();
-        assert!(matches!(
-            wb_core::snap::from_bytes(&mut other, &frame),
-            Err(SnapError::Mismatch { .. })
-        ));
     }
 
     #[test]

@@ -163,8 +163,8 @@ fn offline_answer(
 
 /// Run the whole fleet against one server configuration; tenants are
 /// driven concurrently (one session each), batches split at `wire_batch`.
-/// Returns `(tenant id, answer json, tenant_seed, shards)` sorted by id.
-fn run_fleet(threads: usize, chunk: usize, wire_batch: usize) -> Vec<(String, String, u64, u64)> {
+/// Returns `(tenant id, answer json, shards)` sorted by id.
+fn run_fleet(threads: usize, chunk: usize, wire_batch: usize) -> Vec<(String, String, u64)> {
     let server = Server::start(DaemonConfig {
         listen: "127.0.0.1:0".into(),
         threads,
@@ -189,7 +189,14 @@ fn run_fleet(threads: usize, chunk: usize, wire_batch: usize) -> Vec<(String, St
                      \"seed\":{SEED_BASE}{shards_field}}}"
                 );
                 let reply = sess.expect_ok(&hello);
-                let tenant_seed = reply.get("tenant_seed").and_then(Json::as_u64).unwrap();
+                // The tenant's tape derives from its seed, so the reply
+                // must not echo it; the client derives it from its own
+                // seed base (`offline_answer`).
+                assert_eq!(
+                    reply.get("tenant_seed"),
+                    None,
+                    "hello echoed the tenant seed"
+                );
                 let shards = reply.get("shards").and_then(Json::as_u64).unwrap();
                 let updates = stream_for(tag as u64, turnstile);
                 for batch in updates.chunks(wire_batch) {
@@ -207,7 +214,7 @@ fn run_fleet(threads: usize, chunk: usize, wire_batch: usize) -> Vec<(String, St
                 );
                 let answer = reply.get("answer").expect("answer").to_line();
                 sess.expect_ok("{\"cmd\":\"bye\"}");
-                (id.to_string(), answer, tenant_seed, shards)
+                (id.to_string(), answer, shards)
             })
         })
         .collect();
@@ -241,15 +248,10 @@ fn daemon_answers_match_offline_runs_and_are_config_invariant() {
         // The offline ShardConfig batch mirrors run_a's chunk; equality
         // with run_b (chunk 256) already proves batch is pure transport.
         let expected = offline_answer(id, alg, shards_override, &updates, 64);
-        let (rid, answer, tenant_seed, _) = &run_a[run_a
+        let (rid, answer, _) = &run_a[run_a
             .binary_search_by(|probe| probe.0.as_str().cmp(id))
             .expect("tenant present")];
         assert_eq!(rid, id);
-        assert_eq!(
-            *tenant_seed,
-            derive_seed(SEED_BASE, &["tenant", id]),
-            "hello must echo the derived tenant seed"
-        );
         assert_eq!(
             *answer, expected,
             "{id} ({alg}): daemon answer must be byte-identical to the offline run"

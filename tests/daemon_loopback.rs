@@ -737,6 +737,11 @@ fn protocol_snapshot_restore_continues_across_daemons() {
                 dir.display()
             ));
             assert_eq!(reply.get("applied").and_then(Json::as_u64), Some(250));
+            assert_eq!(
+                reply.get("tenant_seed"),
+                None,
+                "restore echoed the tenant seed"
+            );
             // Restoring over a live tenant is refused, typed.
             let dup = sess.roundtrip(&format!(
                 "{{\"cmd\":\"restore\",\"path\":\"{}/{tenant}.wbsnap\"}}",
