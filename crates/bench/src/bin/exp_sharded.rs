@@ -9,9 +9,9 @@
 //! whether the merged answer still satisfies the algorithm's referee
 //! guarantee, plus the routing spread (max per-shard load and skew =
 //! max/mean) from the pipeline's [`wb_engine::shard::ShardStats`]. All
-//! cells are deterministic — throughput lives in the `bench_shard`
-//! criterion bench, not here — so the JSON report stays byte-identical
-//! across runs and thread counts.
+//! cells are deterministic — throughput lives in the `wbbench`
+//! benchmark's `shard.push.mups` layer, not here — so the JSON report
+//! stays byte-identical across runs and thread counts.
 
 use wb_core::rng::TranscriptRng;
 use wb_engine::experiment::{run_cli, ExperimentSpec, Row, RunnerConfig, Section};
@@ -107,7 +107,7 @@ fn main() {
     run_cli(
         ExperimentSpec::new(
             "sharded",
-            "sharded ingestion: merged vs single-stream accuracy (throughput: bench_shard)",
+            "sharded ingestion: merged vs single-stream accuracy (throughput: wbbench shard.push.mups)",
         )
         .section(section)
         .note(

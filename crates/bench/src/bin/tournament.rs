@@ -13,14 +13,16 @@
 //! * `--shards S` — partition each cell's workload prelude across `S`
 //!   shard instances and merge them in a deterministic reduction tree
 //!   (mergeable algorithms only; the rest keep flat ingestion). Reports
-//!   stay byte-identical across thread counts for any fixed `S`.
+//!   stay byte-identical across thread counts for any fixed `S`. `S` must
+//!   be in [1, [`MAX_SHARDS`]].
 //! * `--prelude-m M` — length of each cell's oblivious prelude
 //!   (underscores allowed: `10_000_000`). The prelude is *streamed* in
 //!   `--chunk`-sized pulls, so memory stays O(threads × chunk) no matter
 //!   how large `M` is. Overrides the `--quick` prelude when both are
 //!   given.
-//! * `--chunk C` — prelude chunk size (default 4096). Pure transport: the
-//!   report is byte-identical for every `C`.
+//! * `--chunk C` — prelude chunk size (default 4096), in [1,
+//!   [`MAX_CHUNK`]]. Pure transport: the report is byte-identical for
+//!   every `C`.
 //! * `--quick` — smoke-scale cell sizes (CI mode); the cross-product stays
 //!   full.
 //! * `--seed S` — master seed; each cell's tapes derive from
@@ -41,6 +43,7 @@
 
 use wb_engine::experiment::write_json_report;
 use wb_engine::registry;
+use wb_engine::shard::{MAX_CHUNK, MAX_SHARDS};
 use wb_engine::tournament::{run_tournament, CheckpointConfig, TournamentConfig, WORKLOADS};
 
 fn main() {
@@ -78,18 +81,19 @@ fn main() {
             "--threads" => threads = parse(&value("--threads"), "--threads"),
             "--shards" => {
                 shards = parse(&value("--shards"), "--shards");
-                if shards == 0 {
-                    eprintln!("--shards must be >= 1");
+                if !(1..=MAX_SHARDS).contains(&shards) {
+                    eprintln!("--shards must be in [1, {MAX_SHARDS}]");
                     std::process::exit(2);
                 }
             }
             "--prelude-m" => prelude_m = Some(parse(&value("--prelude-m"), "--prelude-m")),
             "--chunk" => {
-                chunk = Some(parse(&value("--chunk"), "--chunk"));
-                if chunk == Some(0) {
-                    eprintln!("--chunk must be >= 1");
+                let c = parse(&value("--chunk"), "--chunk");
+                if !(1..=MAX_CHUNK).contains(&c) {
+                    eprintln!("--chunk must be in [1, {MAX_CHUNK}]");
                     std::process::exit(2);
                 }
+                chunk = Some(c);
             }
             "--seed" => seed = parse(&value("--seed"), "--seed"),
             "--resume" => resume = Some(value("--resume")),

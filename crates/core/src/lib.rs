@@ -24,8 +24,9 @@
 //!   entire internal state";
 //! * [`rng`] — deterministic, fully transparent randomness: every word the
 //!   algorithm draws is appended to a public transcript
-//!   ([`rng::RandTranscript`]) that the adversary can read, and the seed
-//!   itself is public;
+//!   ([`rng::RandTranscript`]) that the adversary can read; the seed has no
+//!   accessor, but the first word determines it, so the whole tape is
+//!   knowable;
 //! * [`space`] — bit-level space accounting ([`space::SpaceUsage`]): the
 //!   paper's theorems count bits of model state, so every algorithm in the
 //!   workspace reports an information-theoretically honest encoding size;

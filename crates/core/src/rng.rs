@@ -5,7 +5,12 @@
 //! of the paper). We make that literal: algorithms draw randomness only
 //! through a [`TranscriptRng`], which
 //!
-//! * is seeded from a **public** seed (the seed is part of the transcript);
+//! * is seeded from a seed that no accessor returns — but the seed is not
+//!   secret: the words drawn so far determine it (the first word alone
+//!   does, since each step from seed to word can be undone), and the seed
+//!   fixes the *whole* tape, future words included. An adversary that
+//!   reads coins not yet flipped is therefore excluded by convention, not
+//!   by this API; a one-way tape generator would make it a barrier;
 //! * appends every drawn word to a [`RandTranscript`] the adversary reads;
 //! * draws *fresh* words per round — the game loop hands the same
 //!   `TranscriptRng` to every `process` call, so the stream position of each
@@ -18,16 +23,16 @@
 //!
 //! All generator state here implements [`Snapshot`]: the model makes every
 //! drawn word public anyway, so a checkpoint of the RNG (xoshiro state,
-//! draw count, transcript ring) reveals nothing the adversary did not
-//! already have, and a restored generator continues the tape draw for
+//! draw count, transcript ring) reveals nothing the adversary could not
+//! already compute, and a restored generator continues the tape draw for
 //! draw.
 
 use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Number of most recent draws retained verbatim in the transcript ring
-/// buffer. Older draws are still *knowable* by the adversary (the seed is
-/// public and the total draw count is recorded) but are not stored, keeping
-/// long-game memory bounded.
+/// buffer. Older draws are still *knowable* by the adversary
+/// ([`RandTranscript::replay`] regenerates any past word) but are not
+/// stored, keeping long-game memory bounded.
 pub const TRANSCRIPT_RING: usize = 1024;
 
 /// SplitMix64: the standard 64-bit seed expander (Steele, Lea, Flood 2014).
@@ -175,12 +180,15 @@ impl Snapshot for Xoshiro256StarStar {
 
 /// The public record of all randomness drawn by a streaming algorithm.
 ///
-/// Adversaries receive a `&RandTranscript` each round. The seed is public,
-/// the total number of draws is exact, and the most recent
-/// [`TRANSCRIPT_RING`] words are available verbatim; together these determine
-/// the entire random tape (an adversary can replay the generator from the
-/// seed), so nothing is hidden — the ring buffer is purely a memory bound on
-/// the harness, not a secrecy mechanism.
+/// Adversaries receive a `&RandTranscript` each round: the exact number of
+/// draws so far, the most recent [`TRANSCRIPT_RING`] words verbatim, and
+/// [`RandTranscript::replay`] for older ones. That is every *past* word —
+/// the ring buffer is a memory bound on the harness, not a secrecy
+/// mechanism. There is no `seed()` accessor, but the seed is not hidden:
+/// `Debug` and the [`Snapshot`] codec write it, the first word alone
+/// determines it (`tests/game_integration.rs` recovers it from
+/// `replay(1)`), and it determines every future word. An adversary that
+/// plays only on past words does so by convention.
 #[derive(Debug, Clone)]
 pub struct RandTranscript {
     seed: u64,
@@ -252,11 +260,6 @@ impl RandTranscript {
         };
     }
 
-    /// The public seed of the algorithm's random tape.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Total number of 64-bit words the algorithm has drawn so far.
     pub fn draws(&self) -> u64 {
         self.draws
@@ -291,9 +294,10 @@ impl RandTranscript {
         }
     }
 
-    /// Replays the full random tape from the public seed, returning the
-    /// first `n` words. This is the adversary's "I saw all previous
-    /// randomness" primitive for draws that have scrolled out of the ring.
+    /// Replays the random tape from its seed, returning the first
+    /// `min(n, draws)` words — never a word not yet drawn. This is the
+    /// adversary's "I saw all previous randomness" primitive for draws that
+    /// have scrolled out of the ring.
     pub fn replay(&self, n: u64) -> Vec<u64> {
         let mut rng = Xoshiro256StarStar::from_seed(self.seed);
         (0..n.min(self.draws)).map(|_| rng.next_u64()).collect()
@@ -444,7 +448,7 @@ pub struct TranscriptRng {
 }
 
 impl TranscriptRng {
-    /// Creates a transparent RNG from a public seed.
+    /// Creates a transparent RNG from a seed.
     pub fn from_seed(seed: u64) -> Self {
         TranscriptRng {
             rng: Xoshiro256StarStar::from_seed(seed),
@@ -525,7 +529,7 @@ impl TranscriptRng {
         lo + self.below(hi - lo)
     }
 
-    /// The public transcript (seed, draw count, recent draws).
+    /// The public transcript (draw count, recent draws, replay of the past).
     pub fn transcript(&self) -> &RandTranscript {
         &self.transcript
     }
@@ -636,7 +640,7 @@ mod tests {
         assert_eq!(t.draws(), 10);
         assert_eq!(t.recent(), drawn);
         assert_eq!(t.last(), drawn.last().copied());
-        assert_eq!(t.seed(), 9);
+        assert_eq!(t.seed, 9);
     }
 
     #[test]
@@ -771,7 +775,7 @@ mod tests {
             let bytes = snap::to_bytes(&rng);
             let mut restored = TranscriptRng::from_seed(0);
             snap::from_bytes(&mut restored, &bytes).unwrap();
-            assert_eq!(restored.transcript().seed(), 123, "warmup {warmup}");
+            assert_eq!(restored.transcript().seed, 123, "warmup {warmup}");
             assert_eq!(restored.transcript().draws(), warmup);
             assert_eq!(restored.transcript().recent(), rng.transcript().recent());
             for i in 0..2 * TRANSCRIPT_RING {

@@ -18,11 +18,14 @@
 //! assert exactly this.
 //!
 //! **White-box caveat.** Serving sketches over a socket does not hide
-//! them: in this model every tenant's internal state and random tape are
-//! public by definition (seeds are derived from public inputs and echoed
-//! by `hello`). `wbd` never pretends otherwise — `snapshot-stats` and
-//! `metrics` expose state cheerfully; only algorithms that are robust
-//! under full exposure should be deployed multi-tenant.
+//! them: in this model every tenant's internal state and every random
+//! word it has drawn are public by definition. `wbd` never pretends
+//! otherwise — `snapshot-stats` and `metrics` expose state cheerfully;
+//! only algorithms that are robust under full exposure should be deployed
+//! multi-tenant. What stays secret is the *future* of each tape: the
+//! tenant seed, which no reply carries (a `tenant_mismatch` reply does
+//! print the tenant's seed base), and snapshot frames, which hold the
+//! tape's generator state (README *Snapshot & resume*).
 //!
 //! Modules: [`json`] (hand-rolled reader/writer), [`proto`] (wire types +
 //! typed errors), [`tenant`] (per-tenant engine + inbox), [`dispatch`]

@@ -31,6 +31,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use wb_daemon::json::{obj, Json};
 use wb_daemon::{client, DaemonConfig, Server};
+use wb_engine::shard::{MAX_CHUNK, MAX_SHARDS};
 
 fn die(msg: &str) -> ! {
     eprintln!("wbd: {msg}");
@@ -112,11 +113,8 @@ fn main() -> ExitCode {
             }
             "--shards" => {
                 cfg.shards = parse_num("--shards", args.next());
-                if !(1..=wb_daemon::tenant::MAX_SHARDS).contains(&cfg.shards) {
-                    die(&format!(
-                        "--shards must be in [1, {}]",
-                        wb_daemon::tenant::MAX_SHARDS
-                    ));
+                if !(1..=MAX_SHARDS).contains(&cfg.shards) {
+                    die(&format!("--shards must be in [1, {MAX_SHARDS}]"));
                 }
             }
             "--max-tenants" => cfg.max_tenants = parse_num("--max-tenants", args.next()),
@@ -125,11 +123,8 @@ fn main() -> ExitCode {
             }
             "--chunk" => {
                 cfg.chunk = parse_num("--chunk", args.next());
-                if !(1..=wb_daemon::tenant::MAX_CHUNK).contains(&cfg.chunk) {
-                    die(&format!(
-                        "--chunk must be in [1, {}]",
-                        wb_daemon::tenant::MAX_CHUNK
-                    ));
+                if !(1..=MAX_CHUNK).contains(&cfg.chunk) {
+                    die(&format!("--chunk must be in [1, {MAX_CHUNK}]"));
                 }
             }
             "--seed" => cfg.seed = parse_num("--seed", args.next()),

@@ -59,7 +59,7 @@ pub enum ErrorKind {
     BadRequest,
     /// `alg` is not a registry algorithm, or a parameter is out of bounds
     /// (`n == 0`, ε below 2^-16, a `sis_l0` universe above 2^20, more than
-    /// `tenant::MAX_SHARDS` shards, …). Carries the typed message.
+    /// `wb_engine::shard::MAX_SHARDS` shards, …). Carries the typed message.
     InvalidParameter,
     /// The tenant named in the request has not said `hello`.
     UnknownTenant,

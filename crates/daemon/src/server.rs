@@ -57,7 +57,7 @@ pub struct DaemonConfig {
     /// quota.
     pub max_updates_per_tenant: u64,
     /// Ingest chunk size (`--chunk`, at most
-    /// [`MAX_CHUNK`](crate::tenant::MAX_CHUNK)): the unit of inbox queueing
+    /// [`MAX_CHUNK`](wb_engine::shard::MAX_CHUNK)): the unit of inbox queueing
     /// and of the sharded pipelines' staging buffers.
     pub chunk: usize,
     /// Master seed (`--seed`); tenant seeds derive from it unless `hello`

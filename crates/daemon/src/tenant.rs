@@ -33,7 +33,9 @@ use wb_core::rng::{derive_seed, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::WbError;
 use wb_engine::registry::{self, Params};
-use wb_engine::shard::{probe_mergeable, Partition, ShardConfig, ShardPipeline, ShardStats};
+use wb_engine::shard::{
+    probe_mergeable, Partition, ShardConfig, ShardPipeline, ShardStats, MAX_CHUNK, MAX_SHARDS,
+};
 use wb_engine::{Answer, DynStreamAlg, StreamModel, Update};
 
 /// Bounded inbox depth, in chunks. Small on purpose: the pool, not the
@@ -62,8 +64,8 @@ pub struct Tenant {
     pub id: String,
     /// Registry algorithm name.
     pub alg_name: String,
-    /// The seed base `hello` declared (daemon master if omitted) — echoed
-    /// so clients can reproduce the offline run.
+    /// The seed base `hello` declared (daemon master if omitted), kept so
+    /// a repeated `hello` for this id can be checked against it.
     pub seed_base: u64,
     /// `derive_seed(seed_base, ["tenant", id])`.
     pub tenant_seed: u64,
@@ -100,18 +102,6 @@ pub struct Tenant {
     /// Creation time, for the cumulative ingest rate.
     pub created: Instant,
 }
-
-/// Most shards one tenant may run. Creation builds every shard up front,
-/// so an unbounded `hello.shards` would be an allocation the client picks;
-/// no in-repo caller uses more than 8.
-pub const MAX_SHARDS: usize = 64;
-
-/// Largest ingest chunk a tenant may be built with. Every shard of a
-/// sharded tenant preallocates a staging buffer of this many updates, so
-/// an unbounded chunk (`--chunk`, or a restored snapshot's `batch`) would
-/// be an allocation its author picks; no in-repo caller uses more than
-/// 1024.
-pub const MAX_CHUNK: usize = 1 << 16;
 
 impl Tenant {
     /// Build a tenant: construct the algorithm from the registry (typed

@@ -6,7 +6,7 @@
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use wb_daemon::server::MAX_THREADS;
-use wb_daemon::tenant::{MAX_CHUNK, MAX_SHARDS};
+use wb_engine::shard::{MAX_CHUNK, MAX_SHARDS};
 
 /// Run `wbd --listen 127.0.0.1:0 ARGS` and assert it exits 2 naming `flag`.
 fn refused_before_binding(args: &[&str], flag: &str) {

@@ -26,18 +26,15 @@
 //! * `--threads N` — worker threads for row execution (default: one per
 //!   core). Rows are independent jobs on the engine's
 //!   [`pool`]; tables still print in declaration order and the
-//!   JSON report is byte-identical across thread counts;
-//! * `--prelude-m M` — rescale every game row's workload to `M` updates
-//!   ([`WorkloadSpec::resized`]; underscores allowed, e.g. `10_000_000`).
-//!   Game rows stream their workload chunk by chunk
-//!   ([`WorkloadSpec::stream`] → [`run_source_erased`]), so memory stays
-//!   O(chunk) however large `M` is;
-//! * `--chunk N` — override every game row's ingestion chunk size (checks
-//!   still happen at chunk boundaries); `N` must be at least 1.
+//!   JSON report is byte-identical across thread counts.
 //!
-//! Any other argument, and `--chunk 0`, exits with status 2 (an unknown
-//! flag also prints the known-flag list), as the `tournament` and `wbd`
-//! binaries do. A JSON report that cannot be written exits with status 1.
+//! Game rows stream their workload chunk by chunk ([`WorkloadSpec::stream`]
+//! → [`run_source_erased`]) in chunks of [`GameRow::batch`], so memory
+//! stays O(chunk) whatever the workload's length.
+//!
+//! Any other argument exits with status 2 and prints the known-flag list,
+//! as the `tournament` and `wbd` binaries do. A JSON report that cannot be
+//! written exits with status 1.
 
 use crate::erased::run_source_erased;
 use crate::pool::{self, Job};
@@ -268,27 +265,21 @@ pub struct RunnerConfig {
     pub json: Option<String>,
     /// Worker threads for row execution (`0` = one per available core).
     pub threads: usize,
-    /// Rescale every game row's workload to this many updates
-    /// (`--prelude-m`); `None` keeps the declared sizes.
-    pub prelude_m: Option<u64>,
-    /// Override every game row's ingestion chunk size (`--chunk`); `None`
-    /// keeps the per-row [`GameRow::batch`].
-    pub chunk: Option<usize>,
 }
 
 impl RunnerConfig {
     /// Updates per workload in `--quick` mode.
     pub const QUICK_CAP: u64 = 1 << 11;
 
-    /// Parse `--quick`, `--json <path|->`, `--threads N`, `--prelude-m M`,
-    /// and `--chunk N` from `std::env::args`.
+    /// Parse `--quick`, `--json <path|->` and `--threads N` from
+    /// `std::env::args`.
     pub fn from_args() -> Self {
         let mut cfg = RunnerConfig::default();
         let mut args = std::env::args().skip(1);
         // Strict numeric values: a missing/non-numeric value would
         // otherwise swallow the next flag (e.g. `--threads --quick`) and
         // silently run the full-scale workload. Underscore separators are
-        // accepted (`--prelude-m 10_000_000`).
+        // accepted.
         fn numeric<T: std::str::FromStr>(value: Option<String>, flag: &str) -> T {
             match value.map(|v| v.replace('_', "").parse()) {
                 Some(Ok(n)) => n,
@@ -314,21 +305,10 @@ impl RunnerConfig {
                     }
                 }
                 "--threads" => cfg.threads = numeric(args.next(), "--threads"),
-                "--prelude-m" => cfg.prelude_m = Some(numeric(args.next(), "--prelude-m")),
-                "--chunk" => match numeric(args.next(), "--chunk") {
-                    0 => {
-                        eprintln!("--chunk must be >= 1");
-                        std::process::exit(2);
-                    }
-                    chunk => cfg.chunk = Some(chunk),
-                },
                 other => {
                     // Refused, not skipped: a typo such as `--quikc` would
                     // otherwise run the full-scale workload.
-                    eprintln!(
-                        "unknown flag '{other}' (known: --quick, --json, --threads, \
-                         --prelude-m, --chunk)"
-                    );
+                    eprintln!("unknown flag '{other}' (known: --quick, --json, --threads)");
                     std::process::exit(2);
                 }
             }
@@ -459,23 +439,18 @@ pub fn run(spec: ExperimentSpec, cfg: &RunnerConfig) -> Vec<String> {
 /// pulled chunk by chunk from [`WorkloadSpec::stream`], never materialized
 /// — and return the rendered metric cells plus extra JSON fields.
 fn run_game_row(g: &GameRow, cfg: &RunnerConfig) -> (Vec<String>, String) {
-    // An explicit --prelude-m wins over --quick's cap — same precedence as
-    // the tournament binary, so `--quick --prelude-m 1_000_000` means "CI
-    // sizes elsewhere, but this stream length" in both CLIs.
-    let mut workload = g.workload.clone();
-    match cfg.prelude_m {
-        Some(m) => workload = workload.resized(m),
-        None if cfg.quick => workload = workload.capped(RunnerConfig::QUICK_CAP),
-        None => {}
-    }
-    let chunk = cfg.chunk.unwrap_or(g.batch);
+    let workload = if cfg.quick {
+        g.workload.capped(RunnerConfig::QUICK_CAP)
+    } else {
+        g.workload.clone()
+    };
     let mut referee = g.referee.build();
     let report_or_err = registry::get(g.alg, &g.params).and_then(|mut alg| {
         run_source_erased(
             alg.as_mut(),
             &mut workload.stream(),
             referee.as_mut(),
-            chunk,
+            g.batch,
             g.seed,
         )
         .map(|rep| (rep, alg.query_dyn()))

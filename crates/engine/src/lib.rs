@@ -43,8 +43,8 @@
 //!   ([`workload::UpdateSource`] / [`WorkloadSpec::stream`]) every
 //!   ingestion path above is built on: chunks are generated lazily into a
 //!   caller-owned reused buffer, so memory is O(chunk) for any stream
-//!   length and `--prelude-m 10_000_000`-scale runs are wall-clock-bound,
-//!   not RAM-bound.
+//!   length and tournament runs at `--prelude-m 10_000_000` are
+//!   wall-clock-bound, not RAM-bound.
 //! * [`pool`] — the hand-rolled work-queue thread pool (std only) behind
 //!   both runners, returning results in submission order.
 //!

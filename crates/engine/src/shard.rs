@@ -28,8 +28,8 @@
 //!
 //! **White-box caveat.** Sharding never weakens the paper's adversary — it
 //! strengthens it: the adversary observes *every* shard's internal state
-//! and every shard's randomness tape (each tape's seed is public and
-//! derived from public inputs). Only algorithms whose robustness argument
+//! and every word each shard's randomness tape has drawn (the tapes' seeds
+//! derive from the master seed). Only algorithms whose robustness argument
 //! tolerates full state exposure merge soundly; see
 //! [`wb_core::stream::StreamAlg::merge_from`] for the contract and
 //! [`MergeError::Unmergeable`] for the refusals.
@@ -74,6 +74,20 @@ impl Partition {
     }
 }
 
+/// Most shards a count taken from outside may ask for: `wbd`'s `--shards`
+/// and `hello.shards`, and the tournament's `--shards`. A
+/// [`ShardPipeline`] builds every shard up front, so an unbounded count
+/// would be an allocation the caller picks; no in-repo caller uses more
+/// than 8.
+pub const MAX_SHARDS: usize = 64;
+
+/// Largest [`ShardConfig::batch`] taken from outside: `wbd`'s `--chunk`
+/// and a restored snapshot's `batch`, and the tournament's `--chunk`.
+/// Every shard preallocates a staging buffer of this many updates, so an
+/// unbounded chunk would be an allocation its author picks; no in-repo
+/// caller uses more than 16384.
+pub const MAX_CHUNK: usize = 1 << 16;
+
 /// Configuration of one sharded ingestion run.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -106,7 +120,7 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// The derived public seed of shard `i`'s random tape.
+    /// The derived seed of shard `i`'s random tape.
     pub fn shard_seed(&self, shard: usize) -> u64 {
         derive_seed(self.master_seed, &["shard", &shard.to_string()])
     }

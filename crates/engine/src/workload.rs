@@ -3,10 +3,10 @@
 //! every ingestion path in the engine is built on.
 //!
 //! Each workload has exactly one generator, [`WorkloadSpec::stream`], so
-//! every consumer — binaries, tests, criterion benches, the registry's
-//! scripted adversaries — draws from one set of streams. The per-draw
-//! `TranscriptRng` generators these streams replaced survive only as
-//! frozen oracles in the tests.
+//! every consumer — binaries, tests, the `bench_pipeline` bench and the
+//! `wbbench` benchmark, the registry's scripted adversaries — draws from
+//! one set of streams. The per-draw `TranscriptRng` generators these
+//! streams replaced survive only as frozen oracles in the tests.
 //!
 //! # Streaming vs materializing
 //!
@@ -34,7 +34,7 @@ use wb_core::stream::Turnstile;
 
 /// Default chunk size of the streaming pipeline: the buffer length
 /// [`UpdateSource::next_chunk`] falls back to when the caller's buffer has
-/// no capacity, and the default of the `--chunk` CLI flag.
+/// no capacity, and the default of the tournament's `--chunk` flag.
 pub const DEFAULT_CHUNK: usize = 4096;
 
 /// A pull-based source of erased updates — the streaming replacement for
@@ -672,23 +672,6 @@ impl WorkloadSpec {
                 while *wave > 1 && *waves * (*wave + *wave / 2) > cap {
                     *wave /= 2;
                 }
-            }
-        }
-        w
-    }
-
-    /// The same workload resized to roughly `m` updates (up or down) — how
-    /// the `--prelude-m` CLI flag rescales declarative rows without
-    /// touching their other parameters.
-    pub fn resized(&self, m: u64) -> WorkloadSpec {
-        let mut w = self.clone();
-        match &mut w {
-            WorkloadSpec::Zipf { m: len, .. }
-            | WorkloadSpec::Ddos { m: len, .. }
-            | WorkloadSpec::Uniform { m: len, .. }
-            | WorkloadSpec::Cycle { m: len, .. } => *len = m,
-            WorkloadSpec::Churn { waves, wave, .. } => {
-                *waves = (m / (*wave + *wave / 2).max(1)).max(1);
             }
         }
         w
@@ -1384,10 +1367,10 @@ mod tests {
     #[test]
     fn streams_emit_exactly_spec_len() {
         // `WorkloadSpec::len` is what each stream emits, churn included,
-        // for the spec as built and after `resized` — the count callers
+        // for the spec as built and after `capped` — the count callers
         // (the pipeline bench's Mups) take a stream's length from.
         for spec in all_specs() {
-            for sized in [spec.clone(), spec.resized(1000), spec.resized(37)] {
+            for sized in [spec.clone(), spec.capped(1000), spec.capped(37)] {
                 for chunk in [1, 64, 4096] {
                     assert_eq!(
                         emitted(&sized, chunk),
@@ -1399,24 +1382,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn resized_rescales_every_variant() {
-        let zipf = WorkloadSpec::Zipf {
-            n: 1 << 10,
-            m: 100,
-            heavy: 4,
-            seed: 1,
-        };
-        assert_eq!(zipf.resized(5000).len(), 5000);
-        let churn = WorkloadSpec::Churn {
-            n: 256,
-            waves: 2,
-            wave: 64,
-            seed: 1,
-        };
-        let grown = churn.resized(10_000);
-        assert!(grown.len() >= 10_000 - 96 && grown.len() <= 10_000 + 96);
     }
 }

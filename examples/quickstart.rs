@@ -34,11 +34,7 @@ fn main() {
                 return None;
             }
             if t == 1 {
-                println!(
-                    "adversary sees: seed={}, draws so far={}",
-                    transcript.seed(),
-                    transcript.draws()
-                );
+                println!("adversary sees: draws so far={}", transcript.draws());
             }
             if t.is_multiple_of(3) {
                 Some(InsertOnly(7)) // the heavy item (1/3 of the stream)

@@ -4,7 +4,7 @@
 
 use wbstream::core::game::FnAdversary;
 use wbstream::core::referee::{ApproxCountReferee, HeavyHitterReferee, L0SandwichReferee};
-use wbstream::core::rng::{RandTranscript, TranscriptRng};
+use wbstream::core::rng::{f64_from_word, RandTranscript, TranscriptRng};
 use wbstream::core::space::SpaceUsage;
 use wbstream::core::stream::{InsertOnly, StreamAlg, Turnstile};
 use wbstream::engine::erased::{
@@ -15,7 +15,7 @@ use wbstream::engine::workload::SliceSource;
 use wbstream::engine::Game;
 use wbstream::sketch::hhh::{HhhReferee, RadixHierarchy, RobustHHH};
 use wbstream::sketch::l0::{MatrixMode, SisL0Estimator};
-use wbstream::sketch::{MedianMorris, MisraGries, RobustL1HeavyHitters};
+use wbstream::sketch::{BernoulliHeavyHitters, MedianMorris, MisraGries, RobustL1HeavyHitters};
 
 #[test]
 fn morris_survives_transcript_aware_adversary() {
@@ -25,7 +25,7 @@ fn morris_survives_transcript_aware_adversary() {
     let adv = FnAdversary::new(
         |t: u64, alg: &MedianMorris, tr: &RandTranscript, _last: Option<&f64>| {
             // Exercise all transcript accessors while deciding.
-            let _ = (tr.seed(), tr.draws(), tr.last());
+            let _ = (tr.draws(), tr.recent(), tr.last());
             let spread = alg
                 .counters()
                 .iter()
@@ -295,4 +295,100 @@ fn typed_and_erased_games_agree_on_scripts_and_adversaries() {
         survived[usize::from(typed.survived())] = true;
     }
     assert_eq!(survived, [true, true], "both verdicts must be exercised");
+}
+
+/// Recovers a [`TranscriptRng`]'s seed from the first word of its tape,
+/// using nothing but public constants: xoshiro256\*\* outputs
+/// `rotl(s1·5, 7)·9`, where `s1` is the second SplitMix64 output from the
+/// seed, and each of those steps can be undone mod 2^64.
+fn seed_from_first_word(w0: u64) -> u64 {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    // Inverse of an odd multiplier mod 2^64 by Newton's iteration.
+    let inv = |a: u64| {
+        (0..6).fold(a, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)))
+        })
+    };
+    let unshift = |y: u64, k: u32| (1..=64 / k).fold(y, |x, i| x ^ (y >> (i * k)));
+    let s1 = w0.wrapping_mul(inv(9)).rotate_right(7).wrapping_mul(inv(5));
+    let mut z = unshift(s1, 31).wrapping_mul(inv(0x94D0_49BB_1331_11EB));
+    z = unshift(z, 27).wrapping_mul(inv(0xBF58_476D_1CE4_E5B9));
+    unshift(z, 30).wrapping_sub(GAMMA.wrapping_mul(2))
+}
+
+/// The seed has no accessor, but it is not hidden from an adversary: the
+/// first past word determines it, and with it every future word.
+#[test]
+fn first_tape_word_determines_the_seed() {
+    for seed in [0, 1, 7, 42, 0xC0FFEE, u64::MAX, 0x0123_4567_89AB_CDEF] {
+        let mut rng = TranscriptRng::from_seed(seed);
+        rng.next_u64();
+        let recovered = seed_from_first_word(rng.transcript().replay(1)[0]);
+        assert_eq!(recovered, seed);
+        let mut rebuilt = TranscriptRng::from_seed(recovered);
+        rebuilt.next_u64();
+        assert_eq!(rebuilt.next_u64(), rng.next_u64(), "seed {seed:#x}");
+    }
+}
+
+/// The paper's adversary sees the coins flipped so far, never the next
+/// one. This rule starves `bernoulli_hh` (Theorem 2.3's robust row): send
+/// the heavy item 7 whenever the coin about to be flipped is tails, so 7 is
+/// almost never sampled, and otherwise one of 8 light items in rotation.
+/// Guessing the next coin from the last word, it plays the whole stream
+/// and the row survives. But the harness keeps it to past words by
+/// convention only: the same rule, reading the seed back from the first
+/// past word, computes the next coin and breaks the row at the first check.
+///
+/// Checks start at m/4: the rate is sized for the whole stream, and on
+/// short prefixes sampling noise alone breaks the 0.1·L1 tolerance (an
+/// oblivious stream of the same shape does at round 4096 for some seeds).
+#[test]
+fn bernoulli_hh_survives_a_next_coin_guess_but_not_a_seed_recovered_from_the_transcript() {
+    const SEED: u64 = 0xC0FFEE;
+    let (n, m) = (1u64 << 16, 1u64 << 18);
+    let p = BernoulliHeavyHitters::new(n, m, 0.1, 0.01).rate();
+    let play = |mut next_is_tails: Box<dyn FnMut(&RandTranscript) -> bool>| {
+        let adv = FnAdversary::new(
+            move |t: u64, _alg: &BernoulliHeavyHitters, tr: &RandTranscript, _last: Option<&_>| {
+                (t <= m).then(|| InsertOnly(if next_is_tails(tr) { 7 } else { 1000 + t % 8 }))
+            },
+        );
+        Game::new(BernoulliHeavyHitters::new(n, m, 0.1, 0.01))
+            .adversary(adv)
+            .referee(HeavyHitterReferee::new(0.1, 0.1).with_grace(m / 4))
+            .max_rounds(m)
+            .seed(SEED)
+            .run()
+    };
+
+    // Past words only: guess that the next coin repeats the last one.
+    let report = play(Box::new(
+        move |tr: &RandTranscript| !matches!(tr.last(), Some(w) if f64_from_word(w) < p),
+    ));
+    assert!(report.survived(), "{:?}", report.result.failure);
+    assert_eq!(report.result.rounds, m);
+
+    // The same rule reading the next coin: recover the seed from the first
+    // past word, replay the tape to the current draw and peek one ahead.
+    let mut tape: Option<TranscriptRng> = None;
+    let report = play(Box::new(move |tr: &RandTranscript| {
+        let Some(&w0) = tr.replay(1).first() else {
+            return false;
+        };
+        let tape = tape.get_or_insert_with(|| {
+            let seed = seed_from_first_word(w0);
+            assert_eq!(seed, SEED);
+            TranscriptRng::from_seed(seed)
+        });
+        while tape.transcript().draws() < tr.draws() {
+            tape.next_u64();
+        }
+        f64_from_word(tape.clone().next_u64()) >= p
+    }));
+    assert!(
+        !report.survived(),
+        "a future-reading adversary must break the row"
+    );
+    assert_eq!(report.result.rounds, m / 4, "{:?}", report.result.failure);
 }

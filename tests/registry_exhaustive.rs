@@ -214,7 +214,7 @@ fn extreme_turnstile_deltas_are_refused_without_unwinding() {
 
 #[test]
 fn huge_batches_match_a_chunked_feed_without_unwinding() {
-    // One batch of the daemon's largest chunk (`tenant::MAX_CHUNK`
+    // One batch of the largest chunk (`shard::MAX_CHUNK`
     // updates) and one update longer, fed through every algorithm in one
     // `process_batch_dyn` call and one `process_dyn` call per update. Each
     // feed must return (never unwind), and end in the outcome, answer and
@@ -222,8 +222,8 @@ fn huge_batches_match_a_chunked_feed_without_unwinding() {
     // are in the algorithm's model, so every feed is accepted.
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use wb_core::rng::TranscriptRng;
-    use wb_daemon::tenant::MAX_CHUNK;
     use wb_engine::erased::{DynStreamAlg, Update};
+    use wb_engine::shard::MAX_CHUNK;
 
     let n: u64 = 1 << 10;
     let params = Params::default().with_n(n);

@@ -44,9 +44,9 @@ fn tournament_reports_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn sharded_tournament_reports_are_byte_identical_across_thread_counts() {
-    // Acceptance criterion of the sharded-ingestion tentpole: with the
-    // prelude split across 4 shard instances, the JSON report stays a pure
-    // function of the configuration for --threads 1 / 4 / 8.
+    // Sharded ingestion's determinism contract: with the prelude split
+    // across 4 shard instances, the JSON report stays a pure function of
+    // the configuration for --threads 1 / 4 / 8.
     let sharded = |threads: usize| {
         let mut cfg = config(threads);
         cfg.shards = 4;
