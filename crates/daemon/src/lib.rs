@@ -23,9 +23,10 @@
 //! otherwise — `snapshot-stats` and `metrics` expose state cheerfully;
 //! only algorithms that are robust under full exposure should be deployed
 //! multi-tenant. What stays secret is the *future* of each tape: the
-//! tenant seed, which no reply carries (a `tenant_mismatch` reply does
-//! print the tenant's seed base), and snapshot frames, which hold the
-//! tape's generator state (README *Snapshot & resume*).
+//! tenant seed, which no reply carries (a `tenant_mismatch` reply names
+//! both algorithms but says only whether the seed differs), and snapshot
+//! frames, which hold the tape's generator state (README *Snapshot &
+//! resume*).
 //!
 //! Modules: [`json`] (hand-rolled reader/writer), [`proto`] (wire types +
 //! typed errors), [`tenant`] (per-tenant engine + inbox), [`dispatch`]

@@ -185,14 +185,20 @@ impl Tenant {
 
     /// `hello` to an existing tenant must re-declare the same algorithm
     /// and seed base — a mismatch is a typed refusal, never a silent
-    /// re-seed.
+    /// re-seed. The refusal names both algorithms but no seed: a base
+    /// defaulted from the daemon's `--seed` is secret.
     pub fn check_hello_matches(&self, alg_name: &str, seed_base: u64) -> Result<(), ProtoError> {
         if self.alg_name != alg_name || self.seed_base != seed_base {
+            let seed = if self.seed_base == seed_base {
+                "the same seed"
+            } else {
+                "a different seed"
+            };
             return Err(ProtoError::new(
                 ErrorKind::TenantMismatch,
                 format!(
-                    "tenant '{}' exists with alg '{}' and seed {} (got alg '{}', seed {})",
-                    self.id, self.alg_name, self.seed_base, alg_name, seed_base
+                    "tenant '{}' exists with alg '{}' (got alg '{}' and {seed})",
+                    self.id, self.alg_name, alg_name
                 ),
             ));
         }

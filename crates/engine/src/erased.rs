@@ -179,6 +179,13 @@ pub trait FromUpdate: Sized + Clone {
     /// multi-unit turnstile delta into `delta` unit insertions (bounded by
     /// [`MAX_DELTA_EXPANSION`]) instead of spuriously rejecting it.
     fn from_update_weighted(u: &Update) -> Option<(Self, u64)>;
+
+    /// Branch-free conversion for the common case: the native update plus
+    /// a flag that is `true` exactly when
+    /// [`FromUpdate::from_update_weighted`] returns `Some((x, 1))`, with
+    /// the same `x`. When the flag is `false` the update is meaningless and
+    /// the caller falls back to the weighted conversion.
+    fn from_update_unit(u: &Update) -> (Self, bool);
 }
 
 impl FromUpdate for InsertOnly {
@@ -198,6 +205,10 @@ impl FromUpdate for InsertOnly {
             Update::Turnstile { .. } => None,
         }
     }
+
+    fn from_update_unit(u: &Update) -> (Self, bool) {
+        (InsertOnly(u.item()), u.delta() == 1)
+    }
 }
 
 impl FromUpdate for Turnstile {
@@ -213,6 +224,14 @@ impl FromUpdate for Turnstile {
             Update::Turnstile { item, delta } => (delta.unsigned_abs() <= MAX_TURNSTILE_DELTA)
                 .then_some((Turnstile { item, delta }, 1)),
         }
+    }
+
+    fn from_update_unit(u: &Update) -> (Self, bool) {
+        let (item, delta) = (u.item(), u.delta());
+        (
+            Turnstile { item, delta },
+            delta.unsigned_abs() <= MAX_TURNSTILE_DELTA,
+        )
     }
 }
 
@@ -330,6 +349,12 @@ pub trait DynStreamAlg: Send {
     /// processed in bounded segments); callers treat a failed instance as
     /// discarded, never as rolled back. An item outside the universe
     /// anywhere in the batch is refused before any update is applied.
+    ///
+    /// A batch of unit updates (each converting to one native update, as
+    /// [`FromUpdate::from_update_unit`] reports) is converted in one
+    /// branch-free pass and handed to `process_batch` in one call; any
+    /// other batch takes the weighted loop, which expands, segments and
+    /// rejects it.
     fn process_batch_dyn(
         &mut self,
         updates: &[Update],
@@ -418,7 +443,21 @@ where
         if let Some(n) = self.universe() {
             check_universe(self.name(), updates, n)?;
         }
+        // One branch-free pass: a batch of unit updates is the converted
+        // batch itself, handed to the kernel in one call — exactly the
+        // call the weighted loop below makes for it, since `extra` stays 0.
+        let mut all_unit = true;
         let mut converted: Vec<A::Update> = Vec::with_capacity(updates.len());
+        converted.extend(updates.iter().map(|update| {
+            let (u, unit) = A::Update::from_update_unit(update);
+            all_unit &= unit;
+            u
+        }));
+        if all_unit {
+            self.process_batch(&converted, rng);
+            return Ok(());
+        }
+        converted.clear();
         let mut extra = 0u64;
         for update in updates {
             let (u, repeat) = A::Update::from_update_weighted(update).ok_or_else(|| {
@@ -759,12 +798,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stream_model_accepts_mirrors_weighted_conversion() {
-        // model().accepts(u) must agree with from_update_weighted(u) on
-        // every update shape — it is the pre-validation servers rely on
-        // before handing a batch to an asynchronous ingest path.
-        let shapes = [
+    /// Every update shape the conversions distinguish: unit, weighted,
+    /// zero, negative, and each delta bound with its neighbour.
+    fn update_shapes() -> [Update; 12] {
+        [
             Update::Insert(3),
             Update::Turnstile { item: 3, delta: 1 },
             Update::Turnstile { item: 3, delta: 7 },
@@ -798,8 +835,15 @@ mod tests {
                 item: 3,
                 delta: i64::MAX,
             },
-        ];
-        for u in &shapes {
+        ]
+    }
+
+    #[test]
+    fn stream_model_accepts_mirrors_weighted_conversion() {
+        // model().accepts(u) must agree with from_update_weighted(u) on
+        // every update shape — it is the pre-validation servers rely on
+        // before handing a batch to an asynchronous ingest path.
+        for u in &update_shapes() {
             assert_eq!(
                 InsertOnly::model().accepts(u),
                 InsertOnly::from_update_weighted(u).is_some(),
@@ -815,6 +859,27 @@ mod tests {
         assert_eq!(mg.model_dyn(), StreamModel::InsertOnly);
         assert_eq!(mg.model_dyn().label(), "insert_only");
         assert_eq!(StreamModel::Turnstile.label(), "turnstile");
+    }
+
+    #[test]
+    fn unit_conversion_mirrors_weighted_conversion() {
+        // from_update_unit(u) flags exactly the updates from_update_weighted
+        // converts with weight 1, and converts them to the same update —
+        // process_batch_dyn's one-pass path relies on both.
+        fn check<T: FromUpdate + PartialEq + std::fmt::Debug>(u: &Update) {
+            let (x, unit) = T::from_update_unit(u);
+            match T::from_update_weighted(u) {
+                Some((y, 1)) => {
+                    assert!(unit, "{u:?} is a unit update");
+                    assert_eq!(x, y, "{u:?}");
+                }
+                _ => assert!(!unit, "{u:?} is not a unit update"),
+            }
+        }
+        for u in &update_shapes() {
+            check::<InsertOnly>(u);
+            check::<Turnstile>(u);
+        }
     }
 
     #[test]

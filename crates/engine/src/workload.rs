@@ -30,7 +30,6 @@ use crate::erased::Update;
 use wb_core::rng::{
     below, f64_from_word, fill_below, rejection_zone, WordSource, Xoshiro256StarStar,
 };
-use wb_core::stream::Turnstile;
 
 /// Default chunk size of the streaming pipeline: the buffer length
 /// [`UpdateSource::next_chunk`] falls back to when the caller's buffer has
@@ -744,9 +743,11 @@ enum StreamState {
 /// holding only the generator's RNG/position state, never the stream.
 ///
 /// Every variant consumes pre-filled raw words from a `WordTape` in the
-/// same order as the historical per-draw `TranscriptRng` generators;
-/// uniform, ddos, zipf and cycle chunks are produced by vectorized
-/// kernels, churn by per-wave logic over the buffered tape.
+/// same order as the historical per-draw `TranscriptRng` generators.
+/// Every variant but zipf fills its chunk by `extend` over an exact-size
+/// range, so no update pays a capacity check: uniform, ddos and cycle in
+/// one run per chunk, churn in one run per stretch of a wave's inserts or
+/// deletes.
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
     state: StreamState,
@@ -759,10 +760,37 @@ fn take_of(cap: usize, len: usize, left: u64) -> usize {
     usize::try_from(left).unwrap_or(usize::MAX).min(cap - len)
 }
 
+/// Append `run` turnstile updates of `delta` to `buf`, walking the churn
+/// wave from item `cur` by `step7` modulo `n`; returns the item after the
+/// run.
+#[inline]
+fn churn_run(
+    buf: &mut Vec<Update>,
+    run: usize,
+    mut cur: u64,
+    step7: u64,
+    n: u64,
+    delta: i64,
+) -> u64 {
+    buf.extend((0..run).map(|_| {
+        let item = cur;
+        cur += step7;
+        if cur >= n {
+            cur -= n;
+        }
+        Update::Turnstile { item, delta }
+    }));
+    cur
+}
+
 impl UpdateSource for WorkloadStream {
     fn next_chunk(&mut self, buf: &mut Vec<Update>) -> usize {
         buf.clear();
         let cap = chunk_cap(buf);
+        // Reserve the whole chunk up front: the arms fill `buf` by
+        // `extend`, and its capacity sets the next call's chunk size, so
+        // it must not depend on how many runs a chunk was filled in.
+        buf.reserve(cap);
         match &mut self.state {
             StreamState::Zipf {
                 tape,
@@ -794,7 +822,7 @@ impl UpdateSource for WorkloadStream {
                 }
                 let words = tape.scratch_chunk(draws, |t, s| t.next_u64_many(s));
                 let mut wi = 0;
-                for _ in 0..k {
+                buf.extend((0..k).map(|_| {
                     let item = match phase {
                         0..=4 => {
                             let w = words[wi];
@@ -808,12 +836,12 @@ impl UpdateSource for WorkloadStream {
                             w & 0xFFFF_FFFF
                         }
                     };
-                    buf.push(Update::Insert(item));
                     phase += 1;
                     if phase == 20 {
                         phase = 0;
                     }
-                }
+                    Update::Insert(item)
+                }));
                 *t += k as u64;
             }
             StreamState::Churn {
@@ -839,24 +867,18 @@ impl UpdateSource for WorkloadStream {
                     }
                     ChurnPhase::Insert(i, cur) => {
                         if i < *wave {
-                            let mut next = cur + *step7;
-                            if next >= *n {
-                                next -= *n;
-                            }
-                            *phase = ChurnPhase::Insert(i + 1, next);
-                            buf.push(Update::from(Turnstile::insert(cur)));
+                            let run = take_of(cap, buf.len(), *wave - i);
+                            let cur = churn_run(buf, run, cur, *step7, *n, 1);
+                            *phase = ChurnPhase::Insert(i + run as u64, cur);
                         } else {
                             *phase = ChurnPhase::Delete(0, *base);
                         }
                     }
                     ChurnPhase::Delete(i, cur) => {
                         if i < *wave / 2 {
-                            let mut next = cur + *step7;
-                            if next >= *n {
-                                next -= *n;
-                            }
-                            *phase = ChurnPhase::Delete(i + 1, next);
-                            buf.push(Update::from(Turnstile::delete(cur)));
+                            let run = take_of(cap, buf.len(), *wave / 2 - i);
+                            let cur = churn_run(buf, run, cur, *step7, *n, -1);
+                            *phase = ChurnPhase::Delete(i + run as u64, cur);
                         } else {
                             *phase = ChurnPhase::NextWave;
                         }
@@ -871,14 +893,15 @@ impl UpdateSource for WorkloadStream {
             }
             StreamState::Cycle { items, t, m, cur } => {
                 let k = take_of(cap, 0, m.saturating_sub(*t));
-                let mut c = *cur;
-                for _ in 0..k {
-                    buf.push(Update::Insert(c));
+                let (mut c, items) = (*cur, *items);
+                buf.extend((0..k).map(|_| {
+                    let item = c;
                     c += 1;
-                    if c == *items {
+                    if c == items {
                         c = 0;
                     }
-                }
+                    Update::Insert(item)
+                }));
                 *cur = c;
                 *t += k as u64;
             }
@@ -891,6 +914,7 @@ impl UpdateSource for WorkloadStream {
 mod tests {
     use super::*;
     use wb_core::rng::TranscriptRng;
+    use wb_core::stream::Turnstile;
 
     /// The items of `spec`'s stream, for shape checks.
     fn items(spec: &WorkloadSpec) -> Vec<u64> {
@@ -1287,6 +1311,194 @@ mod tests {
                 "{} stays exhausted",
                 spec.label()
             );
+        }
+    }
+
+    /// The per-element `Ddos`, `Churn` and `Cycle` chunk loops that the
+    /// `extend` runs replaced, frozen as the oracle those arms are checked
+    /// against chunk by chunk. Other variants are not covered.
+    fn frozen_next_chunk(state: &mut StreamState, buf: &mut Vec<Update>) -> usize {
+        buf.clear();
+        let cap = chunk_cap(buf);
+        match state {
+            StreamState::Ddos { tape, t, m } => {
+                let k = take_of(cap, 0, m.saturating_sub(*t));
+                let mut phase = (*t % 20) as u32;
+                let mut draws = 0usize;
+                let mut ph = phase;
+                for _ in 0..k {
+                    if !(5..=7).contains(&ph) {
+                        draws += 1;
+                    }
+                    ph += 1;
+                    if ph == 20 {
+                        ph = 0;
+                    }
+                }
+                let words = tape.scratch_chunk(draws, |t, s| t.next_u64_many(s));
+                let mut wi = 0;
+                for _ in 0..k {
+                    let item = match phase {
+                        0..=4 => {
+                            let w = words[wi];
+                            wi += 1;
+                            (10 << 24) | (1 << 16) | (7 << 8) | (w & 255)
+                        }
+                        5..=7 => (203 << 24) | (113 << 8) | 5,
+                        _ => {
+                            let w = words[wi];
+                            wi += 1;
+                            w & 0xFFFF_FFFF
+                        }
+                    };
+                    buf.push(Update::Insert(item));
+                    phase += 1;
+                    if phase == 20 {
+                        phase = 0;
+                    }
+                }
+                *t += k as u64;
+            }
+            StreamState::Churn {
+                tape,
+                n,
+                step7,
+                wave,
+                waves_left,
+                base,
+                phase,
+            } => loop {
+                if buf.len() == cap {
+                    break;
+                }
+                match *phase {
+                    ChurnPhase::NextWave => {
+                        if *waves_left == 0 {
+                            break;
+                        }
+                        *waves_left -= 1;
+                        *base = below(tape, *n);
+                        *phase = ChurnPhase::Insert(0, *base);
+                    }
+                    ChurnPhase::Insert(i, cur) => {
+                        if i < *wave {
+                            let mut next = cur + *step7;
+                            if next >= *n {
+                                next -= *n;
+                            }
+                            *phase = ChurnPhase::Insert(i + 1, next);
+                            buf.push(Update::from(Turnstile::insert(cur)));
+                        } else {
+                            *phase = ChurnPhase::Delete(0, *base);
+                        }
+                    }
+                    ChurnPhase::Delete(i, cur) => {
+                        if i < *wave / 2 {
+                            let mut next = cur + *step7;
+                            if next >= *n {
+                                next -= *n;
+                            }
+                            *phase = ChurnPhase::Delete(i + 1, next);
+                            buf.push(Update::from(Turnstile::delete(cur)));
+                        } else {
+                            *phase = ChurnPhase::NextWave;
+                        }
+                    }
+                }
+            },
+            StreamState::Cycle { items, t, m, cur } => {
+                let k = take_of(cap, 0, m.saturating_sub(*t));
+                let mut c = *cur;
+                for _ in 0..k {
+                    buf.push(Update::Insert(c));
+                    c += 1;
+                    if c == *items {
+                        c = 0;
+                    }
+                }
+                *cur = c;
+                *t += k as u64;
+            }
+            StreamState::Zipf { .. } | StreamState::Uniform { .. } => {
+                unreachable!("no frozen loop for this variant")
+            }
+        }
+        buf.len()
+    }
+
+    #[test]
+    fn extend_generators_match_frozen_per_element_loops() {
+        // Capacity 0 is a buffer that starts empty: the first call sizes
+        // it, and every later chunk takes its size from that capacity.
+        for cap in [0usize, 1, 7, 19, 20, 2047, 4096, 6145] {
+            let c = if cap == 0 { DEFAULT_CHUNK } else { cap } as u64;
+            let specs = [
+                // 20c + 13 updates: at capacities prime to 20 (1, 7, 19,
+                // 2047) and at 4096 and 6145, chunk edges fall inside and
+                // right after the draw-free phases 5..=7.
+                WorkloadSpec::Ddos {
+                    m: 20 * c + 13,
+                    seed: 31,
+                },
+                // A wave of 2c inserts and c deletes: every wave's insert
+                // run and half-wave delete run ends on a chunk edge.
+                WorkloadSpec::Churn {
+                    n: 1000,
+                    waves: 3,
+                    wave: 2 * c,
+                    seed: 32,
+                },
+                // Odd waves, waves that end mid-chunk, and waves shorter
+                // than a chunk.
+                WorkloadSpec::Churn {
+                    n: 97,
+                    waves: 4,
+                    wave: 2 * c + 1,
+                    seed: 33,
+                },
+                WorkloadSpec::Churn {
+                    n: 1000,
+                    waves: 3,
+                    wave: 3 * c / 4 + 1,
+                    seed: 35,
+                },
+                WorkloadSpec::Churn {
+                    n: 5,
+                    waves: 9,
+                    wave: 5,
+                    seed: 34,
+                },
+                // The cycle wraps on a chunk edge, and inside each chunk.
+                WorkloadSpec::Cycle {
+                    items: c,
+                    m: 3 * c + 5,
+                },
+                WorkloadSpec::Cycle {
+                    items: 3,
+                    m: 3 * c + 5,
+                },
+            ];
+            for spec in specs {
+                let mut frozen = spec.stream().state;
+                let mut source = spec.stream();
+                let mut want = Vec::with_capacity(cap);
+                let mut got = Vec::with_capacity(cap);
+                let mut chunks = 0;
+                loop {
+                    let k = frozen_next_chunk(&mut frozen, &mut want);
+                    assert_eq!(
+                        source.next_chunk(&mut got),
+                        k,
+                        "{spec:?} chunk {chunks} at capacity {cap}"
+                    );
+                    assert_eq!(got, want, "{spec:?} chunk {chunks} at capacity {cap}");
+                    if k == 0 {
+                        break;
+                    }
+                    chunks += 1;
+                }
+                assert_eq!(chunks, spec.len().div_ceil(c), "{spec:?}");
+            }
         }
     }
 

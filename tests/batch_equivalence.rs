@@ -7,6 +7,8 @@
 
 use proptest::prelude::*;
 use wbstream::core::rng::TranscriptRng;
+use wbstream::core::snap::to_bytes;
+use wbstream::core::WbError;
 use wbstream::engine::registry::{self, Params};
 use wbstream::engine::Update;
 
@@ -255,6 +257,70 @@ fn median_morris_wider_than_one_word_block_matches_sequential() {
     let updates = insert_updates(&[0; 40]);
     for chunk in [1, 3, usize::MAX] {
         assert_equivalent_with(&params, "median_morris", &updates, chunk, 9);
+    }
+}
+
+/// `process_batch_dyn` converts a batch of unit updates in one pass and
+/// hands it to `process_batch` once; one update that is not a unit update
+/// sends the whole batch through the weighted loop. For every registry
+/// algorithm, a 4096-update unit batch with one odd update first, in the
+/// middle or last must either leave snapshot and tape bytes equal to a
+/// per-update `process_dyn` replay, or be refused with the weighted loop's
+/// message and leave both untouched.
+#[test]
+fn unit_batch_fast_path_meets_weighted_fallback() {
+    let params = Params::default().with_n(64).with_m_guess(1 << 10);
+    let unit: Vec<Update> = (0..4096u64)
+        .map(|t| Update::Insert(t.wrapping_mul(2654435761) % 64))
+        .collect();
+    for name in registry::names() {
+        let turnstile = TURNSTILE.contains(&name);
+        let wrong_model = Update::Turnstile {
+            item: 5,
+            delta: if turnstile { i64::MIN } else { -1 },
+        };
+        let odd_updates = [
+            (
+                "weight-2 insertion",
+                Update::Turnstile { item: 5, delta: 2 },
+            ),
+            ("wrong-model update", wrong_model),
+            ("out-of-universe item", Update::Insert(64)),
+        ];
+        for (what, odd) in odd_updates {
+            for at in [0, unit.len() / 2, unit.len()] {
+                let mut batch = unit.clone();
+                batch.insert(at, odd);
+                let mut alg = registry::get(name, &params).unwrap();
+                let mut rng = TranscriptRng::from_seed(17);
+                let before = (alg.snapshot_dyn().unwrap(), to_bytes(&rng));
+                let got = alg.process_batch_dyn(&batch, &mut rng);
+                let alg_name = alg.name_dyn();
+                let refusal = match (what, alg.universe_dyn()) {
+                    ("wrong-model update", _) => Some(format!(
+                        "{alg_name} cannot ingest a batch containing wrong-model updates"
+                    )),
+                    ("out-of-universe item", Some(n)) => Some(format!(
+                        "{alg_name} cannot ingest item 64 (outside the universe [0, {n}))"
+                    )),
+                    _ => None,
+                };
+                let after = (alg.snapshot_dyn().unwrap(), to_bytes(&rng));
+                if let Some(msg) = refusal {
+                    assert_eq!(got, Err(WbError::invalid(msg)), "{name}: {what} at {at}");
+                    assert!(after == before, "{name}: {what} at {at} changed state");
+                    continue;
+                }
+                got.unwrap_or_else(|e| panic!("{name}: {what} at {at}: {e}"));
+                let mut replay = registry::get(name, &params).unwrap();
+                let mut replay_rng = TranscriptRng::from_seed(17);
+                for u in &batch {
+                    replay.process_dyn(u, &mut replay_rng).unwrap();
+                }
+                let replayed = (replay.snapshot_dyn().unwrap(), to_bytes(&replay_rng));
+                assert!(after == replayed, "{name}: {what} at {at} diverges");
+            }
+        }
     }
 }
 

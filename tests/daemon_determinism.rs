@@ -259,6 +259,52 @@ fn daemon_answers_match_offline_runs_and_are_config_invariant() {
     }
 }
 
+/// A second `hello` that disagrees with a tenant is refused as
+/// `tenant_mismatch`, naming both algorithms but neither seed: a first
+/// `hello` without `seed` takes the daemon's secret `--seed` as its base.
+#[test]
+fn tenant_mismatch_names_algorithms_but_no_seed() {
+    let (daemon_seed, hello_seed) = (9_081_726_354u64, 5_647_382_910u64);
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        seed: daemon_seed,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut sess = Session::connect(server.addr());
+    sess.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"s\",\"alg\":\"misra_gries\"}");
+    let cases = [
+        (
+            format!("{{\"cmd\":\"hello\",\"tenant\":\"s\",\"alg\":\"misra_gries\",\"seed\":{hello_seed}}}"),
+            "tenant 's' exists with alg 'misra_gries' (got alg 'misra_gries' and a different seed)",
+        ),
+        (
+            "{\"cmd\":\"hello\",\"tenant\":\"s\",\"alg\":\"morris\"}".to_string(),
+            "tenant 's' exists with alg 'misra_gries' (got alg 'morris' and the same seed)",
+        ),
+    ];
+    for (line, want) in cases {
+        let reply = sess.expect_error(&line, "tenant_mismatch");
+        let msg = reply
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap();
+        assert_eq!(msg, want);
+        let text = reply.to_line();
+        for seed in [daemon_seed, hello_seed] {
+            assert!(
+                !text.contains(&seed.to_string()),
+                "{text} prints seed {seed}"
+            );
+        }
+    }
+    sess.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    server.wait();
+}
+
 #[test]
 fn protocol_rejections_are_typed_and_keep_the_session_alive() {
     let server = Server::start(DaemonConfig {
